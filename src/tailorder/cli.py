@@ -2,9 +2,10 @@
 
 Subcommands: eval, tdf, order, verify, repro, validate.  Exit codes:
 0 success/order holds, 1 order fails, 2 input error, 3 dimension error,
-4 indistinguishable at tolerance.  Output is fully deterministic; CSV uses
-17 significant digits, '.' decimals, and LF line endings, and files are
-assembled in memory and written atomically.
+4 indistinguishable at tolerance, 5 internal error (any other exception,
+reported as one ``error:`` line on stderr).  Output is fully deterministic;
+CSV uses 17 significant digits, '.' decimals, and LF line endings, and
+files are assembled in memory and written atomically.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from . import core, families, orders, taildep, verify
 from .core import CopulaError, DimensionError, GridConfig
 from .descriptors import (
+    SHORTHAND_USAGE,
     DescriptorError,
     analytic_tdf_of,
     build_copula,
@@ -33,6 +35,7 @@ EXIT_ORDER_FAILS = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DIMENSION_ERROR = 3
 EXIT_INDISTINGUISHABLE = 4
+EXIT_INTERNAL_ERROR = 5
 
 
 def _fmt(x) -> str:
@@ -115,12 +118,13 @@ def cmd_tdf(args) -> int:
             if w.max() == 0:
                 continue
             est = taildep.estimate_tdf(c, w, sched)
-            rows.append((float(w[0]), est.value, est.error_estimate, est.converged))
+            rows.append(([float(x) for x in w], est.value, est.error_estimate, est.converged))
         if fmt == "json":
-            payload = [{"t": r[0], "value": r[1], "error": r[2], "converged": r[3]} for r in rows]
+            payload = [{"w": w, "value": v, "error": e, "converged": ok} for w, v, e, ok in rows]
             _emit(json.dumps(payload, indent=2) + "\n", args.out)
         else:
-            _emit(_csv(rows, ("t", "value", "error", "converged")), args.out)
+            header = tuple(f"w{k + 1}" for k in range(c.dimension)) + ("value", "error", "converged")
+            _emit(_csv([(*w, *rest) for w, *rest in rows], header), args.out)
         return EXIT_OK
     w = _parse_point(args.w) if args.w else np.ones(c.dimension)
     est = taildep.estimate_tdf(c, w, sched)
@@ -323,23 +327,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Copula tail dependence functions and local stochastic orders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    descriptor_help = f"JSON descriptor file or shorthand: {SHORTHAND_USAGE}"
 
     p = sub.add_parser("eval", help="evaluate a copula at points")
-    p.add_argument("descriptor", help="shorthand (clayton:1) or JSON descriptor file")
+    p.add_argument("descriptor", help=descriptor_help)
     p.add_argument("-u", "--point", action="append", required=True, help="point as u1,u2[,u3]")
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("tdf", help="estimate the tail dependence function")
-    p.add_argument("descriptor")
+    p.add_argument("descriptor", help=descriptor_help)
     p.add_argument("--w", default=None, help="direction as w1,w2[,w3] (default: all ones)")
     p.add_argument("--simplex-grid", type=int, default=None, help="estimate on an n-point simplex grid")
     _add_common(p)
     p.set_defaults(func=cmd_tdf)
 
     p = sub.add_parser("order", help="check a stochastic order between two copulas")
-    p.add_argument("descriptor1")
-    p.add_argument("descriptor2")
+    p.add_argument("descriptor1", help=descriptor_help)
+    p.add_argument("descriptor2", help=descriptor_help)
     rel = p.add_mutually_exclusive_group(required=True)
     rel.add_argument("--tdo", action="store_true", help="tail dependence order")
     rel.add_argument("--loc", action="store_true", help="local lower orthant order")
@@ -363,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_repro)
 
     p = sub.add_parser("validate", help="audit the copula axioms for a descriptor")
-    p.add_argument("descriptor")
+    p.add_argument("descriptor", help=descriptor_help)
     _add_common(p)
     p.set_defaults(func=cmd_validate)
 
@@ -383,6 +388,9 @@ def main(argv=None) -> int:
     except CopulaError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # exit 1 means "order fails", so no failure may escape with it
+        sys.stderr.write(f"error: internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -145,6 +145,16 @@ def _ball_points(dimension: int, eps: float, resolution: int) -> np.ndarray:
     return pts[keep]
 
 
+def _halving_search(check_at, g: GridConfig) -> OrderVerdict:
+    """First verdict of ``check_at(2^-k)``, k <= 20, that does not fail."""
+    for k in range(_MAX_HALVINGS + 1):
+        verdict = check_at(2.0**-k)
+        if verdict.status != FAILS:
+            return verdict
+    return OrderVerdict(FAILS, verdict.margin, verdict.witness, None, g.resolution, g.tau,
+                        note=f"no epsilon found down to 2^-{_MAX_HALVINGS} at this resolution")
+
+
 def check_loc(c1: Copula, c2: Copula, epsilon: float | None = None,
               grid: GridConfig | None = None) -> OrderVerdict:
     """Local lower orthant order: C1 <= C2 on the ball of radius epsilon.
@@ -163,14 +173,7 @@ def check_loc(c1: Copula, c2: Copula, epsilon: float | None = None,
             raise DomainError(f"epsilon must lie in (0, sqrt(d)], got {epsilon}")
         pts = _ball_points(d, float(epsilon), g.resolution)
         return _compare(pts, np.asarray(c1.cdf(pts)), np.asarray(c2.cdf(pts)), g, epsilon=float(epsilon))
-    last = None
-    for k in range(_MAX_HALVINGS + 1):
-        verdict = check_loc(c1, c2, 2.0**-k, g)
-        if verdict.status != FAILS:
-            return verdict
-        last = verdict
-    return OrderVerdict(FAILS, last.margin, last.witness, None, g.resolution, g.tau,
-                        note=f"no epsilon found down to 2^-{_MAX_HALVINGS} at this resolution")
+    return _halving_search(lambda eps: check_loc(c1, c2, eps, g), g)
 
 
 def _ray_scales(w: np.ndarray, schedule: LimitSchedule) -> np.ndarray:
@@ -250,14 +253,7 @@ def check_cone_order(c1: Copula, c2: Copula, cone: ConeSpec, epsilon: float | No
     if epsilon is not None:
         pts = _cone_points(d, cone.c, float(epsilon), g.resolution)
         return _compare(pts, np.asarray(c1.cdf(pts)), np.asarray(c2.cdf(pts)), g, epsilon=float(epsilon))
-    last = None
-    for k in range(_MAX_HALVINGS + 1):
-        verdict = check_cone_order(c1, c2, cone, 2.0**-k, g)
-        if verdict.status != FAILS:
-            return verdict
-        last = verdict
-    return OrderVerdict(FAILS, last.margin, last.witness, None, g.resolution, g.tau,
-                        note=f"no epsilon found down to 2^-{_MAX_HALVINGS} at this resolution")
+    return _halving_search(lambda eps: check_cone_order(c1, c2, cone, eps, g), g)
 
 
 def check_diagonal_order(d1: DiagonalSection, d2: DiagonalSection,

@@ -278,9 +278,8 @@ def simplex_restriction(lam: TailDepFunction) -> SimplexTDF:
         raise DimensionError("simplex restriction is defined for bivariate functions")
 
     def phi(t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        pts = np.stack([t_arr, 1.0 - t_arr], axis=1)
-        return lam(pts)
+        t_arr = np.asarray(t, dtype=float)
+        return lam(np.stack([t_arr, 1.0 - t_arr], axis=-1))
 
     sec = lam.section
     return SimplexTDF(phi, breakpoints=sec.breakpoints if sec else (), name=lam.name, params=dict(lam.params))
@@ -305,12 +304,12 @@ def tdc_from_simplex(section: SimplexTDF) -> float:
 
 def parabola_section() -> SimplexTDF:
     """Concave section t * (1 - t); a valid tail dependence section."""
-    return SimplexTDF(lambda t: t * (1.0 - t), name="parabola")
+    return SimplexTDF(lambda t: t * (1.0 - t), name="fig1-parabola")
 
 
 def capped_slope_section() -> SimplexTDF:
     """Piecewise-linear section min(t/2, 1 - t) with a kink at t = 2/3."""
-    return SimplexTDF(lambda t: np.minimum(0.5 * t, 1.0 - t), breakpoints=(2.0 / 3.0,), name="capped-slope")
+    return SimplexTDF(lambda t: np.minimum(0.5 * t, 1.0 - t), breakpoints=(2.0 / 3.0,), name="fig1-piecewise")
 
 
 def min_section() -> SimplexTDF:

@@ -1,0 +1,158 @@
+import csv
+import io
+import json
+
+import pytest
+
+from tailorder import cli, verify
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def rows(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
+GLUED_JOE = {
+    axis: {
+        "family": "glue",
+        "params": {"axis": axis, "split": 0.5},
+        "left": {"family": "archimedean", "params": {"generator": {"name": "joe", "theta": 2.0}, "d": 2}},
+        "right": {"family": "comonotone", "params": {"d": 2}},
+    }
+    for axis in (1, 2)
+}
+
+
+class TestSubcommands:
+    def test_eval(self, capsys):
+        code, out, _ = run(capsys, "eval", "clayton:1", "-u", "0.5,0.5", "-u", "0.2,0.4")
+        assert code == cli.EXIT_OK
+        assert [float(x) for x in out.split()] == pytest.approx([1.0 / 3.0, 1.0 / 6.5], abs=1e-15)
+
+    def test_tdf_trace(self, capsys):
+        code, out, _ = run(capsys, "tdf", "clayton:2")
+        assert code == cli.EXIT_OK
+        table = rows(out)
+        assert table[0] == ["s", "ratio", "diff", "converged"]
+        assert float(table[-1][1]) == pytest.approx(2.0**-0.5, abs=1e-6)
+
+    def test_tdf_simplex_grid_writes_whole_directions(self, capsys):
+        code, out, _ = run(capsys, "tdf", "independence:3", "--simplex-grid", "3")
+        assert code == cli.EXIT_OK
+        table = rows(out)
+        assert table[0] == ["w1", "w2", "w3", "value", "error", "converged"]
+        directions = {tuple(r[:3]) for r in table[1:]}
+        assert len(table) - 1 == 6 and len(directions) == 6
+
+    def test_tdf_simplex_grid_json(self, capsys):
+        code, out, _ = run(capsys, "tdf", "clayton:2", "--simplex-grid", "5", "--format", "json")
+        assert code == cli.EXIT_OK
+        payload = json.loads(out)
+        assert [p["w"] for p in payload] == [[0.0, 1.0], [0.25, 0.75], [0.5, 0.5], [0.75, 0.25], [1.0, 0.0]]
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("clayton:1", "clayton:2", "--tdo"), cli.EXIT_OK),
+        (("clayton:2", "clayton:1", "--tdo"), cli.EXIT_ORDER_FAILS),
+        (("lev:fig1-parabola", "lev:fig1-piecewise", "--tdo"), cli.EXIT_ORDER_FAILS),
+        (("lev:fig1-piecewise", "lev:fig1-parabola", "--tdo"), cli.EXIT_ORDER_FAILS),
+        (("fn:1.5", "fn:1.2", "--tdo"), cli.EXIT_INDISTINGUISHABLE),
+        (("fn:1", "comonotone", "--tdo"), cli.EXIT_INDISTINGUISHABLE),
+        (("clayton:1", "clayton:2", "--loc", "--eps", "0.2"), cli.EXIT_OK),
+        (("marshall-olkin:0.5", "clayton:1", "--loc", "--eps", "0.2"), cli.EXIT_ORDER_FAILS),
+        (("marshall-olkin:0.5", "clayton:1", "--cone", "0.2"), cli.EXIT_OK),
+        (("clayton:1", "clayton:2", "--diagonal"), cli.EXIT_OK),
+        (("clayton:2", "clayton:1", "--diagonal"), cli.EXIT_ORDER_FAILS),
+        (("clayton:1", "independence:3", "--tdo"), cli.EXIT_DIMENSION_ERROR),
+    ])
+    def test_order(self, capsys, argv, expected):
+        code, out, _ = run(capsys, "order", *argv)
+        assert code == expected
+        if expected != cli.EXIT_DIMENSION_ERROR:
+            assert "status" in json.loads(out)
+
+    def test_order_too(self, capsys, tmp_path):
+        paths = []
+        for axis, desc in GLUED_JOE.items():
+            paths.append(tmp_path / f"glued-{axis}.json")
+            paths[-1].write_text(json.dumps(desc))
+        code, out, _ = run(capsys, "order", str(paths[0]), str(paths[1]), "--too",
+                           "--format", "csv")
+        assert code == cli.EXIT_ORDER_FAILS
+        assert rows(out)[0] == ["w", "s", "C1", "C2", "gap"]
+
+    def test_verify(self, capsys):
+        code, out, _ = run(capsys, "verify", "spearman")
+        assert code == cli.EXIT_OK
+        assert all(r[2] == "pass" for r in rows(out)[1:])
+
+    @pytest.mark.parametrize("name, header", [
+        ("mo-clayton", ["t", "M", "C"]),
+        ("glued-joe", ["w", "s", "C1", "C2", "gap"]),
+        ("fig1-tdfs", ["t", "parabola", "piecewise", "envelope"]),
+    ])
+    def test_repro(self, capsys, name, header):
+        code, out, _ = run(capsys, "repro", name)
+        assert code == cli.EXIT_OK
+        assert rows(out)[0] == header
+
+    def test_validate(self, capsys):
+        code, out, _ = run(capsys, "validate", "bertino:1.5")
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["passed"] is True
+
+
+class TestContract:
+    def test_csv_is_byte_identical_across_runs(self, capsys):
+        first = run(capsys, "order", "clayton:1", "clayton:2", "--tdo", "--format", "csv")[1]
+        second = run(capsys, "order", "clayton:1", "clayton:2", "--tdo", "--format", "csv")[1]
+        assert first == second and first.endswith("\n") and "\r" not in first
+
+    def test_out_writes_the_file(self, capsys, tmp_path):
+        target = tmp_path / "mo.csv"
+        code, out, _ = run(capsys, "repro", "mo-clayton", "--out", str(target))
+        assert code == cli.EXIT_OK and out == ""
+        assert target.read_bytes() == run(capsys, "repro", "mo-clayton")[1].encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["mo.csv"]
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "frank:2", "-u", "0.5,0.5"),
+        ("verify", "nope"),
+        ("repro", "nope"),
+        ("order", "clayton", "clayton:2", "--tdo"),
+    ])
+    def test_input_errors(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == cli.EXIT_INPUT_ERROR
+        assert err.startswith("error: ")
+
+    def test_bad_dimension_parameter_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"family": "archimedean", "params": {"generator": {"name": "clayton", "theta": 2}, "d": "x"}}
+        ))
+        code, _, err = run(capsys, "eval", str(path), "-u", "0.5,0.5")
+        assert code == cli.EXIT_INPUT_ERROR
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_internal_error_exits_5(self, capsys, monkeypatch):
+        def boom(name):
+            raise RuntimeError("suite exploded")
+
+        monkeypatch.setattr(verify, "run_suite", boom)
+        code, out, err = run(capsys, "verify", "cone")
+        assert code == cli.EXIT_INTERNAL_ERROR == 5
+        assert out == ""
+        assert err == "error: internal error: RuntimeError: suite exploded\n"
+
+    def test_help_lists_every_shorthand(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")
+        with pytest.raises(SystemExit):
+            cli.main(["eval", "--help"])
+        out = capsys.readouterr().out
+        for form in ("clayton:THETA", "marshall-olkin:ALPHA", "lev:FIXTURE", "fig1-piecewise"):
+            assert form in out
