@@ -57,15 +57,18 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
         return
     path = Path(out)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", newline="\n") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # a missing or unwritable target is bad input, not an internal error
+        raise DescriptorError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
 def _parse_point(text: str) -> np.ndarray:

@@ -171,6 +171,8 @@ class Copula:
         pts = np.atleast_2d(arr).reshape(-1, self.dimension)
         if not np.isfinite(pts).all():
             raise DomainError("coordinates must be finite")
+        if pts.shape[0] == 0:
+            return np.empty(arr.shape[:-1])
         low, high = pts.min(), pts.max()
         if low < -BOUNDARY_TOL or high > 1.0 + BOUNDARY_TOL:
             raise DomainError(
@@ -202,10 +204,16 @@ def _with_boundary_axioms(formula: Callable, dimension: int) -> Callable:
 
     Rows with any coordinate exactly 0 return 0; rows with at least d-1
     coordinates exactly 1 return the remaining coordinate.  Interior values
-    are clipped into [0, 1] to absorb rounding.
+    are clipped into [0, 1] to absorb rounding.  A batch whose coordinates
+    all lie strictly inside (0, 1) has no such rows, so it goes to the
+    formula whole, without the row masks and the copy of the inner rows;
+    a formula that treats each row on its own gives the same values on
+    either path.
     """
 
     def wrapped(pts: np.ndarray) -> np.ndarray:
+        if pts.size and pts.min() > 0.0 and pts.max() < 1.0:
+            return np.clip(formula(pts), 0.0, 1.0)
         out = np.empty(pts.shape[0], dtype=float)
         zero = (pts == 0.0).any(axis=1)
         margin = ((pts == 1.0).sum(axis=1) >= dimension - 1) & ~zero

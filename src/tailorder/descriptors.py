@@ -121,6 +121,12 @@ def _power_diagonal_tdf(p: dict, d: int) -> TailDepFunction | None:
     return taildep.min_tdf(d) if _param(spec, "p") == 1.0 else taildep.zero_tdf(d)
 
 
+def _gaussian_tdf(p: dict, d: int) -> TailDepFunction:
+    # above the cutoff families.gaussian builds the comonotone copula; below
+    # it the tail limit vanishes (for |rho| < 1 too slowly to estimate)
+    return taildep.min_tdf(d) if _param(p, "rho") > families.GAUSS_RHO_CUTOFF else taildep.zero_tdf(d)
+
+
 def _zero_tdf(p: dict, d: int) -> TailDepFunction:
     return taildep.zero_tdf(d)
 
@@ -134,9 +140,7 @@ _FAMILIES = {
     "archimedean": (lambda p, desc: families.archimedean(generator_from_spec(p.get("generator")), _dim(p)),
                     _archimedean_tdf),
     "marshall_olkin": (lambda p, desc: families.marshall_olkin(_param(p, "alpha")), _zero_tdf),
-    # the Gaussian tail limit vanishes for |rho| < 1 but too slowly to verify
-    "gaussian": (lambda p, desc: families.gaussian(_param(p, "rho")),
-                 lambda p, d: taildep.zero_tdf(d) if abs(_param(p, "rho")) < 1.0 else None),
+    "gaussian": (lambda p, desc: families.gaussian(_param(p, "rho")), _gaussian_tdf),
     "extreme_value": (lambda p, desc: families.ev_copula(tdf_from_spec(p.get("tdf"))), None),
     "lower_extreme_value": (lambda p, desc: families.lower_ev_copula(tdf_from_spec(p.get("tdf"))),
                             lambda p, d: tdf_from_spec(p.get("tdf"), d)),

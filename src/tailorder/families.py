@@ -45,6 +45,7 @@ __all__ = [
     "fredricks_nelsen",
     "bertino",
     "semilinear",
+    "GAUSS_RHO_CUTOFF",
     "bivariate_normal_cdf",
     "gaussian",
     "ev_copula",
@@ -224,12 +225,25 @@ def marshall_olkin(alpha: float) -> Copula:
 
 @dataclass(frozen=True)
 class DiagonalSection:
-    """Diagonal t -> C(t, ..., t) of a d-copula, as a standalone object."""
+    """Diagonal t -> C(t, ..., t) of a d-copula, as a standalone object.
+
+    ``convex`` records that delta is convex on [0, 1], a mathematical fact
+    like ``Generator.strict``; :func:`bertino` then takes its inner minimum
+    at an interval endpoint.  A claim the second differences on the
+    :func:`validate_diagonal` grid contradict is rejected here.
+    """
 
     delta: Callable
     dimension: int = 2
     name: str = "custom"
     params: dict = field(default_factory=dict)
+    convex: bool = False
+
+    def __post_init__(self):
+        if self.convex:
+            second = np.diff(np.asarray(self.delta(_diagonal_grid()), dtype=float), 2)
+            if second.min() < -1e-12:
+                raise DomainError(f"diagonal {self.name!r} is marked convex but is not")
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -241,7 +255,7 @@ def power_diagonal(p: float, dimension: int = 2) -> DiagonalSection:
     """Power diagonal t^p, valid for a 2-copula when 1 <= p <= 2."""
     if not 1.0 <= p <= float(dimension):
         raise DomainError(f"power diagonal needs 1 <= p <= d = {dimension}, got {p}")
-    return DiagonalSection(lambda t: t ** float(p), dimension, name="power", params={"p": float(p)})
+    return DiagonalSection(lambda t: t ** float(p), dimension, name="power", params={"p": float(p)}, convex=True)
 
 
 def diagonal_of(c: Copula) -> DiagonalSection:
@@ -254,15 +268,18 @@ def diagonal_of(c: Copula) -> DiagonalSection:
     )
 
 
+def _diagonal_grid(grid: GridConfig | None = None) -> np.ndarray:
+    g = grid or GridConfig()
+    return np.linspace(0.0, 1.0, max(g.resolution**2, 256) + 1)
+
+
 def validate_diagonal(delta: DiagonalSection, grid: GridConfig | None = None) -> ValidityReport:
     """Audit the four diagonal properties on a dense grid.
 
     Endpoints delta(0) = 0 and delta(1) = 1, domination delta(t) <= t,
     monotonicity, and the d-Lipschitz bound.
     """
-    g = grid or GridConfig()
-    n = max(g.resolution**2, 256)
-    t = np.linspace(0.0, 1.0, n + 1)
+    t = _diagonal_grid(grid)
     v = np.asarray(delta(t), dtype=float)
 
     end_dev = max(abs(float(v[0])), abs(float(v[-1]) - 1.0))
@@ -335,15 +352,19 @@ def fredricks_nelsen(delta: DiagonalSection) -> Copula:
 def bertino(delta: DiagonalSection) -> Copula:
     """Pointwise minimal copula with the prescribed diagonal.
 
-    C(u, v) = min(u, v) - min over t in [min, max] of (t - delta(t)); the
-    inner minimum is located by a dense scan refined by golden-section
-    search (t - delta(t) need not be unimodal).
+    C(u, v) = min(u, v) - min over t in [min, max] of (t - delta(t)).  For a
+    diagonal marked ``convex`` t - delta(t) is concave, so the inner minimum
+    is the smaller of its two endpoint values.  Otherwise it is located by a
+    dense scan refined by golden-section search (t - delta(t) need not be
+    unimodal).
     """
     _require_valid_diagonal(delta)
 
     def formula(pts: np.ndarray) -> np.ndarray:
         lo = pts.min(axis=1)
         hi = pts.max(axis=1)
+        if delta.convex:
+            return lo - np.minimum(lo - delta(lo), hi - delta(hi))
         return lo - _interval_min_gap(delta, lo, hi)
 
     desc = {"family": "bertino", "params": {"diagonal": {"name": delta.name, **delta.params}}}
@@ -418,7 +439,8 @@ def semilinear(delta: DiagonalSection) -> Copula:
     return copula_from_formula(2, formula, desc)
 
 
-_GAUSS_RHO_CUTOFF = 0.999
+# beyond |rho| = GAUSS_RHO_CUTOFF gaussian() builds the comonotone or countermonotone copula
+GAUSS_RHO_CUTOFF = 0.999
 
 
 def bivariate_normal_cdf(a, b, rho: float, nodes: int = 64) -> np.ndarray | float:
@@ -462,10 +484,10 @@ def gaussian(rho: float, nodes: int = 64) -> Copula:
         raise DomainError(f"rho must lie in [-1, 1], got {rho}")
     r = float(rho)
     desc = {"family": "gaussian", "params": {"rho": r}}
-    if abs(r) > _GAUSS_RHO_CUTOFF:
+    if abs(r) > GAUSS_RHO_CUTOFF:
         if abs(r) != 1.0:
             warnings.warn(
-                f"|rho| = {abs(r)} exceeds {_GAUSS_RHO_CUTOFF}; using the "
+                f"|rho| = {abs(r)} exceeds {GAUSS_RHO_CUTOFF}; using the "
                 "comonotone/countermonotone closed form instead of quadrature",
                 RuntimeWarning,
                 stacklevel=2,

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
@@ -75,6 +76,13 @@ class TestSubcommands:
         if expected != cli.EXIT_DIMENSION_ERROR:
             assert "status" in json.loads(out)
 
+    def test_gaussian_above_the_cutoff_is_comonotone(self, capsys):
+        assert run(capsys, "order", "comonotone", "comonotone", "--tdo")[0] == cli.EXIT_INDISTINGUISHABLE
+        with pytest.warns(RuntimeWarning, match="comonotone"):
+            code, out, _ = run(capsys, "order", "gaussian:0.9995", "comonotone", "--tdo")
+        assert code == cli.EXIT_INDISTINGUISHABLE
+        assert json.loads(out)["status"] == "indistinguishable"
+
     def test_order_too(self, capsys, tmp_path):
         paths = []
         for axis, desc in GLUED_JOE.items():
@@ -118,6 +126,22 @@ class TestContract:
         assert code == cli.EXIT_OK and out == ""
         assert target.read_bytes() == run(capsys, "repro", "mo-clayton")[1].encode()
         assert [p.name for p in tmp_path.iterdir()] == ["mo.csv"]
+
+    def test_out_into_missing_directory_is_an_input_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "repro", "mo-clayton", "--out", str(tmp_path / "missing" / "x.csv"))
+        assert code == cli.EXIT_INPUT_ERROR and out == ""
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code, _, err = run(capsys, "repro", "mo-clayton", "--out", str(tmp_path / "mo.csv"))
+        assert code == cli.EXIT_INPUT_ERROR
+        assert err.endswith(": disk full\n") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ("eval", "frank:2", "-u", "0.5,0.5"),

@@ -32,6 +32,17 @@ def family_zoo():
     ]
 
 
+def every_family():
+    return family_zoo() + [
+        to.independence(3),
+        to.comonotone(3),
+        to.archimedean(to.clayton_generator(2.0), 3),
+        to.hierarchical(to.archimedean(to.clayton_generator(1.0)), to.archimedean(to.clayton_generator(2.0))),
+        to.ev_copula(to.lift(to.parabola_section())),
+        to.archimedean(to.Generator(lambda t: 1.0 - t, None, False, 0.0)),
+    ]
+
+
 class TestEval:
     def test_product_at_half(self):
         assert to.independence().eval((0.5, 0.5)) == 0.25
@@ -70,6 +81,27 @@ class TestEval:
         assert np.asarray(c.cdf(pts)).shape == (25,)
         cube = pts.reshape(5, 5, 2)
         assert np.asarray(c.cdf(cube)).shape == (5, 5)
+
+    def test_empty_batch(self):
+        for c in every_family():
+            out = c.cdf(np.empty((0, c.dimension)))
+            assert isinstance(out, np.ndarray) and out.shape == (0,) and out.dtype == float
+
+    def test_interior_fast_path_matches_masked_path(self):
+        # a batch with no coordinate at 0 or 1 skips the boundary masks; one row on
+        # an axis sends the same batch through them
+        rng = np.random.default_rng(20221013)
+        for c in every_family():
+            d = c.dimension
+            pts = np.concatenate([
+                rng.uniform(0.0, 1.0, size=(512, d)),
+                np.exp(rng.uniform(np.log(1e-10), np.log(1e-1), size=(512, d))),
+            ])
+            boundary_row = np.full((1, d), 0.5)
+            boundary_row[0, 0] = 0.0
+            masked = np.asarray(c.cdf(np.vstack([pts, boundary_row])))
+            assert masked[-1] == 0.0
+            np.testing.assert_array_equal(np.asarray(c.cdf(pts)), masked[:-1], err_msg=repr(c))
 
 
 class TestHVolume:

@@ -144,6 +144,17 @@ class TestAnalyticTDF:
         w = to.simplex_directions(17)
         np.testing.assert_array_equal(lam(w), to.lift(to.parabola_section())(w))
 
+    @pytest.mark.parametrize("rho, name", [(1.0, "min"), (0.9995, "min"), (0.999, "zero"), (0.5, "zero"),
+                                           (0.0, "zero"), (-0.9995, "zero"), (-1.0, "zero")])
+    def test_gaussian_follows_the_builder_cutoff(self, rho, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            c = build_copula(parse_shorthand(f"gaussian:{rho}"))
+        assert analytic_tdf_of(c).name == name
+        if name == "min":
+            pts = to.simplex_directions(17) * 1e-3
+            np.testing.assert_array_equal(c.cdf(pts), pts.min(axis=1))
+
     @pytest.mark.parametrize("c", [
         to.copula_from_callable(lambda pts: pts.prod(axis=1), 2),
         to.archimedean(to.Generator(lambda t: 1.0 - t, None, False, 0.0)),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tailorder as to
+from tailorder.families import _interval_min_gap
 
 
 def grid_points(n=32):
@@ -187,6 +188,51 @@ class TestDiagonalConstructions:
         for make in (to.fredricks_nelsen, to.bertino, to.semilinear):
             with pytest.raises(to.DomainError):
                 make(bad)
+
+
+def seeded_batches(seed=20221013, n=2048):
+    """Uniform interior rows, log-uniform tail rows, and rows on the boundary."""
+    rng = np.random.default_rng(seed)
+    return {
+        "interior": rng.uniform(0.0, 1.0, size=(n, 2)),
+        "tail": np.exp(rng.uniform(np.log(1e-10), np.log(1e-1), size=(n, 2))),
+        "boundary": np.concatenate([
+            np.stack([np.zeros(256), rng.uniform(size=256)], axis=1),
+            np.stack([rng.uniform(size=256), np.ones(256)], axis=1),
+            rng.choice([0.0, 0.25, 0.5, 1.0], size=(256, 2)),
+        ]),
+    }
+
+
+# valid but not convex: t - delta(t) dips to 0 on [0.2, 0.5], inside the interval
+ZIGZAG = ([0.0, 0.1, 0.2, 0.5, 0.75, 1.0], [0.0, 0.0, 0.2, 0.5, 0.5, 1.0])
+
+
+class TestBertinoEndpoint:
+    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75, 2.0])
+    @pytest.mark.parametrize("batch", ["interior", "tail", "boundary"])
+    def test_endpoint_matches_scan_bit_for_bit(self, p, batch):
+        delta = to.power_diagonal(p)
+        assert delta.convex
+        pts = seeded_batches()[batch]
+        lo, hi = pts.min(axis=1), pts.max(axis=1)
+        scanned = lo - _interval_min_gap(delta, lo, hi)
+        np.testing.assert_array_equal(lo - np.minimum(lo - delta(lo), hi - delta(hi)), scanned)
+        # the same diagonal without the convex mark takes the scan
+        unmarked = to.DiagonalSection(delta.delta, name="power", params={"p": p})
+        np.testing.assert_array_equal(to.bertino(delta).cdf(pts), to.bertino(unmarked).cdf(pts))
+
+    def test_nonconvex_diagonal_uses_the_scan(self):
+        delta = to.DiagonalSection(lambda t: np.interp(t, *ZIGZAG))
+        assert not delta.convex and to.validate_diagonal(delta).passed
+        lo, hi = 0.15, 0.6
+        assert lo - min(lo - delta(lo), hi - delta(hi)) == pytest.approx(0.10, abs=1e-15)
+        assert to.bertino(delta).eval((lo, hi)) == pytest.approx(0.15, abs=1e-12)
+
+    @pytest.mark.parametrize("delta", [lambda t: np.interp(t, *ZIGZAG), np.sqrt])
+    def test_false_convex_claim_is_rejected(self, delta):
+        with pytest.raises(to.DomainError, match="convex"):
+            to.DiagonalSection(delta, convex=True)
 
 
 class TestExtremeValue:
