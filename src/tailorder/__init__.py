@@ -1,10 +1,12 @@
 """Copula tail dependence functions and local stochastic orders.
 
-A numpy/scipy library for building copulas (elementary, Archimedean,
+A numpy library for building copulas (elementary, Archimedean,
 Marshall-Olkin, Gaussian, diagonal-driven, extreme value, glued,
 hierarchical), estimating and manipulating lower tail dependence
 functions, and checking the tail dependence, tail orthant, local lower
-orthant, cone, and diagonal orders that relate them.
+orthant, cone, and diagonal orders that relate them.  scipy supplies the
+normal CDF and quantile; it is loaded on the first Gaussian evaluation, so
+importing the package, and any work without a Gaussian copula, skips it.
 """
 
 from .core import (

@@ -197,8 +197,9 @@ def cmd_order(args) -> int:
         if fmt == "csv":
             dirs = taildep.simplex_directions(g.resolution + 1, c1.dimension)
             a, b = np.asarray(lam1(dirs)), np.asarray(lam2(dirs))
-            rows = [(float(dirs[i, 0]), float(a[i]), float(b[i]), float(b[i] - a[i])) for i in range(len(dirs))]
-            _emit(_csv(rows, ("t", "L1", "L2", "gap")), args.out)
+            rows = [(*map(float, dirs[i]), float(a[i]), float(b[i]), float(b[i] - a[i])) for i in range(len(dirs))]
+            header = tuple(f"w{k + 1}" for k in range(c1.dimension)) + ("L1", "L2", "gap")
+            _emit(_csv(rows, header), args.out)
         else:
             _emit(json.dumps(verdict.as_dict(), indent=2) + "\n", args.out)
         return _exit_from_status(verdict.status)

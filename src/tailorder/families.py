@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .core import (
     CheckResult,
@@ -23,7 +22,6 @@ from .core import (
     GridConfig,
     ValidityReport,
     copula_from_formula,
-    survival,
     validate_copula,
 )
 from .taildep import TailDepFunction, _gauss_legendre_01, validate_tdf
@@ -450,8 +448,12 @@ def bivariate_normal_cdf(a, b, rho: float, nodes: int = 64) -> np.ndarray | floa
     Phi2(a, b; rho) = Phi(a)Phi(b)
         + (1/2pi) * int_0^asin(rho) exp(-(a^2 - 2ab sin t + b^2)/(2 cos^2 t)) dt,
     whose integrand is analytic up to |rho| = 1.  Absolute error is below
-    1e-10 for |rho| <= 0.999 at 64 nodes.
+    1e-10 for |rho| <= 0.999 at 64 nodes.  ``scipy.special`` is imported
+    on the first call, so code that never evaluates a normal CDF does not
+    load scipy.
     """
+    from scipy.special import ndtr
+
     if not -1.0 <= rho <= 1.0:
         raise DomainError(f"rho must lie in [-1, 1], got {rho}")
     a_arr = np.asarray(a, dtype=float)
@@ -478,7 +480,9 @@ def gaussian(rho: float, nodes: int = 64) -> Copula:
 
     rho = 0, 1, -1 route to the product, comonotone, and countermonotone
     closed forms; |rho| in (0.999, 1) is also routed to the closed forms
-    with a warning, since the quadrature guarantee stops at 0.999.
+    with a warning, since the quadrature guarantee stops at 0.999.  scipy is
+    imported on the first evaluation of a quadrature copula, not when it is
+    built.
     """
     if not -1.0 <= rho <= 1.0:
         raise DomainError(f"rho must lie in [-1, 1], got {rho}")
@@ -499,6 +503,8 @@ def gaussian(rho: float, nodes: int = 64) -> Copula:
         return copula_from_formula(2, lambda pts: pts.prod(axis=1), desc)
 
     def formula(pts: np.ndarray) -> np.ndarray:
+        from scipy.special import ndtri
+
         q = ndtri(np.clip(pts, 1e-300, 1.0 - 1e-16))
         return np.asarray(bivariate_normal_cdf(q[:, 0], q[:, 1], r, nodes=nodes), dtype=float)
 
@@ -512,13 +518,7 @@ def ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
     unless ``validate=False``); the boundary value 0 at u_k = 0 is taken as
     the limit.
     """
-    if lam.dimension != 2:
-        raise DimensionError("extreme value construction is bivariate")
-    if validate:
-        report = validate_tdf(lam, GridConfig(resolution=16))
-        if not report.passed:
-            failed = [c.name for c in report.checks if not c.passed]
-            raise DomainError(f"invalid tail dependence function: failed {failed}")
+    _require_valid_ev_tdf(lam, validate)
 
     def formula(pts: np.ndarray) -> np.ndarray:
         logs = np.log(pts)
@@ -529,11 +529,31 @@ def ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
 
 
 def lower_ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
-    """Survival copula of the extreme value copula; its tail dependence function is Lambda."""
-    inner = ev_copula(lam, validate=validate)
-    flipped = survival(inner)
+    """Survival copula of the extreme value copula; its tail dependence function is Lambda.
+
+    The survival form u + v - 1 + C(1-u, 1-v) cancels near the origin, so
+    the same copula is evaluated as
+    uv + (1-u)(1-v) expm1(Lambda(-log1p(-u), -log1p(-v))), which keeps full
+    relative precision in the tail.
+    """
+    _require_valid_ev_tdf(lam, validate)
+
+    def formula(pts: np.ndarray) -> np.ndarray:
+        comp = 1.0 - pts
+        return pts.prod(axis=1) + comp.prod(axis=1) * np.expm1(lam(-np.log1p(-pts)))
+
     desc = {"family": "lower_extreme_value", "params": {"tdf": {"name": lam.name, **lam.params}}}
-    return Copula(2, flipped._evaluator, desc)
+    return copula_from_formula(2, formula, desc)
+
+
+def _require_valid_ev_tdf(lam: TailDepFunction, validate: bool):
+    if lam.dimension != 2:
+        raise DimensionError("extreme value construction is bivariate")
+    if validate:
+        report = validate_tdf(lam, GridConfig(resolution=16))
+        if not report.passed:
+            failed = [c.name for c in report.checks if not c.passed]
+            raise DomainError(f"invalid tail dependence function: failed {failed}")
 
 
 def hierarchical(outer: Copula, inner: Copula, audit_resolution: int = 16) -> Copula:

@@ -322,7 +322,10 @@ def simplex_directions(n: int, dimension: int = 2) -> np.ndarray:
 
     For d = 2 returns n points (t, 1-t) with t equally spaced on [0, 1];
     for d = 3 returns the triangular lattice with n points per edge.
+    A grid needs both ends of an edge, so n < 2 raises DomainError.
     """
+    if n < 2:
+        raise DomainError(f"a simplex grid needs n >= 2 points per edge, got {n}")
     if dimension == 2:
         t = np.linspace(0.0, 1.0, n)
         return np.stack([t, 1.0 - t], axis=1)

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +79,15 @@ class TestSubcommands:
         if expected != cli.EXIT_DIMENSION_ERROR:
             assert "status" in json.loads(out)
 
+    def test_tdo_csv_writes_whole_directions(self, capsys):
+        code, out, _ = run(capsys, "order", "independence:3", "comonotone:3", "--tdo", "--format", "csv")
+        assert code == cli.EXIT_OK
+        table = rows(out)
+        assert table[0] == ["w1", "w2", "w3", "L1", "L2", "gap"]
+        directions = [tuple(r[:3]) for r in table[1:]]
+        assert len(directions) == 65 * 66 // 2 == len(set(directions))
+        assert all(float(w1) + float(w2) + float(w3) == pytest.approx(1.0, abs=1e-15) for w1, w2, w3 in directions)
+
     def test_gaussian_above_the_cutoff_is_comonotone(self, capsys):
         assert run(capsys, "order", "comonotone", "comonotone", "--tdo")[0] == cli.EXIT_INDISTINGUISHABLE
         with pytest.warns(RuntimeWarning, match="comonotone"):
@@ -148,6 +160,8 @@ class TestContract:
         ("verify", "nope"),
         ("repro", "nope"),
         ("order", "clayton", "clayton:2", "--tdo"),
+        ("tdf", "independence:3", "--simplex-grid", "1"),
+        ("tdf", "independence:3", "--simplex-grid", "-3"),
     ])
     def test_input_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -180,3 +194,47 @@ class TestContract:
         out = capsys.readouterr().out
         for form in ("clayton:THETA", "marshall-olkin:ALPHA", "lev:FIXTURE", "fig1-piecewise"):
             assert form in out
+
+
+# Run in a fresh interpreter: every command but the last needs no Gaussian
+# copula, so none of them may load scipy; the Gaussian one must load it and
+# print the digits it printed when scipy was imported with the package.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from tailorder import cli
+commands = [
+    ["eval", "clayton:2", "-u", "0.3,0.4"],
+    ["tdf", "clayton:2"],
+    ["order", "clayton:1", "clayton:2", "--tdo"],
+    ["order", "clayton:1", "clayton:2", "--loc", "--eps", "0.2"],
+    ["order", "clayton:1", "clayton:2", "--too"],
+    ["order", "marshall-olkin:0.5", "clayton:1", "--cone", "0.2"],
+    ["order", "clayton:1", "clayton:2", "--diagonal"],
+    ["repro", "mo-clayton"],
+    ["repro", "glued-joe"],
+    ["repro", "fig1-tdfs"],
+    ["verify", "all"],
+]
+codes = []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+before = "scipy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    gaussian = cli.main(["eval", "gaussian:0.5", "-u", "0.3,0.4"])
+print(json.dumps({"codes": codes, "before": before, "after": "scipy" in sys.modules,
+                  "gaussian": [gaussian, out.getvalue()]}))
+"""
+
+
+def test_scipy_is_loaded_only_by_a_gaussian_evaluation():
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    record = json.loads(proc.stdout)
+    assert record["codes"] == [cli.EXIT_OK] * 11
+    assert record["before"] is False
+    assert record["after"] is True
+    assert record["gaussian"] == [cli.EXIT_OK, "0.19189068682491817\n"]

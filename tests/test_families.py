@@ -257,11 +257,34 @@ class TestExtremeValue:
             to.ev_copula(broken)
 
     def test_lower_is_survival_of_upper(self):
+        # lower_ev_copula evaluates the survival copula in a form that does not
+        # cancel near the origin, so the two agree to rounding, not bit for bit
         lam = to.lift(to.parabola_section())
         lev = to.lower_ev_copula(lam)
         ref = to.survival(to.ev_copula(lam))
         pts = grid_points(32)
-        assert np.abs(np.asarray(lev.cdf(pts)) - np.asarray(ref.cdf(pts))).max() == 0.0
+        assert np.abs(np.asarray(lev.cdf(pts)) - np.asarray(ref.cdf(pts))).max() < 1e-15
+
+    @pytest.mark.parametrize("theta", [1.0, 2.0])
+    @pytest.mark.parametrize("u", [1e-10, 1e-8, 1e-6])
+    def test_lower_keeps_relative_precision_in_the_tail(self, u, theta):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        lev = to.lower_ev_copula(to.archimedean_tdf(theta))
+        for v in (u, 2.0 * u, 3.0 * u):
+            a, b = mpmath.mpf(u), mpmath.mpf(v)
+            x, y = -mpmath.log1p(-a), -mpmath.log1p(-b)
+            lam = (x**-theta + y**-theta) ** (-1 / mpmath.mpf(theta))
+            want = a + b - 1 + (1 - a) * (1 - b) * mpmath.exp(lam)
+            assert lev.eval((u, v)) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+    def test_lower_keeps_the_tdf_audit(self):
+        broken = to.TailDepFunction(lambda pts: pts.min(axis=1) ** 2, 2, name="broken")
+        with pytest.raises(to.DomainError):
+            to.lower_ev_copula(broken)
+        to.lower_ev_copula(broken, validate=False)
+        with pytest.raises(to.DimensionError):
+            to.lower_ev_copula(to.archimedean_tdf(2.0, dimension=3))
 
 
 class TestHierarchical:

@@ -122,6 +122,13 @@ class TestSimplexOps:
         assert to.tdc_from_simplex(to.parabola_section()) == pytest.approx(0.5)
         assert to.tdc_from_simplex(to.capped_slope_section()) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_simplex_directions_need_two_points_per_edge(self, dimension):
+        assert to.simplex_directions(2, dimension).shape == (dimension, dimension)
+        for n in (1, 0, -3):
+            with pytest.raises(to.DomainError, match="n >= 2"):
+                to.simplex_directions(n, dimension)
+
     def test_fig1_sections_agree_at_half_but_not_pointwise(self):
         parab, piece = to.parabola_section(), to.capped_slope_section()
         assert parab(0.5) == pytest.approx(piece(0.5))
