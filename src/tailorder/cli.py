@@ -92,9 +92,16 @@ def _grid_config(args) -> GridConfig:
     return GridConfig(resolution=args.grid, tau=args.tau)
 
 
+_GRID, _TAU = 64, 1e-6
+
+
 def _add_common(sub):
-    sub.add_argument("--grid", type=int, default=64, help="grid resolution per axis")
-    sub.add_argument("--tau", type=float, default=1e-6, help="order/strictness tolerance")
+    sub.add_argument("--grid", type=int, default=_GRID,
+                     help="grid resolution per axis; order --loc and --cone sample a fixed log-polar set "
+                          "instead (--cone uses it for its tail dependence precondition, --loc rejects it)")
+    sub.add_argument("--tau", type=float, default=_TAU,
+                     help="absolute order/strictness tolerance; order --loc and --cone use the relative "
+                          f"threshold C2 - C1 < -{orders.KAPPA:g} * max(|C1|, |C2|) instead (--loc rejects it)")
     sub.add_argument("--schedule", default=None, help="limit schedule as s0,ratio,steps")
     sub.add_argument("--out", default=None, help="output file (default: stdout)")
     sub.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
@@ -162,6 +169,12 @@ def _tdf_of(c, sched) -> taildep.TailDepFunction:
     return lam if lam is not None else taildep.estimated_tdf(c, sched)
 
 
+def _ray_rows(results) -> list:
+    # one row per sampled scale of every ray: "w1|w2|...", s, C1, C2, gap
+    return [("|".join(_fmt(x) for x in w), float(s), float(a), float(b), float(b - a))
+            for w, v in results for s, a, b in zip(v.samples.scale, v.samples.lhs, v.samples.rhs)]
+
+
 def cmd_order(args) -> int:
     c1 = build_copula(load_descriptor(args.descriptor1))
     c2 = build_copula(load_descriptor(args.descriptor2))
@@ -172,15 +185,7 @@ def cmd_order(args) -> int:
     if args.too:
         results = orders.check_too(c1, c2, schedule=sched, grid=g)
         if fmt == "csv":
-            rows = []
-            for w, _v in results:
-                s_vals = orders._ray_scales(np.asarray(w), sched)
-                pts = s_vals[:, None] * np.asarray(w)[None, :]
-                a = np.asarray(c1.cdf(pts))
-                b = np.asarray(c2.cdf(pts))
-                for i, s in enumerate(s_vals):
-                    rows.append(("|".join(_fmt(x) for x in w), float(s), float(a[i]), float(b[i]), float(b[i] - a[i])))
-            _emit(_csv(rows, ("w", "s", "C1", "C2", "gap")), args.out)
+            _emit(_csv(_ray_rows(results), ("w", "s", "C1", "C2", "gap")), args.out)
         else:
             payload = [{"direction": list(w), **v.as_dict()} for w, v in results]
             _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -191,49 +196,28 @@ def cmd_order(args) -> int:
             return EXIT_INDISTINGUISHABLE
         return EXIT_OK
 
+    coords = tuple(f"u{k + 1}" for k in range(c1.dimension))
     if args.tdo:
-        lam1, lam2 = _tdf_of(c1, sched), _tdf_of(c2, sched)
-        verdict = orders.check_tdo(lam1, lam2, g)
-        if fmt == "csv":
-            dirs = taildep.simplex_directions(g.resolution + 1, c1.dimension)
-            a, b = np.asarray(lam1(dirs)), np.asarray(lam2(dirs))
-            rows = [(*map(float, dirs[i]), float(a[i]), float(b[i]), float(b[i] - a[i])) for i in range(len(dirs))]
-            header = tuple(f"w{k + 1}" for k in range(c1.dimension)) + ("L1", "L2", "gap")
-            _emit(_csv(rows, header), args.out)
-        else:
-            _emit(json.dumps(verdict.as_dict(), indent=2) + "\n", args.out)
-        return _exit_from_status(verdict.status)
-
-    if args.diagonal:
-        d1, d2 = families.diagonal_of(c1), families.diagonal_of(c2)
-        verdict = orders.check_diagonal_order(d1, d2, g)
-        if fmt == "csv":
-            t = np.linspace(0.0, 1.0, g.resolution + 1)[1:]
-            a, b = np.asarray(d1(t)), np.asarray(d2(t))
-            rows = [(float(t[i]), float(a[i]), float(b[i]), float(b[i] - a[i])) for i in range(len(t))]
-            _emit(_csv(rows, ("t", "C1", "C2", "gap")), args.out)
-        else:
-            _emit(json.dumps(verdict.as_dict(), indent=2) + "\n", args.out)
-        return _exit_from_status(verdict.status)
-
-    if args.cone is not None:
+        verdict = orders.check_tdo(_tdf_of(c1, sched), _tdf_of(c2, sched), g)
+        header = tuple(f"w{k + 1}" for k in range(c1.dimension)) + ("L1", "L2")
+    elif args.diagonal:
+        verdict = orders.check_diagonal_order(families.diagonal_of(c1), families.diagonal_of(c2), g)
+        header = ("t", "C1", "C2")
+    elif args.cone is not None:
         lam1, lam2 = analytic_tdf_of(c1), analytic_tdf_of(c2)
         verdict = orders.check_cone_order(
             c1, c2, orders.ConeSpec(args.cone), args.eps, g, lam1=lam1, lam2=lam2
         )
+        header = coords + ("C1", "C2")
     else:  # --loc
-        verdict = orders.check_loc(c1, c2, args.eps, g)
+        if (args.grid, args.tau) != (_GRID, _TAU):
+            raise DescriptorError("--grid and --tau do not apply to --loc, which samples a fixed log-polar set")
+        verdict = orders.check_loc(c1, c2, args.eps)
+        header = coords + ("C1", "C2")
     if fmt == "csv":
-        eps = verdict.epsilon if verdict.epsilon is not None else (args.eps or 1.0)
-        if args.cone is not None:
-            pts = orders._cone_points(c1.dimension, args.cone, eps, g.resolution)
-        else:
-            pts = orders._ball_points(c1.dimension, eps, g.resolution)
-        a, b = np.asarray(c1.cdf(pts)), np.asarray(c2.cdf(pts))
-        rows = [tuple(float(x) for x in pts[i]) + (float(a[i]), float(b[i]), float(b[i] - a[i]))
-                for i in range(len(pts))]
-        header = tuple(f"u{k + 1}" for k in range(c1.dimension)) + ("C1", "C2", "gap")
-        _emit(_csv(rows, header), args.out)
+        pts, a, b = verdict.samples.points, verdict.samples.lhs, verdict.samples.rhs
+        rows = [(*map(float, pts[i]), float(a[i]), float(b[i]), float(b[i] - a[i])) for i in range(len(pts))]
+        _emit(_csv(rows, header + ("gap",)), args.out)
     else:
         _emit(json.dumps(verdict.as_dict(), indent=2) + "\n", args.out)
     return _exit_from_status(verdict.status)
@@ -283,16 +267,9 @@ def _repro_fig1():
 def _repro_glued_joe(schedule: LimitSchedule):
     joe = families.archimedean(families.joe_generator(2.0))
     cp = core.comonotone()
-    c1 = core.glue(joe, cp, 1, 0.5)
-    c2 = core.glue(joe, cp, 2, 0.5)
-    rows = []
-    for w in ((0.5, 1.0), (1.0, 0.5)):
-        s_vals = orders._ray_scales(np.asarray(w), schedule)
-        pts = s_vals[:, None] * np.asarray(w)[None, :]
-        a, b = np.asarray(c1.cdf(pts)), np.asarray(c2.cdf(pts))
-        for i, s in enumerate(s_vals):
-            rows.append((_fmt(w[0]) + "|" + _fmt(w[1]), float(s), float(a[i]), float(b[i]), float(b[i] - a[i])))
-    return rows, ("w", "s", "C1", "C2", "gap")
+    results = orders.check_too(core.glue(joe, cp, 1, 0.5), core.glue(joe, cp, 2, 0.5),
+                               directions=[(0.5, 1.0), (1.0, 0.5)], schedule=schedule)
+    return _ray_rows(results), ("w", "s", "C1", "C2", "gap")
 
 
 def cmd_repro(args) -> int:
@@ -355,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     rel.add_argument("--too", action="store_true", help="tail orthant order along rays")
     rel.add_argument("--cone", type=float, default=None, metavar="C", help="cone order with min w >= C * ||w||_1")
     rel.add_argument("--diagonal", action="store_true", help="diagonal order near 0")
-    p.add_argument("--eps", type=float, default=None, help="ball radius (default: halving search)")
+    p.add_argument("--eps", type=float, default=None,
+                   help="ball radius of --loc and --cone (default: the largest verified 2^-k, k <= 20)")
     _add_common(p)
     p.set_defaults(func=cmd_order)
 

@@ -354,16 +354,22 @@ def bertino(delta: DiagonalSection) -> Copula:
     diagonal marked ``convex`` t - delta(t) is concave, so the inner minimum
     is the smaller of its two endpoint values.  Otherwise it is located by a
     dense scan refined by golden-section search (t - delta(t) need not be
-    unimodal).
+    unimodal).  Where the minimum is at t = min the value is delta(min),
+    evaluated directly rather than by subtraction, so it keeps the relative
+    accuracy of delta near the origin and equals the diagonal exactly on it.
     """
     _require_valid_diagonal(delta)
 
     def formula(pts: np.ndarray) -> np.ndarray:
-        lo = pts.min(axis=1)
-        hi = pts.max(axis=1)
-        if delta.convex:
-            return lo - np.minimum(lo - delta(lo), hi - delta(hi))
-        return lo - _interval_min_gap(delta, lo, hi)
+        # two-column minimum and maximum: much faster than reductions along axis 1
+        lo = np.minimum(pts[:, 0], pts[:, 1])
+        hi = np.maximum(pts[:, 0], pts[:, 1])
+        d_lo = np.asarray(delta(lo), dtype=float)
+        # a convex diagonal's inner minimum is at an endpoint: compare t = max with t = min
+        gap = hi - delta(hi) if delta.convex else _interval_min_gap(delta, lo, hi)
+        out = lo - gap
+        np.copyto(out, d_lo, where=gap >= lo - d_lo)  # the minimum is at t = min
+        return out
 
     desc = {"family": "bertino", "params": {"diagonal": {"name": delta.name, **delta.params}}}
     return copula_from_formula(2, formula, desc)

@@ -2,16 +2,22 @@
 
 Verdicts are certificates of sampled behaviour: a failing verdict carries
 an exactly re-evaluable witness point, a holding verdict the worst signed
-gap seen on the grid.  Strictness is certified only on an interior band of
-the direction simplex, since strict orders quantify over the open orthant
-and finite grids cannot certify open-set inequalities at the boundary.
+gap in its sample, which the pointwise checks keep in ``samples``.
+Strictness is certified only on an interior band of the direction simplex,
+since strict orders quantify over the open orthant and finite grids cannot
+certify open-set inequalities at the boundary.  The local orders
+(:func:`check_loc`, :func:`check_cone_order`) share one log-polar sample
+and a threshold ``KAPPA`` relative to the copula values, which are
+O(||u||_1) near the origin while an ordered pair may differ by o(||u||_1);
+the other orders use the absolute ``GridConfig.tau``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +36,8 @@ __all__ = [
     "HOLDS_STRICTLY",
     "FAILS",
     "INDISTINGUISHABLE",
+    "KAPPA",
+    "Samples",
     "OrderVerdict",
     "ConeSpec",
     "check_tdo",
@@ -50,16 +58,31 @@ INDISTINGUISHABLE = "indistinguishable"
 
 Status = Literal["holds", "holds-strictly", "fails", "indistinguishable"]
 
-_MAX_HALVINGS = 20
+KAPPA = 1e-12  # relative violation threshold of the local orders
+_RADII = 44  # local radii top * 2^(-j/2), j = 0..43
+_MAX_HALVINGS = 20  # a searched epsilon is 2^-k with k <= 20
+# (geometric, linear) node counts per dimension, giving 79, 397 and 1105
+# directions for d = 2, 3, 4; higher dimensions take four nodes
+_NODE_COUNTS = {2: (17, 23), 3: (5, 7), 4: (3, 4)}
+
+
+class Samples(NamedTuple):
+    """Points compared, both sides' values, and each point's radius or ray scale."""
+
+    points: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    scale: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class OrderVerdict:
-    """Outcome of an order check on a sampled grid.
+    """Outcome of an order check on a sample.
 
-    ``margin`` is the worst signed gap (rhs - lhs); failing verdicts carry
-    a witness with the point and both values.  ``epsilon`` records the
-    verified or discovered radius for the localized checks.
+    ``margin`` is the worst signed gap (rhs - lhs), or the witness's gap
+    for a failing verdict; the witness holds the point and both values.
+    ``epsilon`` records the verified or discovered radius for the localized
+    checks.  ``samples`` keeps what was compared, outside :meth:`as_dict`.
     """
 
     status: Status
@@ -69,6 +92,7 @@ class OrderVerdict:
     resolution: int = 0
     tau: float = 0.0
     note: str = ""
+    samples: Samples | None = field(default=None, repr=False, compare=False)
 
     @property
     def holds(self) -> bool:
@@ -104,23 +128,23 @@ def _order_grid(grid: GridConfig | None) -> GridConfig:
     return g
 
 
+def _witness(points: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, i: int) -> dict:
+    return {"point": [float(x) for x in np.atleast_1d(points[i])], "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+
+
 def _compare(points: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, g: GridConfig,
-             band: np.ndarray | None = None, epsilon: float | None = None) -> OrderVerdict:
+             band: np.ndarray | None = None, scale: np.ndarray | None = None) -> OrderVerdict:
     """Shared verdict assembly from sampled values of both sides."""
     diff = rhs - lhs
-    tau = g.tau
-    if float(np.abs(diff).max()) <= tau:
-        return OrderVerdict(INDISTINGUISHABLE, float(diff.min()), None, epsilon, g.resolution, tau)
     i = int(np.argmin(diff))
-    if diff[i] < -tau:
-        witness = {"point": [float(x) for x in np.atleast_1d(points[i])],
-                   "lhs": float(lhs[i]), "rhs": float(rhs[i])}
-        return OrderVerdict(FAILS, float(diff[i]), witness, epsilon, g.resolution, tau)
-    if band is not None and band.any():
-        band_min = float(diff[band].min())
-        if band_min > tau:
-            return OrderVerdict(HOLDS_STRICTLY, band_min, None, epsilon, g.resolution, tau)
-    return OrderVerdict(HOLDS, float(diff[i]), None, epsilon, g.resolution, tau)
+    status, margin, witness = HOLDS, float(diff[i]), None
+    if float(np.abs(diff).max()) <= g.tau:
+        status = INDISTINGUISHABLE
+    elif diff[i] < -g.tau:
+        status, witness = FAILS, _witness(points, lhs, rhs, i)
+    elif band is not None and band.any() and float(diff[band].min()) > g.tau:
+        status, margin = HOLDS_STRICTLY, float(diff[band].min())
+    return OrderVerdict(status, margin, witness, None, g.resolution, g.tau, samples=Samples(points, lhs, rhs, scale))
 
 
 def check_tdo(lam1: TailDepFunction, lam2: TailDepFunction, grid: GridConfig | None = None) -> OrderVerdict:
@@ -137,49 +161,71 @@ def check_tdo(lam1: TailDepFunction, lam2: TailDepFunction, grid: GridConfig | N
     return _compare(dirs, lam1(dirs), lam2(dirs), g, band=band)
 
 
-def _ball_points(dimension: int, eps: float, resolution: int) -> np.ndarray:
-    axes = np.linspace(0.0, min(eps, 1.0), resolution + 1)
-    mesh = np.meshgrid(*([axes] * dimension), indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    keep = (np.linalg.norm(pts, axis=1) <= eps) & pts.any(axis=1)
-    return pts[keep]
+@lru_cache(maxsize=None)
+def _local_directions(d: int) -> np.ndarray:
+    """Unit vectors w / ||w||_2 of the node vectors w with max w = 1."""
+    n_geo, n_lin = _NODE_COUNTS.get(d, (2, 2))
+    nodes = np.concatenate([np.geomspace(1e-18, 1e-2, n_geo), np.arange(1, n_lin + 1) / n_lin])
+    w = np.stack(np.meshgrid(*[nodes] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    w = w[w.max(axis=1) == 1.0]
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    w.flags.writeable = False
+    return w
 
 
-def _halving_search(check_at, g: GridConfig) -> OrderVerdict:
-    """First verdict of ``check_at(2^-k)``, k <= 20, that does not fail."""
-    for k in range(_MAX_HALVINGS + 1):
-        verdict = check_at(2.0**-k)
-        if verdict.status != FAILS:
-            return verdict
-    return OrderVerdict(FAILS, verdict.margin, verdict.witness, None, g.resolution, g.tau,
-                        note=f"no epsilon found down to 2^-{_MAX_HALVINGS} at this resolution")
-
-
-def check_loc(c1: Copula, c2: Copula, epsilon: float | None = None,
-              grid: GridConfig | None = None) -> OrderVerdict:
-    """Local lower orthant order: C1 <= C2 on the ball of radius epsilon.
-
-    With ``epsilon=None`` a halving search over 2^-k, k <= 20, reports the
-    first verified radius; exhausting the search yields a fails verdict
-    noting that no radius was found at this resolution (the order may still
-    hold at finer scales).
-    """
+def _local_verdict(c1: Copula, c2: Copula, epsilon: float | None, cone: float = 0.0) -> OrderVerdict:
+    """C1 <= C2 on the log-polar sample below ``epsilon``, or below a searched 2^-k."""
     if c1.dimension != c2.dimension:
         raise DimensionError("copulas have different dimensions")
-    g = _order_grid(grid)
     d = c1.dimension
-    if epsilon is not None:
-        if not 0.0 < epsilon <= float(np.sqrt(d)):
-            raise DomainError(f"epsilon must lie in (0, sqrt(d)], got {epsilon}")
-        pts = _ball_points(d, float(epsilon), g.resolution)
-        return _compare(pts, np.asarray(c1.cdf(pts)), np.asarray(c2.cdf(pts)), g, epsilon=float(epsilon))
-    return _halving_search(lambda eps: check_loc(c1, c2, eps, g), g)
+    if epsilon is not None and not 0.0 < epsilon <= float(np.sqrt(d)):
+        raise DomainError(f"epsilon must lie in (0, sqrt(d)], got {epsilon}")
+    dirs = _local_directions(d)
+    dirs = dirs[dirs.min(axis=1) >= cone * dirs.sum(axis=1)]
+    if dirs.size == 0:
+        raise DomainError(f"cone with c = {cone} contains no sampled directions")
+    n, top = dirs.shape[0], 1.0 if epsilon is None else float(epsilon)
+    radii = top * 2.0 ** (-0.5 * np.arange(_RADII))
+    points = np.minimum(radii[:, None, None] * dirs[None, :, :], 1.0).reshape(-1, d)
+    lhs, rhs = np.asarray(c1.cdf(points)), np.asarray(c2.cdf(points))
+    samples = Samples(points, lhs, rhs, np.repeat(radii, n))
+    gap, size = rhs - lhs, np.maximum(np.abs(lhs), np.abs(rhs))
+    bad = gap < -KAPPA * size
+    note = f"{_RADII} radii x {n} directions; relative threshold: C2 - C1 < -{KAPPA:g} * max(|C1|, |C2|) violates"
+    violating = np.flatnonzero(bad.reshape(_RADII, n).any(axis=1))
+    j = int(violating[-1]) if violating.size else -1  # the smallest violating radius
+    k = j // 2 + 1  # the largest 2^-k below it, 0 without one
+    if violating.size and (epsilon is not None or k > _MAX_HALVINGS):
+        rows = np.arange(j * n, (j + 1) * n)[bad[j * n:(j + 1) * n]]
+        i = int(rows[np.argmin(gap[rows] / size[rows])])
+        why = f"no epsilon 2^-k, k <= {_MAX_HALVINGS}, lies below it" if epsilon is None else "witness at that radius"
+        return OrderVerdict(FAILS, float(gap[i]), _witness(points, lhs, rhs, i), None if epsilon is None else top,
+                            0, KAPPA, f"smallest violating radius {radii[j]:.6g}: {why}; {note}", samples)
+    eps = top * 2.0**-k  # top is 1 for a search, and k is 0 for a given epsilon
+    gap, size = gap[2 * k * n:], size[2 * k * n:]
+    status = INDISTINGUISHABLE if bool((np.abs(gap) <= KAPPA * size).all()) else HOLDS
+    nonzero = size > 0.0  # points where both sides are 0 say nothing
+    margin = float(gap[nonzero].min()) if nonzero.any() else 0.0
+    return OrderVerdict(status, margin, None, eps, 0, KAPPA, f"verified radius {eps:.6g}; {note}", samples)
 
 
-def _ray_scales(w: np.ndarray, schedule: LimitSchedule) -> np.ndarray:
-    # anchor at the largest s keeping s*w inside the cube, then descend
-    s_max = 1.0 / float(w.max())
-    return s_max * schedule.ratio ** np.arange(schedule.steps)
+def check_loc(c1: Copula, c2: Copula, epsilon: float | None = None) -> OrderVerdict:
+    """Local lower orthant order: C1 <= C2 on the ball of radius epsilon.
+
+    One ``cdf`` batch per copula at r * w / ||w||_2, for r = epsilon *
+    2^(-j/2), j = 0..43, and w positive with one coordinate 1 and the others
+    from geometric nodes 1e-18 ... 1e-2 (thin regions along the faces, such
+    as Marshall-Olkin's) and linear nodes on (0, 1].  A point violates the
+    order when C2 - C1 < -KAPPA * max(|C1|, |C2|); ``tau`` records KAPPA.
+    This trusts each ``cdf`` to about KAPPA relative near the origin: a
+    form that cancels there, such as ``survival``, can fail spuriously.
+    With ``epsilon=None`` the radii start at 1 and epsilon is the largest
+    2^-k, k <= 20, below the smallest violating radius, or the verdict
+    fails.  The witness is the worst relative violation at the smallest
+    violating radius, which the note names; the margin of a holding verdict
+    is the worst gap on the verified radii where not both sides are 0.
+    """
+    return _local_verdict(c1, c2, epsilon)
 
 
 def check_too(c1: Copula, c2: Copula, directions: Sequence | None = None,
@@ -189,42 +235,28 @@ def check_too(c1: Copula, c2: Copula, directions: Sequence | None = None,
 
     For each direction w the scan starts at the largest scale s with
     s*w in [0,1]^d and descends geometrically by the schedule's ratio for
-    the schedule's step count.  Returns one verdict per direction.
+    the schedule's step count.  All rays go to ``cdf`` in one batch per
+    copula.  Returns one verdict per direction.
     """
     if c1.dimension != c2.dimension:
         raise DimensionError("copulas have different dimensions")
     g = grid or GridConfig()
     sched = schedule or LimitSchedule()
-    d = c1.dimension
+    d, n = c1.dimension, sched.steps
     if directions is None:
-        fan = simplex_directions(21 if d == 2 else 6, d)
-        extra = [(0.5, 1.0), (1.0, 0.5)] if d == 2 else []
-        dir_list = [tuple(float(x) for x in row) for row in fan] + extra
-    else:
-        dir_list = [tuple(float(x) for x in np.asarray(w, dtype=float).reshape(-1)) for w in directions]
-    results = []
-    for w_t in dir_list:
-        w = np.asarray(w_t, dtype=float)
-        if w.shape[0] != d:
-            raise DimensionError(f"direction {w_t} has wrong dimension")
-        if (w < 0).any() or not w.any():
+        directions = [*simplex_directions(21 if d == 2 else 6, d), *([(0.5, 1.0), (1.0, 0.5)] if d == 2 else [])]
+    dir_list = [tuple(float(x) for x in np.asarray(w, dtype=float).reshape(-1)) for w in directions]
+    for w in dir_list:
+        if len(w) != d:
+            raise DimensionError(f"direction {w} has wrong dimension")
+        if min(w) < 0 or not any(w):
             raise DomainError("directions must be nonnegative and nonzero")
-        s = _ray_scales(w, sched)
-        pts = s[:, None] * w[None, :]
-        verdict = _compare(pts, np.asarray(c1.cdf(pts)), np.asarray(c2.cdf(pts)), g)
-        results.append((w_t, verdict))
-    return results
-
-
-def _cone_points(dimension: int, c: float, eps: float, resolution: int) -> np.ndarray:
-    dirs = simplex_directions(resolution + 1, dimension)
-    dirs = dirs[dirs.min(axis=1) >= c]
-    if dirs.size == 0:
-        raise DomainError(f"cone with c = {c} contains no sampled directions at this resolution")
-    radii = np.linspace(0.0, eps, resolution + 1)[1:]
-    unit = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    pts = (radii[:, None, None] * unit[None, :, :]).reshape(-1, dimension)
-    return pts[(pts <= 1.0).all(axis=1)]
+    # anchor each ray at the largest s keeping s*w inside the cube, then descend
+    W = np.array(dir_list, dtype=float).reshape(-1, d)
+    S = (1.0 / W.max(axis=1))[:, None] * sched.ratio ** np.arange(n)
+    P = S[:, :, None] * W[:, None, :]
+    lhs, rhs = (np.asarray(c.cdf(P.reshape(-1, d))).reshape(S.shape) for c in (c1, c2))
+    return [(w, _compare(P[i], lhs[i], rhs[i], g, scale=S[i])) for i, w in enumerate(dir_list)]
 
 
 def check_cone_order(c1: Copula, c2: Copula, cone: ConeSpec, epsilon: float | None = None,
@@ -235,11 +267,9 @@ def check_cone_order(c1: Copula, c2: Copula, cone: ConeSpec, epsilon: float | No
 
     A strict tail dependence ordering guarantees some such radius exists;
     passing the tail dependence functions triggers that precondition check
-    (a warning is emitted when it is not strict).  With ``epsilon=None``
-    the radius is discovered by halving, as in :func:`check_loc`.
+    on ``grid`` (a warning is emitted when it is not strict).  The copulas
+    are compared as in :func:`check_loc` on the directions in the cone.
     """
-    if c1.dimension != c2.dimension:
-        raise DimensionError("copulas have different dimensions")
     g = _order_grid(grid)
     if lam1 is not None and lam2 is not None:
         pre = check_tdo(lam1, lam2, g)
@@ -249,11 +279,7 @@ def check_cone_order(c1: Copula, c2: Copula, cone: ConeSpec, epsilon: float | No
                 RuntimeWarning,
                 stacklevel=2,
             )
-    d = c1.dimension
-    if epsilon is not None:
-        pts = _cone_points(d, cone.c, float(epsilon), g.resolution)
-        return _compare(pts, np.asarray(c1.cdf(pts)), np.asarray(c2.cdf(pts)), g, epsilon=float(epsilon))
-    return _halving_search(lambda eps: check_cone_order(c1, c2, cone, eps, g), g)
+    return _local_verdict(c1, c2, epsilon, cone.c)
 
 
 def check_diagonal_order(d1: DiagonalSection, d2: DiagonalSection,
@@ -270,17 +296,17 @@ def check_diagonal_order(d1: DiagonalSection, d2: DiagonalSection,
     t = np.linspace(0.0, 1.0, g.resolution + 1)[1:]
     v1 = np.asarray(d1(t), dtype=float)
     v2 = np.asarray(d2(t), dtype=float)
+    samples = Samples(t[:, None], v1, v2)
     diff = v2 - v1
     violating = np.flatnonzero(diff < -g.tau)
     if violating.size and violating[0] == 0:
-        witness = {"point": [float(t[0])], "lhs": float(v1[0]), "rhs": float(v2[0])}
-        return OrderVerdict(FAILS, float(diff[0]), witness, None, g.resolution, g.tau)
+        return OrderVerdict(FAILS, float(diff[0]), _witness(t, v1, v2, 0), None, g.resolution, g.tau,
+                            samples=samples)
     stop = violating[0] if violating.size else t.size
     eps = float(t[stop - 1])
     prefix = diff[:stop]
-    if float(np.abs(prefix).max()) <= g.tau:
-        return OrderVerdict(INDISTINGUISHABLE, float(prefix.min()), None, eps, g.resolution, g.tau)
-    return OrderVerdict(HOLDS, float(prefix.min()), None, eps, g.resolution, g.tau)
+    status = INDISTINGUISHABLE if float(np.abs(prefix).max()) <= g.tau else HOLDS
+    return OrderVerdict(status, float(prefix.min()), None, eps, g.resolution, g.tau, samples=samples)
 
 
 def subadditivity_check(g1: Generator, g2: Generator, M: float,
@@ -306,8 +332,7 @@ def subadditivity_check(g1: Generator, g2: Generator, M: float,
     diff = rhs - lhs
     i = int(np.argmin(diff))
     if diff[i] < -g.tau:
-        witness = {"point": [float(pts[i, 0]), float(pts[i, 1])], "lhs": float(lhs[i]), "rhs": float(rhs[i])}
-        return OrderVerdict(FAILS, float(diff[i]), witness, None, g.resolution, g.tau)
+        return OrderVerdict(FAILS, float(diff[i]), _witness(pts, lhs, rhs, i), None, g.resolution, g.tau)
     return OrderVerdict(HOLDS, float(diff[i]), None, None, g.resolution, g.tau)
 
 

@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tailorder import cli, verify
+from tailorder import cli, core, descriptors, taildep, verify
 
 
 def run(capsys, *argv):
@@ -72,6 +73,11 @@ class TestSubcommands:
         (("clayton:1", "clayton:2", "--diagonal"), cli.EXIT_OK),
         (("clayton:2", "clayton:1", "--diagonal"), cli.EXIT_ORDER_FAILS),
         (("clayton:1", "independence:3", "--tdo"), cli.EXIT_DIMENSION_ERROR),
+        (("marshall-olkin:0.5", "clayton:1", "--loc"), cli.EXIT_ORDER_FAILS),
+        (("clayton:2", "clayton:1", "--loc"), cli.EXIT_ORDER_FAILS),
+        (("comonotone", "independence", "--loc"), cli.EXIT_ORDER_FAILS),
+        (("lev:fig1-parabola", "lev:fig1-piecewise", "--loc"), cli.EXIT_ORDER_FAILS),
+        (("lev:fig1-piecewise", "lev:fig1-parabola", "--loc"), cli.EXIT_ORDER_FAILS),
     ])
     def test_order(self, capsys, argv, expected):
         code, out, _ = run(capsys, "order", *argv)
@@ -105,6 +111,25 @@ class TestSubcommands:
         assert code == cli.EXIT_ORDER_FAILS
         assert rows(out)[0] == ["w", "s", "C1", "C2", "gap"]
 
+    @pytest.mark.parametrize("relation", [("--loc",), ("--loc", "--eps", "0.2"), ("--cone", "0.2"), ("--too",)])
+    def test_csv_comes_from_the_verdict(self, capsys, monkeypatch, relation):
+        calls = []
+        original = core.Copula.cdf
+
+        def counting(c, u):
+            calls.append(u)
+            return original(c, u)
+
+        monkeypatch.setattr(core.Copula, "cdf", counting)
+        code, out, _ = run(capsys, "order", "marshall-olkin:0.5", "clayton:1", *relation, "--format", "csv")
+        assert code in (cli.EXIT_OK, cli.EXIT_ORDER_FAILS)
+        assert len(calls) == 2  # one batch per copula, written without evaluating again
+        table = rows(out)
+        assert len(table) - 1 == len(calls[0])
+        if relation[0] != "--too":
+            assert table[0] == ["u1", "u2", "C1", "C2", "gap"]
+            assert [float(x) for x in table[1][:2]] == list(calls[0][0])
+
     def test_verify(self, capsys):
         code, out, _ = run(capsys, "verify", "spearman")
         assert code == cli.EXIT_OK
@@ -120,10 +145,37 @@ class TestSubcommands:
         assert code == cli.EXIT_OK
         assert rows(out)[0] == header
 
+    def test_ray_csv_matches_ray_by_ray_evaluation(self, capsys, tmp_path):
+        # the rays go to cdf in one batch; the table must equal evaluating each ray alone
+        paths = []
+        for axis, desc in GLUED_JOE.items():
+            paths.append(tmp_path / f"glued-{axis}.json")
+            paths[-1].write_text(json.dumps(desc))
+        c1, c2 = (descriptors.build_copula(GLUED_JOE[axis]) for axis in (1, 2))
+        fan = [tuple(w) for w in taildep.simplex_directions(21)] + [(0.5, 1.0), (1.0, 0.5)]
+        sched = taildep.LimitSchedule()
+        assert run(capsys, "order", *map(str, paths), "--too", "--format", "csv")[1] == _ray_csv(c1, c2, fan, sched)
+        published = [(0.5, 1.0), (1.0, 0.5)]
+        assert run(capsys, "repro", "glued-joe")[1] == _ray_csv(c1, c2, published, sched)
+        sched = taildep.LimitSchedule(0.01, 0.3, 5)
+        assert run(capsys, "repro", "glued-joe", "--schedule", "0.01,0.3,5")[1] == _ray_csv(c1, c2, published, sched)
+
     def test_validate(self, capsys):
         code, out, _ = run(capsys, "validate", "bertino:1.5")
         assert code == cli.EXIT_OK
         assert json.loads(out)["passed"] is True
+
+
+def _ray_csv(c1, c2, directions, sched):
+    lines = ["w,s,C1,C2,gap"]
+    for w in directions:
+        s = 1.0 / max(w) * sched.ratio ** np.arange(sched.steps)
+        pts = s[:, None] * np.asarray(w)[None, :]
+        a, b = np.asarray(c1.cdf(pts)), np.asarray(c2.cdf(pts))
+        lines += [",".join(("|".join(cli._fmt(float(x)) for x in w),
+                            *(cli._fmt(float(x)) for x in (s[i], a[i], b[i], b[i] - a[i]))))
+                  for i in range(len(s))]
+    return "\n".join(lines) + "\n"
 
 
 class TestContract:
@@ -162,6 +214,8 @@ class TestContract:
         ("order", "clayton", "clayton:2", "--tdo"),
         ("tdf", "independence:3", "--simplex-grid", "1"),
         ("tdf", "independence:3", "--simplex-grid", "-3"),
+        ("order", "clayton:1", "clayton:2", "--loc", "--grid", "4"),
+        ("order", "clayton:1", "clayton:2", "--loc", "--tau", "1e-3"),
     ])
     def test_input_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)

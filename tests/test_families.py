@@ -222,6 +222,16 @@ class TestBertinoEndpoint:
         unmarked = to.DiagonalSection(delta.delta, name="power", params={"p": p})
         np.testing.assert_array_equal(to.bertino(delta).cdf(pts), to.bertino(unmarked).cdf(pts))
 
+    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75, 2.0])
+    def test_minimum_at_the_lower_end_is_the_diagonal_itself(self, p):
+        delta = to.power_diagonal(p)
+        unmarked = to.DiagonalSection(delta.delta, name="power", params={"p": p})
+        t = np.geomspace(1e-12, 0.5, 200)
+        for c in (to.bertino(delta), to.bertino(unmarked)):
+            # on the diagonal, and near the origin where t - delta(t) increases
+            assert np.array_equal(c.cdf(np.stack([t, t], axis=1)), delta(t))
+            assert np.array_equal(c.cdf(np.stack([t, 1.5 * t], axis=1))[t < 1e-3], delta(t)[t < 1e-3])
+
     def test_nonconvex_diagonal_uses_the_scan(self):
         delta = to.DiagonalSection(lambda t: np.interp(t, *ZIGZAG))
         assert not delta.convex and to.validate_diagonal(delta).passed

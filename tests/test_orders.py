@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,22 @@ import tailorder as to
 from tailorder import orders
 
 
-def clayton(theta):
-    return to.archimedean(to.clayton_generator(theta))
+def clayton(theta, d=2):
+    return to.archimedean(to.clayton_generator(theta), d)
+
+
+@pytest.fixture
+def cdf_calls(monkeypatch):
+    """Ids of the copulas whose ``cdf`` is called, one entry per call."""
+    calls = []
+    original = to.Copula.cdf
+
+    def counting(self, u):
+        calls.append(id(self))
+        return original(self, u)
+
+    monkeypatch.setattr(to.Copula, "cdf", counting)
+    return calls
 
 
 class TestCheckTDO:
@@ -67,6 +83,92 @@ class TestCheckLoc:
             to.check_loc(to.independence(), to.comonotone(), 3.0)
 
 
+class TestLocalSampler:
+    """The log-polar sample of the local orders on the paper's own examples."""
+
+    def test_marshall_olkin_fails_at_every_searched_radius(self):
+        mo, c1 = to.marshall_olkin(0.5), clayton(1.0)
+        v = to.check_loc(mo, c1)
+        assert v.status == to.FAILS and v.epsilon is None
+        # the witness sits at the smallest sampled radius, above the curve u2 = sqrt(u1)
+        u1, u2 = v.witness["point"]
+        smallest = 2.0**-21.5
+        assert np.hypot(u1, u2) == pytest.approx(smallest, rel=1e-12)
+        assert f"{smallest:.6g}" in v.note
+        assert u2 >= np.sqrt(u1) and v.witness["lhs"] > v.witness["rhs"]
+        for k in range(21):
+            assert to.check_loc(mo, c1, 2.0**-k).status == to.FAILS, k
+
+    @pytest.mark.parametrize("c1, c2", [
+        (to.comonotone(), to.independence()),
+        (clayton(2.0), clayton(1.0)),
+        (to.lower_ev_copula(to.lift(to.parabola_section())), to.lower_ev_copula(to.lift(to.capped_slope_section()))),
+        (to.lower_ev_copula(to.lift(to.capped_slope_section())), to.lower_ev_copula(to.lift(to.parabola_section()))),
+    ], ids=["comonotone-independence", "clayton2-clayton1", "fig1-parabola-piecewise", "fig1-piecewise-parabola"])
+    def test_reversed_and_crossing_pairs_fail(self, c1, c2):
+        v = to.check_loc(c1, c2)
+        assert v.status == to.FAILS and v.witness["lhs"] > v.witness["rhs"]
+
+    @pytest.mark.parametrize("d, budget", [(3, 18_000), (4, 50_000)])
+    def test_clayton_pairs_in_higher_dimension(self, d, budget):
+        lo, hi = clayton(1.0, d), clayton(2.0, d)
+        start = time.perf_counter()
+        up, down = to.check_loc(lo, hi), to.check_loc(hi, lo)
+        assert time.perf_counter() - start < 5.0  # loose: the point budget is what keeps it fast
+        assert up.status == to.HOLDS and up.epsilon == 1.0
+        assert down.status == to.FAILS
+        assert len(up.samples.points) == len(down.samples.points) <= budget
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 1.75, 2.0])
+    @pytest.mark.parametrize("epsilon", [None, 0.5])
+    def test_bertino_below_fredricks_nelsen(self, p, epsilon):
+        # the two share the diagonal, where the sample has exact points u1 = u2
+        delta = to.power_diagonal(p)
+        v = to.check_loc(to.bertino(delta), to.fredricks_nelsen(delta), epsilon)
+        assert v.status == to.HOLDS and v.epsilon == (epsilon or 1.0)
+
+    def test_threshold_is_relative(self):
+        v = to.check_loc(clayton(1.0), clayton(2.0))
+        assert v.tau == orders.KAPPA == 1e-12 and "relative" in v.note
+
+    @pytest.mark.parametrize("check", [
+        lambda c1, c2: to.check_loc(c1, c2),
+        lambda c1, c2: to.check_loc(c1, c2, 0.2),
+        lambda c1, c2: to.check_cone_order(c1, c2, to.ConeSpec(0.2)),
+        lambda c1, c2: to.check_cone_order(c1, c2, to.ConeSpec(0.001), 0.05),
+    ], ids=["loc-searched", "loc-eps", "cone-searched", "cone-eps"])
+    def test_one_cdf_batch_per_copula(self, cdf_calls, check):
+        c1, c2 = to.marshall_olkin(0.5), clayton(1.0)
+        v = check(c1, c2)
+        assert sorted(cdf_calls) == sorted([id(c1), id(c2)])
+        assert len(v.samples.points) == len(v.samples.lhs) == len(v.samples.scale) <= 3500
+
+    def test_margin_uses_the_verified_radii_only(self):
+        # Gumbel exceeds Clayton(1) far from the origin, so the search stops below that
+        v = to.check_loc(to.archimedean(to.gumbel_generator(2.0)), clayton(1.0))
+        assert v.status == to.HOLDS and v.epsilon == 0.25
+        s = v.samples
+        on_ball = s.scale <= v.epsilon
+        assert not on_ball.all()
+        assert v.margin == float((s.rhs - s.lhs)[on_ball].min()) > 0.0
+
+    def test_margin_leaves_out_points_where_both_sides_vanish(self):
+        # both sides are 0 on the simplex corner ||u||_1 < 0.1 and ordered elsewhere
+        def scaled_min(k):
+            return to.copula_from_formula(
+                2, lambda p: np.where(p.sum(axis=1) < 0.1, 0.0, k * p.min(axis=1)), {"family": "test"})
+
+        v = to.check_loc(scaled_min(0.5), scaled_min(1.0), 0.5)
+        assert v.status == to.HOLDS and v.margin > 0.0
+        assert ((v.samples.lhs == 0.0) & (v.samples.rhs == 0.0)).any()
+
+    def test_direction_table_is_cached_per_dimension(self):
+        assert orders._local_directions(2) is orders._local_directions(2)
+        dirs = orders._local_directions(3)
+        assert dirs.shape == (397, 3) and not dirs.flags.writeable
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0) and (dirs > 0).all()
+
+
 class TestCheckToo:
     def test_product_below_comonotone(self):
         results = to.check_too(to.independence(), to.comonotone(), directions=[(1.0, 1.0)])
@@ -99,6 +201,29 @@ class TestCheckToo:
         assert len(results) == 23  # 21-point fan plus the two published directions
         assert all(v.status in (to.HOLDS, to.INDISTINGUISHABLE) for _, v in results)
 
+    def test_one_cdf_batch_per_copula(self, cdf_calls):
+        c1, c2 = clayton(1.0), clayton(2.0)
+        results = to.check_too(c1, c2)
+        assert len(results) == 23 and len(cdf_calls) == 2
+
+    def test_batch_matches_ray_by_ray_evaluation(self):
+        joe = to.archimedean(to.joe_generator(2.0))
+        pairs = [(clayton(1.0), clayton(2.0)),
+                 (to.glue(joe, to.comonotone(), 1, 0.5), to.glue(joe, to.comonotone(), 2, 0.5))]
+        sched = to.LimitSchedule()
+        for c1, c2 in pairs:
+            for w, v in to.check_too(c1, c2):
+                s = 1.0 / max(w) * sched.ratio ** np.arange(sched.steps)
+                pts = s[:, None] * np.asarray(w)[None, :]
+                alone = to.check_too(c1, c2, directions=[w])[0][1]
+                assert v == alone
+                for got, want in ((v.samples.scale, s), (v.samples.points, pts),
+                                  (v.samples.lhs, c1.cdf(pts)), (v.samples.rhs, c2.cdf(pts))):
+                    assert np.array_equal(got, want)
+
+    def test_no_directions(self):
+        assert to.check_too(clayton(1.0), clayton(2.0), directions=[]) == []
+
 
 class TestConeOrder:
     def test_mo_clayton_discovers_epsilon(self):
@@ -124,6 +249,16 @@ class TestConeOrder:
     def test_empty_cone_rejected(self):
         with pytest.raises(to.DomainError):
             to.check_cone_order(to.independence(), to.comonotone(), to.ConeSpec(0.7), 0.1)
+
+    def test_samples_stay_in_the_cone(self):
+        v = to.check_cone_order(to.marshall_olkin(0.5), clayton(1.0), to.ConeSpec(0.2))
+        pts = v.samples.points
+        assert (pts.min(axis=1) >= 0.2 * pts.sum(axis=1) * (1.0 - 1e-12)).all()
+        assert v.tau == orders.KAPPA and v.epsilon == 0.125
+
+    def test_epsilon_domain(self):
+        with pytest.raises(to.DomainError):
+            to.check_cone_order(to.independence(), to.comonotone(), to.ConeSpec(0.2), 0.0)
 
 
 class TestDiagonalOrder:
