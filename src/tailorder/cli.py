@@ -5,7 +5,9 @@ options it reads.  Exit codes: 0 success/order holds, 1 order fails, 2 input
 or usage error, 3 dimension error, 4 indistinguishable at tolerance, 5 internal
 error (any other exception); every error is one ``error:`` line on stderr.
 Output is deterministic: CSV uses 17 significant digits, '.' decimals and LF
-line endings, and files are assembled in memory and written atomically.
+line endings, and files are assembled in memory and written atomically; an
+``--out`` target that exists and is not a regular file (a FIFO, a device) is
+written in place instead.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ def _emit(text: str, out: str | None):
         return
     path = Path(out)
     try:
+        if path.exists() and not path.is_file():
+            # a FIFO or device: renaming a file over it would replace the node itself
+            with open(path, "w", newline="\n") as handle:
+                handle.write(text)
+            return
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", newline="\n") as handle:

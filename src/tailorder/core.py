@@ -6,6 +6,8 @@ built through the family constructors are wrapped so that the boundary
 axioms (groundedness and uniform margins) hold exactly at coordinates that
 are exactly 0 or 1; :func:`copula_from_callable` skips that wrapper so that
 arbitrary functions can be audited honestly by :func:`validate_copula`.
+Every validity audit, here and in ``families`` and ``taildep``, builds its
+checks with one rule, :meth:`CheckResult.worst_of`.
 """
 
 from __future__ import annotations
@@ -87,12 +89,26 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of a single named audit check."""
+    """Outcome of a single named audit check, built by :meth:`worst_of`.
+
+    The audit rule: a check scans ``excess[i]``, how far point
+    ``witnesses[i]`` violates the property.  With i the first argmax, the
+    check passes when ``excess[i] <= tol``, ``worst`` is max(0, excess[i])
+    and ``witness`` is ``witnesses[i]``.  A NaN excess is the argmax and
+    fails the check with worst NaN.
+    """
 
     name: str
     passed: bool
     worst: float
     witness: tuple | None = None
+
+    @classmethod
+    def worst_of(cls, name: str, excess, tol: float, witnesses) -> "CheckResult":
+        excess = np.asarray(excess, dtype=float).reshape(-1)
+        i = int(np.argmax(excess))
+        top = float(excess[i])
+        return cls(name, top <= tol, float(np.maximum(top, 0.0)), tuple(map(float, witnesses[i])))
 
 
 @dataclass(frozen=True)
@@ -110,6 +126,11 @@ class ValidityReport:
             if c.name == name:
                 return c
         raise KeyError(name)
+
+    def require(self, what: str):
+        """Raise DomainError naming the failed checks unless every check passed."""
+        if not self.passed:
+            raise DomainError(f"{what}: failed {[c.name for c in self.checks if not c.passed]}")
 
     def as_dict(self) -> dict:
         return {
@@ -303,56 +324,29 @@ def validate_copula(c: Copula, grid: GridConfig | None = None) -> ValidityReport
     Evaluates C on the full (resolution+1)^d grid including the boundary,
     then checks groundedness and uniform margins on the boundary faces and
     nonnegativity of the H-volume of every grid cell (the cell volumes are
-    the d-fold finite differences of the value tensor).
+    the d-fold finite differences of the value tensor; a cell's witness is
+    its lower and upper corner).
     """
     g = grid or GridConfig()
     d = c.dimension
     axes = np.linspace(0.0, 1.0, g.resolution + 1)
-    shape = (g.resolution + 1,) * d
-    values = np.asarray(c.cdf(_tensor_grid(axes, d))).reshape(shape)
-
-    # grounded: any face with a zero coordinate must vanish
-    worst_g, witness_g = 0.0, None
-    for k in range(d):
-        face = np.abs(np.take(values, 0, axis=k))
-        idx = np.unravel_index(np.argmax(face), face.shape)
-        if face[idx] > worst_g:
-            worst_g = float(face[idx])
-            coords = list(idx)
-            coords.insert(k, 0)
-            witness_g = tuple(axes[i] for i in coords)
-
-    # uniform margins: fixing all other coordinates at 1 recovers the identity
-    worst_m, witness_m = 0.0, None
-    for k in range(d):
-        line = values
-        for ax in reversed(range(d)):
-            if ax != k:
-                line = np.take(line, -1, axis=ax)
-        dev = np.abs(line - axes)
-        i = int(np.argmax(dev))
-        if dev[i] > worst_m:
-            worst_m = float(dev[i])
-            pt = [1.0] * d
-            pt[k] = float(axes[i])
-            witness_m = tuple(pt)
-
-    # d-increasing: every grid cell has nonnegative H-volume
-    vols = values
+    values = np.asarray(c.cdf(_tensor_grid(axes, d))).reshape((axes.size,) * d)
+    rest, ones, ends = _tensor_grid(axes, d - 1), np.ones((axes.size, d - 1)), (-1,) * (d - 1)
+    # grounded: C vanishes on the faces u_k = 0; uniform margins: C(u) = u_k on
+    # the lines where every other coordinate is 1; both scan k in order
+    faces = [np.abs(np.take(values, 0, axis=k)).ravel() for k in range(d)]
+    lines = [np.abs(values[ends[:k] + (slice(None),) + ends[k:]] - axes) for k in range(d)]
+    vols = values  # d-increasing: every grid cell has nonnegative H-volume
     for ax in range(d):
         vols = np.diff(vols, axis=ax)
-    j = np.unravel_index(np.argmin(vols), vols.shape)
-    worst_v = float(vols[j])
-    witness_v = tuple(float(axes[i]) for i in j) + tuple(float(axes[i + 1]) for i in j)
-
-    tol = VOLUME_TOL
-    return ValidityReport(
-        checks=(
-            CheckResult("grounded", worst_g <= tol, worst_g, witness_g),
-            CheckResult("uniform_margins", worst_m <= tol, worst_m, witness_m),
-            CheckResult("d_increasing", worst_v >= -tol, max(0.0, -worst_v), witness_v),
-        )
-    )
+    corners = np.hstack([_tensor_grid(axes[:-1], d), _tensor_grid(axes[1:], d)])
+    return ValidityReport(checks=(
+        CheckResult.worst_of("grounded", np.concatenate(faces), VOLUME_TOL,
+                             np.concatenate([np.insert(rest, k, 0.0, axis=1) for k in range(d)])),
+        CheckResult.worst_of("uniform_margins", np.concatenate(lines), VOLUME_TOL,
+                             np.concatenate([np.insert(ones, k, axes, axis=1) for k in range(d)])),
+        CheckResult.worst_of("d_increasing", -vols, VOLUME_TOL, corners),
+    ))
 
 
 def glue(left: Copula, right: Copula, axis: int, split: float) -> Copula:

@@ -279,57 +279,31 @@ def validate_diagonal(delta: DiagonalSection, grid: GridConfig | None = None) ->
     """
     t = _diagonal_grid(grid)
     v = np.asarray(delta(t), dtype=float)
-
-    end_dev = max(abs(float(v[0])), abs(float(v[-1]) - 1.0))
-    endpoints = CheckResult("endpoints", end_dev <= 1e-12, end_dev, (0.0, 1.0))
-
-    exc = v - t
-    i = int(np.argmax(exc))
-    dominated = CheckResult("dominated", float(exc[i]) <= 1e-12, max(0.0, float(exc[i])), (float(t[i]),))
-
-    dec = -np.diff(v)
-    i = int(np.argmax(dec))
-    increasing = CheckResult("increasing", float(dec[i]) <= 1e-12, max(0.0, float(dec[i])), (float(t[i]),))
-
-    lip = np.abs(np.diff(v)) - delta.dimension * np.diff(t)
-    i = int(np.argmax(lip))
-    lipschitz = CheckResult("lipschitz", float(lip[i]) <= 1e-12, max(0.0, float(lip[i])), (float(t[i]),))
-
-    return ValidityReport(checks=(endpoints, dominated, increasing, lipschitz))
+    left = t[:-1, None]  # a difference's witness is its left point
+    worst_of = CheckResult.worst_of
+    return ValidityReport(checks=(
+        worst_of("endpoints", [abs(v[0]), abs(v[-1] - 1.0)], 1e-12, [(0.0,), (1.0,)]),
+        worst_of("dominated", v - t, 1e-12, t[:, None]),
+        worst_of("increasing", -np.diff(v), 1e-12, left),
+        worst_of("lipschitz", np.abs(np.diff(v)) - delta.dimension * np.diff(t), 1e-12, left),
+    ))
 
 
 def validate_semilinear_diagonal(delta: DiagonalSection, grid: GridConfig | None = None) -> ValidityReport:
     """Diagonal audit plus the two semilinear ratio conditions.
 
     Checks (weakly) that delta(t)/t is increasing and delta(t)/t^2 is
-    decreasing on (0, 1].
+    decreasing on (0, 1], on a grid of its own that starts at 1/n.
     """
-    base = validate_diagonal(delta, grid)
     g = grid or GridConfig()
     n = max(g.resolution**2, 256)
     t = np.linspace(1.0 / n, 1.0, n)
     v = np.asarray(delta(t), dtype=float)
-
-    r1 = v / t
-    dec = -np.diff(r1)
-    i = int(np.argmax(dec))
-    ratio_inc = CheckResult("ratio_increasing", float(dec[i]) <= 1e-9, max(0.0, float(dec[i])), (float(t[i]),))
-
-    r2 = v / t**2
-    inc = np.diff(r2)
-    i = int(np.argmax(inc))
-    ratio2_dec = CheckResult("ratio_sq_decreasing", float(inc[i]) <= 1e-9, max(0.0, float(inc[i])), (float(t[i]),))
-
-    return ValidityReport(checks=base.checks + (ratio_inc, ratio2_dec))
-
-
-def _require_valid_diagonal(delta: DiagonalSection, semilinear_conditions: bool = False):
-    report = (
-        validate_semilinear_diagonal(delta) if semilinear_conditions else validate_diagonal(delta)
-    )
-    if not report.passed:
-        failed = [c.name for c in report.checks if not c.passed]
-        raise DomainError(f"invalid diagonal section: failed {failed}")
+    left = t[:-1, None]
+    return ValidityReport(checks=validate_diagonal(delta, grid).checks + (
+        CheckResult.worst_of("ratio_increasing", -np.diff(v / t), 1e-9, left),
+        CheckResult.worst_of("ratio_sq_decreasing", np.diff(v / t**2), 1e-9, left),
+    ))
 
 
 def fredricks_nelsen(delta: DiagonalSection) -> Copula:
@@ -337,7 +311,7 @@ def fredricks_nelsen(delta: DiagonalSection) -> Copula:
 
     C(u, v) = min(u, v, (delta(u) + delta(v)) / 2).
     """
-    _require_valid_diagonal(delta)
+    validate_diagonal(delta).require("invalid diagonal section")
 
     def formula(pts: np.ndarray) -> np.ndarray:
         dv = np.asarray(delta(pts), dtype=float)
@@ -358,7 +332,7 @@ def bertino(delta: DiagonalSection) -> Copula:
     evaluated directly rather than by subtraction, so it keeps the relative
     accuracy of delta near the origin and equals the diagonal exactly on it.
     """
-    _require_valid_diagonal(delta)
+    validate_diagonal(delta).require("invalid diagonal section")
 
     def formula(pts: np.ndarray) -> np.ndarray:
         # two-column minimum and maximum: much faster than reductions along axis 1
@@ -432,7 +406,7 @@ def semilinear(delta: DiagonalSection) -> Copula:
     Requires delta(t)/t increasing and delta(t)/t^2 decreasing on (0, 1]
     (checked weakly); the diagonal of the result is delta exactly.
     """
-    _require_valid_diagonal(delta, semilinear_conditions=True)
+    validate_semilinear_diagonal(delta).require("invalid diagonal section")
 
     def formula(pts: np.ndarray) -> np.ndarray:
         hi = pts.max(axis=1)
@@ -556,10 +530,7 @@ def _require_valid_ev_tdf(lam: TailDepFunction, validate: bool):
     if lam.dimension != 2:
         raise DimensionError("extreme value construction is bivariate")
     if validate:
-        report = validate_tdf(lam, GridConfig(resolution=16))
-        if not report.passed:
-            failed = [c.name for c in report.checks if not c.passed]
-            raise DomainError(f"invalid tail dependence function: failed {failed}")
+        validate_tdf(lam, GridConfig(resolution=16)).require("invalid tail dependence function")
 
 
 def hierarchical(outer: Copula, inner: Copula, audit_resolution: int = 16) -> Copula:
@@ -592,8 +563,5 @@ def hierarchical(outer: Copula, inner: Copula, audit_resolution: int = 16) -> Co
                 f"Clayton nesting requires outer theta <= inner theta, got {og['theta']} > {ig['theta']}"
             )
     else:
-        report = validate_copula(c, GridConfig(resolution=audit_resolution))
-        if not report.passed:
-            failed = [chk.name for chk in report.checks if not chk.passed]
-            raise DomainError(f"hierarchical nesting failed the validity audit: {failed}")
+        validate_copula(c, GridConfig(resolution=audit_resolution)).require("invalid hierarchical nesting")
     return c

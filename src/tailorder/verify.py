@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, families, orders, taildep
+from .descriptors import analytic_tdf_of, build_copula, parse_shorthand
 
 __all__ = ["CheckOutcome", "SUITES", "run_suite", "suite_names"]
 
@@ -46,19 +47,13 @@ def _fig1_tdfs():
 
 
 def _matching_pairs():
-    """Fixture copulas paired with their analytic tail dependence functions."""
-    parab, piece = _fig1_tdfs()
-    pairs = [
-        ("independence", core.independence(), taildep.zero_tdf()),
-        ("comonotone", core.comonotone(), taildep.min_tdf()),
-        ("marshall-olkin-0.5", families.marshall_olkin(0.5), taildep.zero_tdf()),
-        ("clayton-1", _clayton(1.0), taildep.archimedean_tdf(1.0)),
-        ("clayton-2", _clayton(2.0), taildep.archimedean_tdf(2.0)),
-        ("nonstrict-linear", families.archimedean(families.nonstrict_linear_generator()), taildep.zero_tdf()),
-        ("lev-parabola", families.lower_ev_copula(parab), parab),
-        ("lev-piecewise", families.lower_ev_copula(piece), piece),
-    ]
-    return pairs
+    """Fixture copulas paired with their closed-form tail dependence functions from the family table."""
+    fixtures = (("independence", "independence"), ("comonotone", "comonotone"),
+                ("marshall-olkin-0.5", "marshall-olkin:0.5"), ("clayton-1", "clayton:1"),
+                ("clayton-2", "clayton:2"), ("nonstrict-linear", "nonstrict-linear"),
+                ("lev-parabola", "lev:fig1-parabola"), ("lev-piecewise", "lev:fig1-piecewise"))
+    copulas = [(name, build_copula(parse_shorthand(text))) for name, text in fixtures]
+    return [(name, c, analytic_tdf_of(c)) for name, c in copulas]
 
 
 def _suite_expansion():

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -219,6 +220,21 @@ class TestContract:
         assert code == cli.EXIT_INPUT_ERROR
         assert err.endswith(": disk full\n") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_out_writes_a_fifo_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening the writer does not block
+        try:
+            code, out, _ = run(capsys, "eval", "clayton:2", "-u", "0.3,0.4", "--out", str(fifo))
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert code == cli.EXIT_OK and out == ""
+        assert data == run(capsys, "eval", "clayton:2", "-u", "0.3,0.4")[1].encode()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
     @pytest.mark.parametrize("argv", [
         ("eval", "frank:2", "-u", "0.5,0.5"),

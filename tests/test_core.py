@@ -162,6 +162,8 @@ class TestValidate:
         assert not margins.passed
         # value at (1, 0.5) is 0.25, off by 0.25
         assert margins.worst == pytest.approx(0.25, abs=1e-2)
+        # the witness lies on a margin line: every coordinate but one is 1
+        assert sum(x == 1.0 for x in margins.witness) == bad.dimension - 1
 
     def test_every_family_valid_at_64(self):
         for c in family_zoo():
@@ -171,6 +173,39 @@ class TestValidate:
     def test_resolution_floor(self):
         with pytest.raises(to.DomainError):
             to.GridConfig(resolution=1)
+
+    def test_require_names_the_failed_checks(self):
+        report = to.ValidityReport(checks=(
+            to.CheckResult.worst_of("a", [0.0], 0.0, [(0.0,)]),
+            to.CheckResult.worst_of("b", [1.0], 0.0, [(0.0,)]),
+        ))
+        with pytest.raises(to.DomainError, match=r"^audit: failed \['b'\]$"):
+            report.require("audit")
+        to.ValidityReport(checks=report.checks[:1]).require("audit")
+
+
+class TestWorstOf:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        excess=st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=1, max_size=12)
+        .map(lambda xs: [round(x, 1) for x in xs]),  # rounding makes ties common
+        tol=st.sampled_from([0.0, 1e-9, 0.5]),
+    )
+    def test_matches_a_brute_force_scan(self, excess, tol):
+        witnesses = [(float(i), -float(i)) for i in range(len(excess))]
+        first = 0
+        for i, x in enumerate(excess):
+            if x > excess[first]:
+                first = i
+        check = to.CheckResult.worst_of("rule", np.asarray(excess), tol, np.asarray(witnesses))
+        assert check.name == "rule"
+        assert check.passed == (max(excess) <= tol)
+        assert check.worst == max(0.0, excess[first])
+        assert check.witness == witnesses[first]
+
+    def test_nan_fails_at_its_first_occurrence(self):
+        check = to.CheckResult.worst_of("rule", [0.0, np.nan, 2.0, np.nan], 10.0, [(0,), (1,), (2,), (3,)])
+        assert not check.passed and np.isnan(check.worst) and check.witness == (1.0,)
 
 
 class TestGlue:

@@ -326,6 +326,14 @@ class TestHierarchical:
                 to.archimedean(to.clayton_generator(1.0)),
             )
 
+    def test_failed_audit_names_the_failed_checks(self):
+        with pytest.raises(to.DomainError) as info:
+            to.hierarchical(
+                to.archimedean(to.gumbel_generator(3.0)),
+                to.archimedean(to.gumbel_generator(1.5)),
+            )
+        assert str(info.value).endswith("failed ['d_increasing']")
+
     def test_non_archimedean_rejected(self):
         with pytest.raises(to.DomainError):
             to.hierarchical(to.independence(), to.independence())
