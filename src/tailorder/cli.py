@@ -1,13 +1,17 @@
 """Command-line front end: descriptor ingestion, order checks, and CSV/JSON emission.
 
 Subcommands: eval, tdf, order, verify, repro, validate, each taking only the
-options it reads.  Exit codes: 0 success/order holds, 1 order fails, 2 input
-or usage error, 3 dimension error, 4 indistinguishable at tolerance, 5 internal
-error (any other exception); every error is one ``error:`` line on stderr.
+options it reads.  Every subcommand but eval (one value per line) builds one
+JSON payload and one CSV table and hands both to ``_write``, the one writer
+that picks the format; the default is csv for tdf, verify and repro and json
+for order and validate.  Exit codes: 0 success/order holds, 1 order fails,
+2 input or usage error, 3 dimension error, 4 indistinguishable at tolerance,
+5 internal error (any other exception); every error is one ``error:`` line on stderr.
 Output is deterministic: CSV uses 17 significant digits, '.' decimals and LF
-line endings, and files are assembled in memory and written atomically; an
-``--out`` target that exists and is not a regular file (a FIFO, a device) is
-written in place instead.
+line endings, and files are assembled in memory and written atomically through
+a symlink to its target, keeping an existing file's mode and giving a new one
+the mode open() would; an ``--out`` target that exists and is not a regular
+file (a FIFO, a device) is written in place instead.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -54,19 +59,26 @@ def _csv(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _umask() -> int:
+    mask = os.umask(0o22)  # the only way to read it is to set it
+    os.umask(mask)
+    return mask
+
+
 def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
         return
-    path = Path(out)
+    path = Path(os.path.realpath(out))  # through a symlink to its target, as open() writes
     try:
         if path.exists() and not path.is_file():
             # a FIFO or device: renaming a file over it would replace the node itself
-            with open(path, "w", newline="\n") as handle:
-                handle.write(text)
+            path.write_text(text, newline="\n")
             return
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
+            # mkstemp creates mode 0600: keep an existing file's bits, else the mode open() would give
+            os.fchmod(fd, stat.S_IMODE(path.stat().st_mode) if path.exists() else 0o666 & ~_umask())
             with os.fdopen(fd, "w", newline="\n") as handle:
                 handle.write(text)
             os.replace(tmp, path)
@@ -107,7 +119,7 @@ _OPTIONS = {
                      f"threshold C2 - C1 < -{orders.KAPPA:g} * max(|C1|, |C2|) instead (--loc rejects it)"),
     "schedule": dict(default=None, help="limit schedule as s0,ratio,steps"),
     "out": dict(default=None, help="output file (default: stdout)"),
-    "format": dict(choices=("json", "csv"), default=None, help="output format"),
+    "format": dict(choices=("json", "csv"), help="output format (default: %(default)s)"),
 }
 
 
@@ -117,61 +129,46 @@ def _add_common(sub, *names):
         sub.add_argument(f"--{name}", **_OPTIONS[name])
 
 
+def _write(args, payload, header, rows) -> None:
+    """The one output rule: ``--format json`` writes ``payload``, csv writes ``header`` over ``rows``."""
+    _emit(json.dumps(payload, indent=2) + "\n" if args.format == "json" else _csv(rows, header), args.out)
+
+
 def cmd_eval(args) -> int:
     c = build_copula(load_descriptor(args.descriptor))
-    lines = []
-    for text in args.point:
-        pt = _parse_point(text)
-        lines.append(_fmt(c.eval(pt)))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("".join(_fmt(c.eval(_parse_point(text))) + "\n" for text in args.point), args.out)
     return EXIT_OK
 
 
 def cmd_tdf(args) -> int:
     c = build_copula(load_descriptor(args.descriptor))
     sched = _parse_schedule(args.schedule)
-    fmt = args.format or "csv"
     if args.simplex_grid is not None:
-        dirs = taildep.simplex_directions(args.simplex_grid, c.dimension)
-        rows = []
-        for w in dirs:
-            if w.max() == 0:
-                continue
-            est = taildep.estimate_tdf(c, w, sched)
-            rows.append(([float(x) for x in w], est.value, est.error_estimate, est.converged))
-        if fmt == "json":
-            payload = [{"w": w, "value": v, "error": e, "converged": ok} for w, v, e, ok in rows]
-            _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        else:
-            header = tuple(f"w{k + 1}" for k in range(c.dimension)) + ("value", "error", "converged")
-            _emit(_csv([(*w, *rest) for w, *rest in rows], header), args.out)
+        dirs = taildep.simplex_directions(args.simplex_grid, c.dimension).tolist()
+        ests = [taildep.estimate_tdf(c, w, sched) for w in dirs]
+        payload = [{"w": w, "value": e.value, "error": e.error_estimate, "converged": e.converged}
+                   for w, e in zip(dirs, ests)]
+        header = tuple(f"w{k + 1}" for k in range(c.dimension)) + ("value", "error", "converged")
+        _write(args, payload, header, [(*w, e.value, e.error_estimate, e.converged) for w, e in zip(dirs, ests)])
         return EXIT_OK
     w = _parse_point(args.w) if args.w else np.ones(c.dimension)
     est = taildep.estimate_tdf(c, w, sched)
-    if fmt == "json":
-        payload = {
-            "value": est.value,
-            "error_estimate": est.error_estimate,
-            "converged": est.converged,
-            "trace": [{"s": s, "ratio": r} for s, r in est.trace],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        rows = []
-        prev = None
-        for s, r in est.trace:
-            rows.append((s, r, "" if prev is None else _fmt(abs(r - prev)), est.converged))
-            prev = r
-        _emit(_csv(rows, ("s", "ratio", "diff", "converged")), args.out)
+    payload = {
+        "value": est.value,
+        "error_estimate": est.error_estimate,
+        "converged": est.converged,
+        "trace": [{"s": s, "ratio": r} for s, r in est.trace],
+    }
+    rows = [(s, r, abs(r - est.trace[k - 1][1]) if k else "", est.converged) for k, (s, r) in enumerate(est.trace)]
+    _write(args, payload, ("s", "ratio", "diff", "converged"), rows)
     return EXIT_OK
 
 
-def _exit_from_status(status: str) -> int:
-    if status in (orders.HOLDS, orders.HOLDS_STRICTLY):
-        return EXIT_OK
-    if status == orders.INDISTINGUISHABLE:
-        return EXIT_INDISTINGUISHABLE
-    return EXIT_ORDER_FAILS
+def _exit_code(statuses: set) -> int:
+    # any failing verdict fails; only indistinguishable ones are indistinguishable; otherwise it holds
+    if orders.FAILS in statuses:
+        return EXIT_ORDER_FAILS
+    return EXIT_INDISTINGUISHABLE if statuses <= {orders.INDISTINGUISHABLE} else EXIT_OK
 
 
 def _tdf_of(c, sched) -> taildep.TailDepFunction:
@@ -179,10 +176,11 @@ def _tdf_of(c, sched) -> taildep.TailDepFunction:
     return lam if lam is not None else taildep.estimated_tdf(c, sched)
 
 
-def _ray_rows(results) -> list:
+def _ray_table(results) -> tuple[tuple, list]:
     # one row per sampled scale of every ray: "w1|w2|...", s, C1, C2, gap
-    return [("|".join(_fmt(x) for x in w), float(s), float(a), float(b), float(b - a))
-            for w, v in results for s, a, b in zip(v.samples.scale, v.samples.lhs, v.samples.rhs)]
+    return ("w", "s", "C1", "C2", "gap"), [
+        ("|".join(_fmt(x) for x in w), float(s), float(a), float(b), float(b - a))
+        for w, v in results for s, a, b in zip(v.samples.scale, v.samples.lhs, v.samples.rhs)]
 
 
 def cmd_order(args) -> int:
@@ -190,23 +188,14 @@ def cmd_order(args) -> int:
     c2 = build_copula(load_descriptor(args.descriptor2))
     g = GridConfig(resolution=args.grid, tau=args.tau)
     sched = _parse_schedule(args.schedule)
-    fmt = args.format or "json"
 
     if args.too:
         results = orders.check_too(c1, c2, schedule=sched, grid=g)
-        if fmt == "csv":
-            _emit(_csv(_ray_rows(results), ("w", "s", "C1", "C2", "gap")), args.out)
-        else:
-            payload = [{"direction": list(w), **v.as_dict()} for w, v in results]
-            _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        statuses = [v.status for _, v in results]
-        if any(s == orders.FAILS for s in statuses):
-            return EXIT_ORDER_FAILS
-        if all(s == orders.INDISTINGUISHABLE for s in statuses):
-            return EXIT_INDISTINGUISHABLE
-        return EXIT_OK
+        payload = [{"direction": list(w), **v.as_dict()} for w, v in results]
+        _write(args, payload, *_ray_table(results))
+        return _exit_code({v.status for _, v in results})
 
-    coords = tuple(f"u{k + 1}" for k in range(c1.dimension))
+    header = tuple(f"u{k + 1}" for k in range(c1.dimension)) + ("C1", "C2")  # --cone and --loc
     if args.tdo:
         verdict = orders.check_tdo(_tdf_of(c1, sched), _tdf_of(c2, sched), g)
         header = tuple(f"w{k + 1}" for k in range(c1.dimension)) + ("L1", "L2")
@@ -214,101 +203,62 @@ def cmd_order(args) -> int:
         verdict = orders.check_diagonal_order(families.diagonal_of(c1), families.diagonal_of(c2), g)
         header = ("t", "C1", "C2")
     elif args.cone is not None:
-        lam1, lam2 = analytic_tdf_of(c1), analytic_tdf_of(c2)
-        verdict = orders.check_cone_order(
-            c1, c2, orders.ConeSpec(args.cone), args.eps, g, lam1=lam1, lam2=lam2
-        )
-        header = coords + ("C1", "C2")
+        verdict = orders.check_cone_order(c1, c2, orders.ConeSpec(args.cone), args.eps, g,
+                                          lam1=analytic_tdf_of(c1), lam2=analytic_tdf_of(c2))
     else:  # --loc
         if (args.grid, args.tau) != (_GRID, _TAU):
             raise DescriptorError("--grid and --tau do not apply to --loc, which samples a fixed log-polar set")
         verdict = orders.check_loc(c1, c2, args.eps)
-        header = coords + ("C1", "C2")
-    if fmt == "csv":
-        pts, a, b = verdict.samples.points, verdict.samples.lhs, verdict.samples.rhs
-        rows = [(*map(float, pts[i]), float(a[i]), float(b[i]), float(b[i] - a[i])) for i in range(len(pts))]
-        _emit(_csv(rows, header + ("gap",)), args.out)
-    else:
-        _emit(json.dumps(verdict.as_dict(), indent=2) + "\n", args.out)
-    return _exit_from_status(verdict.status)
+    s = verdict.samples
+    rows = np.column_stack([s.points, s.lhs, s.rhs, s.rhs - s.lhs]).tolist()
+    _write(args, verdict.as_dict(), header + ("gap",), rows)
+    return _exit_code({verdict.status})
 
 
 def cmd_verify(args) -> int:
-    try:
-        outcomes = verify.run_suite(args.suite)
-    except KeyError as exc:
-        sys.stderr.write(f"error: {exc.args[0]}\n")
-        return EXIT_INPUT_ERROR
-    fmt = args.format or "csv"
-    if fmt == "json":
-        payload = [
-            {"suite": o.suite, "check": o.name, "passed": o.passed, "detail": o.detail}
-            for o in outcomes
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        rows = [(o.suite, o.name, "pass" if o.passed else "FAIL", o.detail) for o in outcomes]
-        _emit(_csv(rows, ("suite", "check", "status", "detail")), args.out)
+    outcomes = verify.run_suite(args.suite)
+    payload = [{"suite": o.suite, "check": o.name, "passed": o.passed, "detail": o.detail} for o in outcomes]
+    rows = [(o.suite, o.name, "pass" if o.passed else "FAIL", o.detail) for o in outcomes]
+    _write(args, payload, ("suite", "check", "status", "detail"), rows)
     return EXIT_OK if all(o.passed for o in outcomes) else EXIT_ORDER_FAILS
 
 
-def _repro_mo_clayton(alpha: float, theta: float):
-    mo = families.marshall_olkin(alpha)
-    cl = families.archimedean(families.clayton_generator(theta))
+def _repro_mo_clayton(args, schedule):
+    mo = families.marshall_olkin(args.alpha)
+    cl = families.archimedean(families.clayton_generator(args.theta))
     t = np.linspace(0.0, 1.0, 201)[1:-1]
-    rows = []
-    for ti in t:
-        pt = (float(ti), float(ti**alpha))
-        rows.append((float(ti), mo.eval(pt), cl.eval(pt)))
-    return rows, ("t", "M", "C")
+    return ("t", "M", "C"), [(ti, mo.eval((ti, ti**args.alpha)), cl.eval((ti, ti**args.alpha))) for ti in t.tolist()]
 
 
-def _repro_fig1():
-    parab = taildep.parabola_section()
-    piece = taildep.capped_slope_section()
+def _repro_fig1(args, schedule):
     t = np.linspace(0.0, 1.0, 201)
-    rows = [
-        (float(ti), float(parab(ti)), float(piece(ti)), float(min(ti, 1.0 - ti)))
-        for ti in t
-    ]
-    return rows, ("t", "parabola", "piecewise", "envelope")
+    sections = (taildep.parabola_section(), taildep.capped_slope_section(), taildep.min_section())
+    return ("t", "parabola", "piecewise", "envelope"), np.column_stack([t, *(f(t) for f in sections)]).tolist()
 
 
-def _repro_glued_joe(schedule: LimitSchedule):
+def _repro_glued_joe(args, schedule):
     joe = families.archimedean(families.joe_generator(2.0))
     cp = core.comonotone()
     results = orders.check_too(core.glue(joe, cp, 1, 0.5), core.glue(joe, cp, 2, 0.5),
                                directions=[(0.5, 1.0), (1.0, 0.5)], schedule=schedule)
-    return _ray_rows(results), ("w", "s", "C1", "C2", "gap")
+    return _ray_table(results)
+
+
+_REPROS = {"mo-clayton": _repro_mo_clayton, "glued-joe": _repro_glued_joe, "fig1-tdfs": _repro_fig1}
 
 
 def cmd_repro(args) -> int:
-    sched = _parse_schedule(args.schedule)
-    if args.name == "mo-clayton":
-        rows, header = _repro_mo_clayton(args.alpha, args.theta)
-    elif args.name == "fig1-tdfs":
-        rows, header = _repro_fig1()
-    elif args.name == "glued-joe":
-        rows, header = _repro_glued_joe(sched)
-    else:
-        sys.stderr.write(f"error: unknown counterexample {args.name!r}\n")
-        return EXIT_INPUT_ERROR
-    if (args.format or "csv") == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit(_csv(rows, header), args.out)
+    # every name parses --schedule, so a bad one is an input error whichever counterexample reads it
+    header, rows = _REPROS[args.name](args, _parse_schedule(args.schedule))
+    _write(args, [dict(zip(header, row)) for row in rows], header, rows)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
     c = build_copula(load_descriptor(args.descriptor))
     report = core.validate_copula(c, GridConfig(resolution=args.grid))
-    if (args.format or "json") == "csv":
-        rows = [(chk.name, chk.passed, chk.worst) for chk in report.checks]
-        _emit(_csv(rows, ("check", "passed", "worst")), args.out)
-    else:
-        _emit(json.dumps(report.as_dict(), indent=2) + "\n", args.out)
+    rows = [(chk.name, chk.passed, chk.worst) for chk in report.checks]
+    _write(args, report.as_dict(), ("check", "passed", "worst"), rows)
     return EXIT_OK if report.passed else EXIT_ORDER_FAILS
 
 
@@ -336,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", default=None, help="direction as w1,w2[,w3] (default: all ones)")
     p.add_argument("--simplex-grid", type=int, default=None, help="estimate on an n-point simplex grid")
     _add_common(p, "schedule", "out", "format")
-    p.set_defaults(func=cmd_tdf)
+    p.set_defaults(func=cmd_tdf, format="csv")
 
     p = sub.add_parser("order", help="check a stochastic order between two copulas")
     p.add_argument("descriptor1", help=descriptor_help)
@@ -350,24 +300,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None,
                    help="ball radius of --loc and --cone (default: the largest verified 2^-k, k <= 20)")
     _add_common(p, "grid", "tau", "schedule", "out", "format")
-    p.set_defaults(func=cmd_order)
+    p.set_defaults(func=cmd_order, format="json")
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", help="all | " + " | ".join(verify.SUITES))
+    p.add_argument("suite", choices=verify.suite_names())
     _add_common(p, "out", "format")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, format="csv")
 
-    p = sub.add_parser("repro", help="reproduce a counterexample as CSV")
-    p.add_argument("name", help="mo-clayton | glued-joe | fig1-tdfs")
+    p = sub.add_parser("repro", help="reproduce a counterexample")
+    p.add_argument("name", choices=_REPROS)
     p.add_argument("--alpha", type=float, default=0.5, help="Marshall-Olkin parameter")
     p.add_argument("--theta", type=float, default=1.0, help="Clayton parameter")
     _add_common(p, "schedule", "out", "format")
-    p.set_defaults(func=cmd_repro)
+    p.set_defaults(func=cmd_repro, format="csv")
 
     p = sub.add_parser("validate", help="audit the copula axioms for a descriptor")
     p.add_argument("descriptor", help=descriptor_help)
     _add_common(p, "grid", "out", "format")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, format="json")
 
     return parser
 
@@ -376,18 +326,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except DescriptorError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
     except DimensionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DIMENSION_ERROR
-    except CopulaError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
+        code, message = EXIT_DIMENSION_ERROR, str(exc)
+    except CopulaError as exc:  # DescriptorError included
+        code, message = EXIT_INPUT_ERROR, str(exc)
     except Exception as exc:  # exit 1 means "order fails", so no failure may escape with it
-        sys.stderr.write(f"error: internal error: {type(exc).__name__}: {exc}\n")
-        return EXIT_INTERNAL_ERROR
+        code, message = EXIT_INTERNAL_ERROR, f"internal error: {type(exc).__name__}: {exc}"
+    sys.stderr.write(f"error: {message}\n")
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

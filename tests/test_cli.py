@@ -236,6 +236,55 @@ class TestContract:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symbolic links")
+    def test_out_writes_through_a_symlink(self, capsys, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old\n")
+        link.symlink_to(real)
+        code, out, _ = run(capsys, "eval", "clayton:2", "-u", "0.3,0.4", "--out", str(link))
+        assert code == cli.EXIT_OK and out == ""
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_bytes() == run(capsys, "eval", "clayton:2", "-u", "0.3,0.4")[1].encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    def test_out_creates_a_file_with_the_mode_open_gives(self, capsys, tmp_path):
+        target = tmp_path / "new.csv"
+        old = os.umask(0o022)
+        try:
+            code = run(capsys, "repro", "mo-clayton", "--out", str(target))[0]
+        finally:
+            os.umask(old)
+        assert code == cli.EXIT_OK
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+    def test_out_keeps_an_existing_files_mode(self, capsys, tmp_path):
+        target = tmp_path / "kept.csv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        code = run(capsys, "repro", "mo-clayton", "--out", str(target))[0]
+        assert code == cli.EXIT_OK
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert target.read_bytes() == run(capsys, "repro", "mo-clayton")[1].encode()
+
+    @pytest.mark.parametrize("argv, default", [
+        (("tdf", "clayton:2"), "csv"),
+        (("order", "clayton:1", "clayton:2", "--tdo"), "json"),
+        (("verify", "cone"), "csv"),
+        (("repro", "fig1-tdfs"), "csv"),
+        (("validate", "clayton:2", "--grid", "8"), "json"),
+    ])
+    def test_default_format(self, capsys, argv, default):
+        implicit = run(capsys, *argv)
+        assert implicit == run(capsys, *argv, "--format", default)  # byte for byte, exit code and stderr too
+        assert implicit[0] in (cli.EXIT_OK, cli.EXIT_ORDER_FAILS)
+        assert implicit != run(capsys, *argv, "--format", {"json": "csv", "csv": "json"}[default])
+
+    @pytest.mark.parametrize("argv, choice", [(("verify", "nope"), "spearman"), (("repro", "nope"), "glued-joe")])
+    def test_unknown_name_lists_the_choices(self, capsys, argv, choice):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_INPUT_ERROR and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and choice in err
+
     @pytest.mark.parametrize("argv", [
         ("eval", "frank:2", "-u", "0.5,0.5"),
         ("verify", "nope"),

@@ -235,10 +235,16 @@ class TestSpearmanLimit:
         with pytest.raises(to.DomainError):
             to.spearman_tdf_limit(to.archimedean_tdf(1.0, 4))
 
-    def test_d3_min_trips_agreement_gate(self):
-        # the kinked face integrand cannot pass the 64-vs-96 gate in d = 3
+    @pytest.mark.parametrize("lam", [to.min_tdf(3), to.archimedean_tdf(float("inf"), 3)], ids=["min", "alpha-inf"])
+    def test_d3_min_equals_one(self, lam):
+        # (d+1) * integral of min over the cube is 1; each face is cut along its kink t1 = t2
+        assert to.spearman_tdf_limit(lam) == pytest.approx(1.0, abs=1e-12)
+
+    def test_d3_rough_face_trips_agreement_gate(self):
+        # min(2 w1, w2, w3) kinks along 2 w1 = w3 on the face w2 = 1, a line no rule cuts
+        lam = to.TailDepFunction(lambda p: np.minimum(2.0 * p[:, 0], p[:, 1:].min(axis=1)), 3)
         with pytest.raises(to.QuadratureError):
-            to.spearman_tdf_limit(to.min_tdf(3))
+            to.spearman_tdf_limit(lam)
 
     def test_d3_clayton(self):
         lam = to.archimedean_tdf(2.0, 3)
