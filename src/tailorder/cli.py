@@ -11,7 +11,8 @@ Output is deterministic: CSV uses 17 significant digits, '.' decimals and LF
 line endings, and files are assembled in memory and written atomically through
 a symlink to its target, keeping an existing file's mode and giving a new one
 the mode open() would; an ``--out`` target that exists and is not a regular
-file (a FIFO, a device) is written in place instead.
+file (a FIFO, a device) is written in place instead, and a symlink loop is
+an input error.
 """
 
 from __future__ import annotations
@@ -71,14 +72,16 @@ def _emit(text: str, out: str | None):
         return
     path = Path(os.path.realpath(out))  # through a symlink to its target, as open() writes
     try:
-        if path.exists() and not path.is_file():
+        # a symlink loop stays a link under realpath, so it exists, and stat fails on it as open() would
+        mode = os.stat(path).st_mode if os.path.lexists(path) else None
+        if mode is not None and not stat.S_ISREG(mode):
             # a FIFO or device: renaming a file over it would replace the node itself
             path.write_text(text, newline="\n")
             return
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             # mkstemp creates mode 0600: keep an existing file's bits, else the mode open() would give
-            os.fchmod(fd, stat.S_IMODE(path.stat().st_mode) if path.exists() else 0o666 & ~_umask())
+            os.fchmod(fd, stat.S_IMODE(mode) if mode is not None else 0o666 & ~_umask())
             with os.fdopen(fd, "w", newline="\n") as handle:
                 handle.write(text)
             os.replace(tmp, path)

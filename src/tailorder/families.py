@@ -21,6 +21,10 @@ from .core import (
     DomainError,
     GridConfig,
     ValidityReport,
+    _lower_frechet,
+    _product,
+    _row_reduce,
+    _upper_frechet,
     copula_from_formula,
     validate_copula,
 )
@@ -195,7 +199,7 @@ def archimedean(g: Generator, dimension: int = 2) -> Copula:
 
     def formula(pts: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", over="ignore"):
-            total = np.asarray(g.phi(pts), dtype=float).sum(axis=1)
+            total = _row_reduce(np.add, np.asarray(g.phi(pts), dtype=float))
         return np.asarray(generalized_inverse(g, total), dtype=float)
 
     desc = {
@@ -315,7 +319,7 @@ def fredricks_nelsen(delta: DiagonalSection) -> Copula:
 
     def formula(pts: np.ndarray) -> np.ndarray:
         dv = np.asarray(delta(pts), dtype=float)
-        return np.minimum(pts.min(axis=1), 0.5 * dv.sum(axis=1))
+        return np.minimum(_upper_frechet(pts), 0.5 * _row_reduce(np.add, dv))
 
     desc = {"family": "fredricks_nelsen", "params": {"diagonal": {"name": delta.name, **delta.params}}}
     return copula_from_formula(2, formula, desc)
@@ -335,9 +339,8 @@ def bertino(delta: DiagonalSection) -> Copula:
     validate_diagonal(delta).require("invalid diagonal section")
 
     def formula(pts: np.ndarray) -> np.ndarray:
-        # two-column minimum and maximum: much faster than reductions along axis 1
-        lo = np.minimum(pts[:, 0], pts[:, 1])
-        hi = np.maximum(pts[:, 0], pts[:, 1])
+        lo = _upper_frechet(pts)
+        hi = _row_reduce(np.maximum, pts)
         d_lo = np.asarray(delta(lo), dtype=float)
         # a convex diagonal's inner minimum is at an endpoint: compare t = max with t = min
         gap = hi - delta(hi) if delta.convex else _interval_min_gap(delta, lo, hi)
@@ -409,9 +412,9 @@ def semilinear(delta: DiagonalSection) -> Copula:
     validate_semilinear_diagonal(delta).require("invalid diagonal section")
 
     def formula(pts: np.ndarray) -> np.ndarray:
-        hi = pts.max(axis=1)
+        hi = _row_reduce(np.maximum, pts)
         safe = np.where(hi > 0.0, hi, 1.0)
-        return np.where(hi > 0.0, pts.min(axis=1) * np.asarray(delta(safe), dtype=float) / safe, 0.0)
+        return np.where(hi > 0.0, _upper_frechet(pts) * np.asarray(delta(safe), dtype=float) / safe, 0.0)
 
     desc = {"family": "semilinear", "params": {"diagonal": {"name": delta.name, **delta.params}}}
     return copula_from_formula(2, formula, desc)
@@ -421,36 +424,58 @@ def semilinear(delta: DiagonalSection) -> Copula:
 GAUSS_RHO_CUTOFF = 0.999
 
 
+# rows of the quadrature evaluated at once: a (block, nodes) buffer of 512 KB stays in cache
+_NORMAL_BLOCK = 1024
+
+
 def bivariate_normal_cdf(a, b, rho: float, nodes: int = 64) -> np.ndarray | float:
     """Standard bivariate normal CDF by deterministic Gauss-Legendre quadrature.
 
     Uses the angular form of the single-integral reduction,
     Phi2(a, b; rho) = Phi(a)Phi(b)
         + (1/2pi) * int_0^asin(rho) exp(-(a^2 - 2ab sin t + b^2)/(2 cos^2 t)) dt,
-    whose integrand is analytic up to |rho| = 1.  Absolute error is below
-    1e-10 for |rho| <= 0.999 at 64 nodes.  ``scipy.special`` is imported
-    on the first call, so code that never evaluates a normal CDF does not
-    load scipy.
+    whose integrand is analytic up to |rho| = 1.  Accuracy at 64 nodes,
+    measured on the Gaussian copula against mpmath at 40 digits:
+    for rho > 0 both terms are positive and the error is relative, at most
+    1.6e-14 at s*w for s down to 1e-14 and rho in {0.3, 0.5, 0.7}, 1e-13 at
+    rho = 0.999.  For rho < 0 the two terms cancel where a and b are both
+    far below 0, so the error is only absolute, at most 3e-16 on the unit
+    square: the Gaussian(-0.7) copula gives 9.1e-31 at (1e-8, 1e-8), where
+    the value is 1.6e-49.  The integrand is evaluated ``_NORMAL_BLOCK`` rows
+    at a time in one buffer, each step in the order of the formula above.
+    ``scipy.special`` is imported on the first call, so code that never
+    evaluates a normal CDF does not load scipy.
     """
     from scipy.special import ndtr
 
     if not -1.0 <= rho <= 1.0:
         raise DomainError(f"rho must lie in [-1, 1], got {rho}")
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    base = ndtr(a_arr) * ndtr(b_arr)
-    if rho == 0.0:
-        out = base
-    else:
+    a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    out = ndtr(a_arr) * ndtr(b_arr)
+    if rho != 0.0:
         x, w = _gauss_legendre_01(nodes)
         t = np.arcsin(rho) * x
         wt = np.arcsin(rho) * w
         sin_t = np.sin(t)
         cos2 = np.cos(t) ** 2
-        aa = a_arr[..., None]
-        bb = b_arr[..., None]
-        integrand = np.exp(-(aa**2 - 2.0 * aa * bb * sin_t + bb**2) / (2.0 * cos2))
-        out = base + (integrand * wt).sum(axis=-1) / (2.0 * np.pi)
+        # w * exp(-(a^2 - 2ab sin t + b^2) / (2 cos^2 t)), one step at a time in
+        # place; dividing by -(2 cos^2 t) rounds exactly as negating the quotient
+        neg_two_cos2 = -(2.0 * cos2)
+        aa, bb = a_arr.reshape(-1), b_arr.reshape(-1)
+        a2, two_ab, b2 = (aa**2)[:, None], (2.0 * aa * bb)[:, None], (bb**2)[:, None]
+        sums = np.empty(aa.size)
+        buf = np.empty((min(aa.size, _NORMAL_BLOCK), nodes))
+        for start in range(0, aa.size, _NORMAL_BLOCK):
+            stop = min(start + _NORMAL_BLOCK, aa.size)
+            blk = buf[: stop - start]
+            np.multiply(two_ab[start:stop], sin_t, out=blk)
+            np.subtract(a2[start:stop], blk, out=blk)
+            np.add(blk, b2[start:stop], out=blk)
+            np.divide(blk, neg_two_cos2, out=blk)
+            np.exp(blk, out=blk)
+            np.multiply(blk, wt, out=blk)
+            blk.sum(axis=1, out=sums[start:stop])
+        out = out + sums.reshape(out.shape) / (2.0 * np.pi)
     out = np.clip(out, 0.0, 1.0)
     return float(out) if np.isscalar(a) and np.isscalar(b) else out
 
@@ -476,11 +501,9 @@ def gaussian(rho: float, nodes: int = 64) -> Copula:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        if r > 0:
-            return copula_from_formula(2, lambda pts: pts.min(axis=1), desc)
-        return copula_from_formula(2, lambda pts: np.maximum(pts.sum(axis=1) - 1.0, 0.0), desc)
+        return copula_from_formula(2, _upper_frechet if r > 0 else _lower_frechet, desc)
     if r == 0.0:
-        return copula_from_formula(2, lambda pts: pts.prod(axis=1), desc)
+        return copula_from_formula(2, _product, desc)
 
     def formula(pts: np.ndarray) -> np.ndarray:
         from scipy.special import ndtri
@@ -502,7 +525,7 @@ def ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
 
     def formula(pts: np.ndarray) -> np.ndarray:
         logs = np.log(pts)
-        return np.exp(logs.sum(axis=1) + lam(-logs))
+        return np.exp(_row_reduce(np.add, logs) + lam(-logs))
 
     desc = {"family": "extreme_value", "params": {"tdf": {"name": lam.name, **lam.params}}}
     return copula_from_formula(2, formula, desc)
@@ -520,7 +543,7 @@ def lower_ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
 
     def formula(pts: np.ndarray) -> np.ndarray:
         comp = 1.0 - pts
-        return pts.prod(axis=1) + comp.prod(axis=1) * np.expm1(lam(-np.log1p(-pts)))
+        return _product(pts) + _product(comp) * np.expm1(lam(-np.log1p(-pts)))
 
     desc = {"family": "lower_extreme_value", "params": {"tdf": {"name": lam.name, **lam.params}}}
     return copula_from_formula(2, formula, desc)

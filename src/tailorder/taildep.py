@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .core import CopulaError, DimensionError, DomainError, GridConfig, CheckResult, ValidityReport
+from .core import _row_reduce, _upper_frechet
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Copula
@@ -227,7 +228,7 @@ def zero_tdf(dimension: int = 2) -> TailDepFunction:
 def min_tdf(dimension: int = 2) -> TailDepFunction:
     """Upper bound min_k w_k (the comonotone tail dependence function)."""
     return TailDepFunction(
-        lambda pts: pts.min(axis=1), dimension, name="min",
+        _upper_frechet, dimension, name="min",
         breakpoints=(0.5,) if dimension == 2 else (),  # the kink of min(t, 1 - t)
     )
 
@@ -249,7 +250,7 @@ def archimedean_tdf(alpha: float, dimension: int = 2) -> TailDepFunction:
 
         def fn(pts: np.ndarray) -> np.ndarray:
             with np.errstate(divide="ignore", over="ignore"):
-                out = (pts ** -a).sum(axis=1) ** (-1.0 / a)
+                out = _row_reduce(np.add, pts ** -a) ** (-1.0 / a)
             return np.where(np.isfinite(out), out, 0.0)
 
         base = TailDepFunction(fn, dimension)
@@ -274,7 +275,7 @@ def lift(section: SimplexTDF) -> TailDepFunction:
     """Extend a unit-simplex section to [0, inf)^2 by positive homogeneity."""
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        s = pts.sum(axis=1)
+        s = _row_reduce(np.add, pts)
         safe = np.where(s > 0.0, s, 1.0)
         t = pts[:, 0] / safe
         return np.where(s > 0.0, s * np.asarray(section.phi(t), dtype=float), 0.0)

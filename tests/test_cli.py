@@ -247,6 +247,17 @@ class TestContract:
         assert real.read_bytes() == run(capsys, "eval", "clayton:2", "-u", "0.3,0.4")[1].encode()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
 
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symbolic links")
+    def test_out_into_a_symlink_loop_is_an_input_error(self, capsys, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.symlink_to(b)
+        b.symlink_to(a)
+        code, out, err = run(capsys, "eval", "clayton:2", "-u", "0.3,0.4", "--out", str(a))
+        assert code == cli.EXIT_INPUT_ERROR and out == ""
+        assert err.startswith(f"error: cannot write {str(a)!r}: ") and err.count("\n") == 1
+        assert os.readlink(a) == str(b) and os.readlink(b) == str(a)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
     def test_out_creates_a_file_with_the_mode_open_gives(self, capsys, tmp_path):
         target = tmp_path / "new.csv"
         old = os.umask(0o022)

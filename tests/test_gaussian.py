@@ -67,3 +67,43 @@ class TestGaussianCopula:
     def test_valid_copula(self):
         assert to.validate_copula(to.gaussian(0.5), to.GridConfig(resolution=64)).passed
         assert to.validate_copula(to.gaussian(-0.7), to.GridConfig(resolution=48)).passed
+
+
+def copula_reference(u, v, rho, dps=40):
+    """Gaussian copula C(u, v) in mpmath, integrating the angular form from -pi/2.
+
+    Phi2(a, b; rho) = max(u + v - 1, 0) + (1/2pi) int_{-pi/2}^{asin rho} exp(...) dt
+    with a = Phi^-1(u), b = Phi^-1(v); below the anti-diagonal only the
+    integral is left, so nothing cancels for rho < 0 either.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        u, v = mpmath.mpf(u), mpmath.mpf(v)
+        a, b = (mpmath.sqrt(2) * mpmath.erfinv(2 * x - 1) for x in (u, v))
+
+        def integrand(t):
+            return mpmath.exp(-(a * a - 2 * a * b * mpmath.sin(t) + b * b) / (2 * mpmath.cos(t) ** 2))
+
+        integral = mpmath.quad(integrand, [-mpmath.pi / 2, mpmath.asin(mpmath.mpf(rho))])
+        return float(max(u + v - 1, 0) + integral / (2 * mpmath.pi))
+
+
+TAIL_POINTS = [(s * w1, s * w2) for s in (1e-2, 1e-8, 1e-14) for w1, w2 in ((1, 1), (1, 0.5), (0.2, 1), (1, 1e-3))]
+
+
+class TestTailAccuracy:
+    """The quadrature's accuracy near the origin, which the local orders' relative threshold relies on."""
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.7])
+    def test_relative_error_for_positive_rho(self, rho):
+        c = to.gaussian(rho)
+        for u in TAIL_POINTS:
+            want = copula_reference(*u, rho)
+            assert abs(c.cdf(u) - want) <= 1e-13 * want, u
+
+    @pytest.mark.parametrize("rho", [-0.3, -0.7])
+    def test_only_absolute_error_for_negative_rho(self, rho):
+        # Phi(a)Phi(b) and the negative integral cancel, so tail values are accurate only in absolute terms
+        c = to.gaussian(rho)
+        for u in TAIL_POINTS:
+            assert abs(c.cdf(u) - copula_reference(*u, rho)) <= 4e-16, u
