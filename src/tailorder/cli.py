@@ -110,16 +110,12 @@ def _parse_schedule(text: str | None) -> LimitSchedule:
         raise DescriptorError(f"bad schedule {text!r}: expected s0,ratio,steps ({exc})") from exc
 
 
-_GRID, _TAU = 64, 1e-6
-
-
 _OPTIONS = {
-    "grid": dict(type=int, default=_GRID,
-                 help="grid resolution per axis; order --loc and --cone sample a fixed log-polar set "
-                      "instead (--cone uses it for its tail dependence precondition, --loc rejects it)"),
-    "tau": dict(type=float, default=_TAU,
-                help="absolute order/strictness tolerance; order --loc and --cone use the relative "
-                     f"threshold C2 - C1 < -{orders.KAPPA:g} * max(|C1|, |C2|) instead (--loc rejects it)"),
+    "grid": dict(type=int, default=None,
+                 help="grid resolution per axis (default: 64); order --loc and --too reject it and --cone uses "
+                      "it only for its tail dependence precondition. A verdict's JSON 'tolerance' holds each side's "
+                      "accuracy pair [rel, abs], or [rel, abs, region] with abs only at points in the named "
+                      "region: a point violates when C2 - C1 < -(rel1 |C1| + rel2 |C2| + abs1 + abs2)"),
     "schedule": dict(default=None, help="limit schedule as s0,ratio,steps"),
     "out": dict(default=None, help="output file (default: stdout)"),
     "format": dict(choices=("json", "csv"), help="output format (default: %(default)s)"),
@@ -130,6 +126,10 @@ def _add_common(sub, *names):
     # only the options the subcommand reads, so argparse rejects the others
     for name in names:
         sub.add_argument(f"--{name}", **_OPTIONS[name])
+
+
+def _grid(args) -> GridConfig | None:
+    return None if args.grid is None else GridConfig(resolution=args.grid)
 
 
 def _write(args, payload, header, rows) -> None:
@@ -189,11 +189,12 @@ def _ray_table(results) -> tuple[tuple, list]:
 def cmd_order(args) -> int:
     c1 = build_copula(load_descriptor(args.descriptor1))
     c2 = build_copula(load_descriptor(args.descriptor2))
-    g = GridConfig(resolution=args.grid, tau=args.tau)
-    sched = _parse_schedule(args.schedule)
+    g, sched = _grid(args), _parse_schedule(args.schedule)
+    if g is not None and (args.loc or args.too):
+        raise DescriptorError("--grid does not apply to --loc and --too, which sample fixed sets")
 
     if args.too:
-        results = orders.check_too(c1, c2, schedule=sched, grid=g)
+        results = orders.check_too(c1, c2, schedule=sched)
         payload = [{"direction": list(w), **v.as_dict()} for w, v in results]
         _write(args, payload, *_ray_table(results))
         return _exit_code({v.status for _, v in results})
@@ -209,8 +210,6 @@ def cmd_order(args) -> int:
         verdict = orders.check_cone_order(c1, c2, orders.ConeSpec(args.cone), args.eps, g,
                                           lam1=analytic_tdf_of(c1), lam2=analytic_tdf_of(c2))
     else:  # --loc
-        if (args.grid, args.tau) != (_GRID, _TAU):
-            raise DescriptorError("--grid and --tau do not apply to --loc, which samples a fixed log-polar set")
         verdict = orders.check_loc(c1, c2, args.eps)
     s = verdict.samples
     rows = np.column_stack([s.points, s.lhs, s.rhs, s.rhs - s.lhs]).tolist()
@@ -259,7 +258,7 @@ def cmd_repro(args) -> int:
 
 def cmd_validate(args) -> int:
     c = build_copula(load_descriptor(args.descriptor))
-    report = core.validate_copula(c, GridConfig(resolution=args.grid))
+    report = core.validate_copula(c, _grid(args))
     rows = [(chk.name, chk.passed, chk.worst) for chk in report.checks]
     _write(args, report.as_dict(), ("check", "passed", "worst"), rows)
     return EXIT_OK if report.passed else EXIT_ORDER_FAILS
@@ -302,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     rel.add_argument("--diagonal", action="store_true", help="diagonal order near 0")
     p.add_argument("--eps", type=float, default=None,
                    help="ball radius of --loc and --cone (default: the largest verified 2^-k, k <= 20)")
-    _add_common(p, "grid", "tau", "schedule", "out", "format")
+    _add_common(p, "grid", "schedule", "out", "format")
     p.set_defaults(func=cmd_order, format="json")
 
     p = sub.add_parser("verify", help="run a named verification suite")

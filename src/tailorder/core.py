@@ -62,29 +62,18 @@ class DomainError(CopulaError, ValueError):
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Settings shared by grid audits and order checkers.
+    """Grid settings shared by audits and order checkers.
 
     resolution
         Subdivisions per axis; audits evaluate on ``resolution + 1`` points
         including both endpoints.
-    tau
-        Strictness/violation threshold for order verdicts.
-    interior_margin
-        Width of the band near the simplex boundary excluded from strict
-        order checks (strict orders quantify over the open orthant only).
     """
 
     resolution: int = 64
-    tau: float = 1e-6
-    interior_margin: float = 1e-3
 
     def __post_init__(self):
         if self.resolution < 2:
             raise DomainError(f"grid resolution must be >= 2, got {self.resolution}")
-        if not self.tau > 0.0:
-            raise DomainError(f"tau must be positive, got {self.tau}")
-        if not 0.0 <= self.interior_margin < 0.5:
-            raise DomainError(f"interior_margin must be in [0, 0.5), got {self.interior_margin}")
 
 
 @dataclass(frozen=True)
@@ -409,7 +398,12 @@ def glue(left: Copula, right: Copula, axis: int, split: float) -> Copula:
 
 
 def survival(c: Copula) -> Copula:
-    """Survival copula (u, v) -> u + v - 1 + C(1-u, 1-v); an involution."""
+    """Survival copula (u, v) -> u + v - 1 + C(1-u, 1-v); an involution.
+
+    The sum cancels near the origin, so a value is accurate only in absolute
+    terms: to two ulp(1), about 4.4e-16, plus the error of C at (1-u, 1-v),
+    which is at most C's relative plus absolute error (C <= 1 there).
+    """
     if c.dimension != 2:
         raise DimensionError("survival is implemented for bivariate copulas")
 

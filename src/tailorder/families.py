@@ -261,12 +261,12 @@ def power_diagonal(p: float, dimension: int = 2) -> DiagonalSection:
 
 
 def diagonal_of(c: Copula) -> DiagonalSection:
-    """Diagonal section of a copula as a DiagonalSection object."""
+    """Diagonal section of a copula as a DiagonalSection object; ``params`` keeps the copula's descriptor."""
     return DiagonalSection(
         lambda t: np.asarray(c.diagonal(t), dtype=float),
         c.dimension,
         name="diagonal",
-        params={"family": c.descriptor.get("family", "?")},
+        params={"copula": c.descriptor},
     )
 
 
@@ -480,7 +480,7 @@ def bivariate_normal_cdf(a, b, rho: float, nodes: int = 64) -> np.ndarray | floa
     return float(out) if np.isscalar(a) and np.isscalar(b) else out
 
 
-def gaussian(rho: float, nodes: int = 64) -> Copula:
+def gaussian(rho: float) -> Copula:
     """Bivariate Gaussian copula with correlation rho.
 
     rho = 0, 1, -1 route to the product, comonotone, and countermonotone
@@ -509,7 +509,7 @@ def gaussian(rho: float, nodes: int = 64) -> Copula:
         from scipy.special import ndtri
 
         q = ndtri(np.clip(pts, 1e-300, 1.0 - 1e-16))
-        return np.asarray(bivariate_normal_cdf(q[:, 0], q[:, 1], r, nodes=nodes), dtype=float)
+        return np.asarray(bivariate_normal_cdf(q[:, 0], q[:, 1], r), dtype=float)
 
     return copula_from_formula(2, formula, desc)
 
@@ -556,13 +556,13 @@ def _require_valid_ev_tdf(lam: TailDepFunction, validate: bool):
         validate_tdf(lam, GridConfig(resolution=16)).require("invalid tail dependence function")
 
 
-def hierarchical(outer: Copula, inner: Copula, audit_resolution: int = 16) -> Copula:
+def hierarchical(outer: Copula, inner: Copula) -> Copula:
     """Hierarchical Archimedean 3-copula (u1, u2, u3) -> outer(u1, inner(u2, u3)).
 
     Both nodes must be bivariate Archimedean.  For Clayton/Clayton nesting
     the sufficient condition theta_outer <= theta_inner is enforced
-    analytically; any other combination is audited numerically and rejected
-    if the result fails the copula axioms.
+    analytically; any other combination is audited numerically, on a grid of
+    resolution 16, and rejected if the result fails the copula axioms.
     """
     for node, label in ((outer, "outer"), (inner, "inner")):
         if node.descriptor.get("family") != "archimedean" or node.dimension != 2:
@@ -586,5 +586,5 @@ def hierarchical(outer: Copula, inner: Copula, audit_resolution: int = 16) -> Co
                 f"Clayton nesting requires outer theta <= inner theta, got {og['theta']} > {ig['theta']}"
             )
     else:
-        validate_copula(c, GridConfig(resolution=audit_resolution)).require("invalid hierarchical nesting")
+        validate_copula(c, GridConfig(resolution=16)).require("invalid hierarchical nesting")
     return c

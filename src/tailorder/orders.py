@@ -1,21 +1,24 @@
 """Order checkers for tail dependence and local stochastic dominance.
 
-Every order compares two sampled sides, lhs <= rhs, and one rule turns the
-gaps rhs - lhs into a verdict:
+Every order compares two sampled sides, lhs <= rhs, and one accuracy rule
+turns the gaps rhs - lhs into a verdict.  Each side's evaluator has an
+accuracy pair (rel, abs), looked up in the ``descriptors`` tables, so a
+point's bound is rel1 * |lhs| + rel2 * |rhs| + abs1 + abs2 (a pair whose
+third entry names a region counts its abs term only at points in it):
 
-- A point violates when rhs - lhs < -tau * size.  The tail dependence,
-  tail orthant and diagonal orders use the absolute ``GridConfig.tau``
-  (size 1).  The local orders (:func:`check_loc`, :func:`check_cone_order`)
-  use ``KAPPA * max(|C1|, |C2|)``, since copula values are O(||u||_1) near
-  the origin while an ordered pair may differ by o(||u||_1).
-- An order on a whole sample fails on any violation.  An order near the
-  origin verifies the largest candidate radius epsilon below the smallest
-  violating scale, only the points up to it count, and it fails when no
-  candidate is that small.
-- A verdict is indistinguishable when every verified gap is within the
-  threshold, and holds strictly when the gap clears it on the interior band
-  of the direction simplex: strict orders quantify over the open orthant,
-  and finite grids cannot certify open-set inequalities at the boundary.
+- A point is undecidable when its bound is not below max(|lhs|, |rhs|)
+  (both sides 0, say); it counts for neither side, and the note gives how
+  many there are and the smallest scale with a decidable point.
+- A decidable point violates when its gap is below -bound.  An order on a
+  whole sample fails on any violation.  An order near the origin verifies
+  the largest candidate radius epsilon below the smallest violating scale,
+  only the points up to it count, and it fails when no candidate is that
+  small.
+- A verdict is indistinguishable when every counted decidable gap is within
+  its bound (also when no point is decidable), and the tail dependence order
+  holds strictly when every one clears it: the faces of the simplex, where
+  every tail dependence function vanishes, are undecidable, so strictness
+  concerns the open orthant only.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Literal, NamedTuple, Sequence
 import numpy as np
 
 from .core import Copula, DimensionError, DomainError, GridConfig
+from .descriptors import _abs_at, _accuracy_of
 from .families import DiagonalSection, Generator, generalized_inverse
 from .taildep import (
     LimitSchedule,
@@ -42,7 +46,6 @@ __all__ = [
     "HOLDS_STRICTLY",
     "FAILS",
     "INDISTINGUISHABLE",
-    "KAPPA",
     "Samples",
     "OrderVerdict",
     "ConeSpec",
@@ -64,7 +67,6 @@ INDISTINGUISHABLE = "indistinguishable"
 
 Status = Literal["holds", "holds-strictly", "fails", "indistinguishable"]
 
-KAPPA = 1e-12  # relative violation threshold of the local orders
 _RADII = 44  # local radii top * 2^(-j/2), j = 0..43
 _MAX_HALVINGS = 20  # a searched epsilon is 2^-k with k <= 20
 _HALVINGS = 2.0 ** -np.arange(_MAX_HALVINGS, -1, -1)
@@ -86,14 +88,18 @@ class Samples(NamedTuple):
 class OrderVerdict:
     """Outcome of an order check on a sample.
 
-    A failing verdict's ``witness`` holds the point with the worst gap/size
-    at the smallest violating scale (over all violating points for a whole
-    sample) and both values there, and ``margin`` is its gap.  A holding
-    verdict's ``margin`` is the worst gap on the verified points where not
-    both sides are 0, or on the interior band when it holds strictly.
+    ``tolerance`` holds the sides' accuracy pairs ((rel1, abs1), (rel2, abs2));
+    a point's bound is rel1 * |lhs| + rel2 * |rhs| + abs1 + abs2, with the abs
+    of a pair whose third entry names a region only at points in it; it is
+    decidable when the bound is below max(|lhs|, |rhs|), and it violates
+    when decidable and rhs - lhs < -bound.  A failing verdict's ``witness``
+    holds the point with the worst gap/bound at the smallest violating scale
+    (over all violating points for a whole sample) and both values there,
+    and ``margin`` is its gap.  A holding verdict's ``margin`` is the worst
+    gap on the verified decidable points (0 when there are none).
     ``epsilon`` is the verified radius of an order near the origin, or the
-    given radius it fails on; ``tau`` is the absolute tau or KAPPA.
-    ``samples`` keeps what was compared, outside :meth:`as_dict`.
+    given radius it fails on.  ``samples`` keeps what was compared, outside
+    :meth:`as_dict`.
     """
 
     status: Status
@@ -101,7 +107,7 @@ class OrderVerdict:
     witness: dict | None = None
     epsilon: float | None = None
     resolution: int = 0
-    tau: float = 0.0
+    tolerance: tuple = ()
     note: str = ""
     samples: Samples | None = field(default=None, repr=False, compare=False)
 
@@ -116,7 +122,7 @@ class OrderVerdict:
             "witness": self.witness,
             "epsilon": self.epsilon,
             "grid": self.resolution,
-            "tolerance": self.tau,
+            "tolerance": [list(pair) for pair in self.tolerance],
             "note": self.note,
         }
 
@@ -143,15 +149,22 @@ def _witness(points: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, i: int) -> di
     return {"point": [float(x) for x in np.atleast_1d(points[i])], "lhs": float(lhs[i]), "rhs": float(rhs[i])}
 
 
-def _verdict(points: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, resolution: int, tau: float, *,
-             size: float | np.ndarray = 1.0, scale: np.ndarray | None = None,
-             candidates: np.ndarray | None = None, epsilon: float | None = None,
-             band: np.ndarray | None = None, note: str = "") -> OrderVerdict:
-    """The module's verdict rule.  ``candidates`` ascend; ``epsilon`` is reported when
-    none fits.  A ``note`` is prefixed with the verified or smallest violating radius."""
-    samples = Samples(points, lhs, rhs, scale)
-    gap, limit = rhs - lhs, tau * size
-    bad = gap < -limit
+def _sides(x1, x2) -> tuple:
+    return _accuracy_of(x1), _accuracy_of(x2)
+
+
+def _verdict(points: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, tolerance: tuple, resolution: int = 0, *,
+             scale: np.ndarray | None = None, candidates: np.ndarray | None = None,
+             epsilon: float | None = None, strict: bool = False, note: str = "") -> OrderVerdict:
+    """The module's verdict rule, with ``tolerance`` the accuracy pairs of lhs and rhs.
+    ``candidates`` ascend; ``epsilon`` is reported when none fits.  A ``note`` is prefixed with
+    the verified or smallest violating radius; undecidable points are counted after it."""
+    samples, gap, size1, size2 = Samples(points, lhs, rhs, scale), rhs - lhs, np.abs(lhs), np.abs(rhs)
+    bound = sum(pair[0] * size + _abs_at(pair, points) for pair, size in zip(tolerance, (size1, size2)))
+    decidable = bound < np.maximum(size1, size2)
+    bad = decidable & (gap < -bound)
+    undecidable = "" if decidable.all() else f"{(~decidable).sum()} of {gap.size} points undecidable" + (
+        f", smallest decidable scale {scale[decidable].min():.6g}" if scale is not None and decidable.any() else "")
     verified = slice(None)
     if candidates is not None:
         low = scale[bad].min() if bad.any() else np.inf
@@ -161,21 +174,27 @@ def _verdict(points: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, resolution: i
             verified = scale <= epsilon
         bad &= scale == low  # the witness comes from the smallest violating scale
     if bad[verified].any():
-        i = int(np.flatnonzero(bad)[np.argmin(gap[bad] / np.broadcast_to(size, gap.shape)[bad])])
+        idx = np.flatnonzero(bad)
+        with np.errstate(divide="ignore"):  # exact sides have bound 0: their violations rank first
+            ratio = gap[idx] / bound[idx]
+        idx = idx[ratio <= ratio.min() * (1.0 - 1e-9)]  # the worst gap/bound, up to rounding,
+        i = int(idx[np.argmin(gap[idx])])  # and of those the largest violation
         if note:
             why = (f"no epsilon 2^-k, k <= {_MAX_HALVINGS}, lies below it" if epsilon is None
                    else "witness at that radius")
             note = f"smallest violating radius {low:.6g}: {why}; {note}"
-        witness = _witness(points, lhs, rhs, i)
-        return OrderVerdict(FAILS, float(gap[i]), witness, epsilon, resolution, tau, note, samples)
-    nonzero = np.logical_or(lhs, rhs)[verified]  # points where both sides are 0 say nothing
-    status, margin = HOLDS, float(gap[verified][nonzero].min()) if nonzero.any() else 0.0
-    if (np.abs(gap) <= limit)[verified].all():
+        return OrderVerdict(FAILS, float(gap[i]), _witness(points, lhs, rhs, i), epsilon, resolution, tolerance,
+                            "; ".join(filter(None, (note, undecidable))), samples)
+    counted = decidable[verified]
+    gap, bound = gap[verified][counted], bound[verified][counted]
+    status, margin = HOLDS, float(gap.min()) if gap.size else 0.0
+    if (np.abs(gap) <= bound).all():
         status = INDISTINGUISHABLE
-    elif band is not None and band.any() and (gap > limit)[band].all():
-        status, margin = HOLDS_STRICTLY, float(gap[band].min())
+    elif strict and (gap > bound).all():
+        status = HOLDS_STRICTLY
     note = f"verified radius {epsilon:.6g}; {note}" if note else note
-    return OrderVerdict(status, margin, None, epsilon, resolution, tau, note, samples)
+    return OrderVerdict(status, margin, None, epsilon, resolution, tolerance,
+                        "; ".join(filter(None, (note, undecidable))), samples)
 
 
 def check_tdo(lam1: TailDepFunction, lam2: TailDepFunction, grid: GridConfig | None = None) -> OrderVerdict:
@@ -185,7 +204,7 @@ def check_tdo(lam1: TailDepFunction, lam2: TailDepFunction, grid: GridConfig | N
         raise DimensionError("tail dependence functions have different dimensions")
     g = _order_grid(grid)
     dirs = simplex_directions(g.resolution + 1, lam1.dimension)
-    return _verdict(dirs, lam1(dirs), lam2(dirs), g.resolution, g.tau, band=dirs.min(axis=1) > g.interior_margin)
+    return _verdict(dirs, lam1(dirs), lam2(dirs), _sides(lam1, lam2), g.resolution, strict=True)
 
 
 @lru_cache(maxsize=None)
@@ -210,14 +229,12 @@ def _local_verdict(c1: Copula, c2: Copula, epsilon: float | None, cone: float = 
     dirs = dirs[dirs.min(axis=1) >= cone * dirs.sum(axis=1)]
     if dirs.size == 0:
         raise DomainError(f"cone with c = {cone} contains no sampled directions")
-    n = dirs.shape[0]
     radii = (1.0 if epsilon is None else epsilon) * 2.0 ** (-0.5 * np.arange(_RADII))
     points = np.minimum(radii[:, None, None] * dirs[None, :, :], 1.0).reshape(-1, d)
     lhs, rhs = np.asarray(c1.cdf(points)), np.asarray(c2.cdf(points))
-    note = f"{_RADII} radii x {n} directions; relative threshold: C2 - C1 < -{KAPPA:g} * max(|C1|, |C2|) violates"
-    return _verdict(points, lhs, rhs, 0, KAPPA, size=np.maximum(np.abs(lhs), np.abs(rhs)),
-                    scale=np.repeat(radii, n), candidates=_HALVINGS if epsilon is None else np.array([epsilon]),
-                    epsilon=epsilon, note=note)
+    return _verdict(points, lhs, rhs, _sides(c1, c2), scale=np.repeat(radii, len(dirs)),
+                    candidates=_HALVINGS if epsilon is None else np.array([epsilon]),
+                    epsilon=epsilon, note=f"{_RADII} radii x {len(dirs)} directions")
 
 
 def check_loc(c1: Copula, c2: Copula, epsilon: float | None = None) -> OrderVerdict:
@@ -227,16 +244,13 @@ def check_loc(c1: Copula, c2: Copula, epsilon: float | None = None) -> OrderVerd
     2^(-j/2), j = 0..43, and w positive with one coordinate 1 and the others
     from geometric nodes 1e-18 ... 1e-2 (thin regions along the faces, such
     as Marshall-Olkin's) and linear nodes on (0, 1].  With ``epsilon=None``
-    the radii start at 1 and the candidate radii are 2^-k, k <= 20.  The
-    relative threshold trusts each ``cdf`` to about KAPPA near the origin:
-    a form that cancels there, such as ``survival``, can fail spuriously.
+    the radii start at 1 and the candidate radii are 2^-k, k <= 20.
     """
     return _local_verdict(c1, c2, epsilon)
 
 
 def check_too(c1: Copula, c2: Copula, directions: Sequence | None = None,
-              schedule: LimitSchedule | None = None,
-              grid: GridConfig | None = None) -> list[tuple[tuple[float, ...], OrderVerdict]]:
+              schedule: LimitSchedule | None = None) -> list[tuple[tuple[float, ...], OrderVerdict]]:
     """Tail orthant order: ray-wise comparison toward the origin.
 
     For each direction w the scan starts at the largest scale s with
@@ -246,7 +260,6 @@ def check_too(c1: Copula, c2: Copula, directions: Sequence | None = None,
     """
     if c1.dimension != c2.dimension:
         raise DimensionError("copulas have different dimensions")
-    g = grid or GridConfig()
     sched = schedule or LimitSchedule()
     d, n = c1.dimension, sched.steps
     if directions is None:
@@ -262,8 +275,8 @@ def check_too(c1: Copula, c2: Copula, directions: Sequence | None = None,
     S = (1.0 / W.max(axis=1))[:, None] * sched.ratio ** np.arange(n)
     P = S[:, :, None] * W[:, None, :]
     lhs, rhs = (np.asarray(c.cdf(P.reshape(-1, d))).reshape(S.shape) for c in (c1, c2))
-    return [(w, _verdict(P[i], lhs[i], rhs[i], g.resolution, g.tau, scale=S[i]))
-            for i, w in enumerate(dir_list)]
+    sides = _sides(c1, c2)
+    return [(w, _verdict(P[i], lhs[i], rhs[i], sides, scale=S[i])) for i, w in enumerate(dir_list)]
 
 
 def check_cone_order(c1: Copula, c2: Copula, cone: ConeSpec, epsilon: float | None = None,
@@ -281,11 +294,8 @@ def check_cone_order(c1: Copula, c2: Copula, cone: ConeSpec, epsilon: float | No
     if lam1 is not None and lam2 is not None:
         pre = check_tdo(lam1, lam2, g)
         if pre.status != HOLDS_STRICTLY:
-            warnings.warn(
-                f"cone ordering expects a strictly ordered pair; tail dependence check says {pre.status}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            warnings.warn(f"cone ordering expects a strictly ordered pair; tail dependence check says {pre.status}",
+                          RuntimeWarning, stacklevel=2)
     return _local_verdict(c1, c2, epsilon, cone.c)
 
 
@@ -294,62 +304,56 @@ def check_diagonal_order(d1: DiagonalSection, d2: DiagonalSection,
     """Order of two diagonal sections near 0 on the grid of (0, 1].
 
     Every grid point t is a candidate epsilon, so where the sections cross,
-    delta2 - delta1 falls below -tau somewhere in [eps, eps + 1/resolution).
+    delta2 - delta1 violates somewhere in [eps, eps + 1/resolution).
     """
     g = _order_grid(grid)
     t = np.linspace(0.0, 1.0, g.resolution + 1)[1:]
     v1, v2 = np.asarray(d1(t), dtype=float), np.asarray(d2(t), dtype=float)
-    return _verdict(t[:, None], v1, v2, g.resolution, g.tau, scale=t, candidates=t)
+    return _verdict(t[:, None], v1, v2, _sides(d1, d2), g.resolution, scale=t, candidates=t)
 
 
-def subadditivity_check(g1: Generator, g2: Generator, M: float,
-                        grid: GridConfig | None = None, span: float = 100.0) -> OrderVerdict:
-    """Subadditivity of f = phi1 o phi2^[-1] on pairs from [M, M*span].
+def _generator_sides(g1: Generator, g2: Generator, what: str) -> tuple:
+    if not (g1.strict and g2.strict):
+        raise DomainError(f"{what} requires strict generators")
+    pair = tuple(map(sum, zip(*_sides(g1, g2))))  # each side combines both generators
+    return pair, pair
+
+
+def subadditivity_check(g1: Generator, g2: Generator, M: float, grid: GridConfig | None = None) -> OrderVerdict:
+    """Subadditivity of f = phi1 o phi2^[-1] on pairs from [M, 100 M]: f(x + y) <= f(x) + f(y).
 
     Subadditivity of this composition at large arguments forces the local
     lower orthant order of the corresponding Archimedean copulas.
     """
-    if not (g1.strict and g2.strict):
-        raise DomainError("subadditivity check requires strict generators")
+    sides = _generator_sides(g1, g2, "subadditivity check")
     if not M > 0:
         raise DomainError(f"M must be positive, got {M}")
     g = _order_grid(grid)
-    x = np.geomspace(M, M * span, g.resolution + 1)
+    x = np.geomspace(M, 100.0 * M, g.resolution + 1)
     with np.errstate(over="ignore", divide="ignore"):
         fx = np.asarray(g1.phi(generalized_inverse(g2, x)), dtype=float)
         X, Y = np.meshgrid(x, x, indexing="ij")
         fsum = np.asarray(g1.phi(generalized_inverse(g2, (X + Y).reshape(-1))), dtype=float)
-    lhs = fsum
-    rhs = (fx[:, None] + fx[None, :]).reshape(-1)
     pts = np.stack([X.reshape(-1), Y.reshape(-1)], axis=1)
-    diff = rhs - lhs
-    i = int(np.argmin(diff))
-    if diff[i] < -g.tau:
-        return OrderVerdict(FAILS, float(diff[i]), _witness(pts, lhs, rhs, i), None, g.resolution, g.tau)
-    return OrderVerdict(HOLDS, float(diff[i]), None, None, g.resolution, g.tau)
+    return _verdict(pts, fsum, (fx[:, None] + fx[None, :]).reshape(-1), sides, g.resolution)
 
 
 def ratio_monotonicity_check(g1: Generator, g2: Generator, epsilon: float,
                              grid: GridConfig | None = None) -> OrderVerdict:
-    """Monotonicity of phi1/phi2 on (0, epsilon).
+    """Monotonicity of psi = phi1/phi2 on (0, epsilon): psi(t_i) <= psi(t_i+1) on a geometric grid.
 
     An increasing ratio near 0 is the practical criterion implying the
     subadditivity of phi1 o phi2^[-1] near infinity.
     """
-    if not (g1.strict and g2.strict):
-        raise DomainError("ratio monotonicity check requires strict generators")
+    sides = _generator_sides(g1, g2, "ratio monotonicity check")
     if not 0.0 < epsilon <= 1.0:
         raise DomainError(f"epsilon must lie in (0, 1], got {epsilon}")
     g = _order_grid(grid)
     t = np.geomspace(epsilon * 1e-9, epsilon, g.resolution + 1)
     with np.errstate(over="ignore", divide="ignore"):
         psi = np.asarray(g1.phi(t), dtype=float) / np.asarray(g2.phi(t), dtype=float)
-    steps = np.diff(psi)
-    i = int(np.argmin(steps))
-    if steps[i] < -g.tau:
-        witness = {"point": [float(t[i]), float(t[i + 1])], "lhs": float(psi[i]), "rhs": float(psi[i + 1])}
-        return OrderVerdict(FAILS, float(steps[i]), witness, None, g.resolution, g.tau)
-    return OrderVerdict(HOLDS, float(steps[i]), None, float(epsilon), g.resolution, g.tau)
+    return _verdict(np.column_stack([t[:-1], t[1:]]), psi[:-1], psi[1:], sides, g.resolution,
+                    epsilon=float(epsilon))
 
 
 @dataclass(frozen=True)
@@ -425,12 +429,5 @@ def archimedean_order_equivalence(g1: Generator, g2: Generator, dimension: int =
     lam1, lam2 = archimedean_tdf(a1, dimension), archimedean_tdf(a2, dimension)
     verdict = check_tdo(lam1, lam2, grid)
     t1, t2 = _tdc_from_alpha(a1, dimension), _tdc_from_alpha(a2, dimension)
-    return EquivalenceReport(
-        strict_tdo=verdict.status == HOLDS_STRICTLY,
-        tdc_ordered=t1 < t2,
-        index_ordered=a1 < a2,
-        alpha1=a1,
-        alpha2=a2,
-        tdc1=t1,
-        tdc2=t2,
-    )
+    return EquivalenceReport(strict_tdo=verdict.status == HOLDS_STRICTLY, tdc_ordered=t1 < t2,
+                             index_ordered=a1 < a2, alpha1=a1, alpha2=a2, tdc1=t1, tdc2=t2)

@@ -148,20 +148,16 @@ class TailDepFunction:
         return vals.reshape(arr.shape[:-1])
 
 
-def estimate_tdf(
-    c: "Copula",
-    w,
-    schedule: LimitSchedule | None = None,
-    gap_tol: float = 1e-4,
-    window: int = 5,
-) -> TDFEstimate:
+_GAP_TOL, _WINDOW = 1e-4, 5  # convergence of an estimate: its last difference and the window of differences
+
+
+def estimate_tdf(c: "Copula", w, schedule: LimitSchedule | None = None) -> TDFEstimate:
     """Estimate the tail dependence function of ``c`` in direction ``w``.
 
     Evaluates C(s*w)/s along the schedule.  The estimate is the last
-    iterate; ``converged`` requires the last ``window`` successive absolute
-    differences to be nonincreasing and the final one below ``gap_tol``
-    (slow limits, e.g. Gaussian, are reported as non-converged rather than
-    wrong).
+    iterate; ``converged`` requires the last 5 successive absolute
+    differences to be nonincreasing and the final one below 1e-4 (slow
+    limits, e.g. Gaussian, are reported as non-converged rather than wrong).
     """
     sched = schedule or LimitSchedule()
     direction = np.asarray(w, dtype=float).reshape(-1)
@@ -177,10 +173,9 @@ def estimate_tdf(
     s = sched.scales()
     ratios = np.asarray(c.cdf(s[:, None] * direction[None, :])) / s
     diffs = np.abs(np.diff(ratios))
-    win = min(window, len(diffs))
-    tail = diffs[-win:]
+    tail = diffs[-_WINDOW:]
     monotone = bool(np.all(tail[1:] <= tail[:-1] + 1e-15))
-    converged = monotone and float(diffs[-1]) < gap_tol
+    converged = monotone and float(diffs[-1]) < _GAP_TOL
     return TDFEstimate(
         value=float(ratios[-1]),
         error_estimate=float(diffs[-1]),
@@ -189,9 +184,9 @@ def estimate_tdf(
     )
 
 
-def tdc(c: "Copula", schedule: LimitSchedule | None = None, **kwargs) -> TDFEstimate:
+def tdc(c: "Copula", schedule: LimitSchedule | None = None) -> TDFEstimate:
     """Tail dependence coefficient: the limit of C(s, ..., s)/s."""
-    return estimate_tdf(c, np.ones(c.dimension), schedule, **kwargs)
+    return estimate_tdf(c, np.ones(c.dimension), schedule)
 
 
 def estimated_tdf(c: "Copula", schedule: LimitSchedule | None = None) -> TailDepFunction:
@@ -330,24 +325,19 @@ def simplex_directions(n: int, dimension: int = 2) -> np.ndarray:
     return np.column_stack([head, rest]) / m
 
 
-def validate_tdf(
-    lam: TailDepFunction,
-    grid: GridConfig | None = None,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> ValidityReport:
+def validate_tdf(lam: TailDepFunction, grid: GridConfig | None = None, tol: float = 1e-9) -> ValidityReport:
     """Audit the five characterizing properties of a tail dependence function.
 
-    Checks, on seeded random samples: the bounds 0 <= Lambda(w) <= min_k w_k,
+    Checks, on random samples of seed 0: the bounds 0 <= Lambda(w) <= min_k w_k,
     d-increasingness on boxes, positive homogeneity of order 1, the sum-norm
     Lipschitz bound, and midpoint concavity.
     """
     g = grid or GridConfig()
     d = lam.dimension
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = g.resolution**2
 
-    # the draw order fixes each check's samples for a given seed
+    # the draw order fixes each check's samples
     pts = rng.uniform(0.0, 2.0, size=(n, d))
     lower = rng.uniform(0.0, 2.0, size=(n, d))
     upper = lower + rng.uniform(0.0, 1.0, size=(n, d))
@@ -495,33 +485,29 @@ def _spearman_value(lam: TailDepFunction, d: int, n: int) -> float:
     return total
 
 
-def spearman_tdf_limit(
-    lam: TailDepFunction,
-    dimension: int | None = None,
-    nodes: int = 64,
-    check_nodes: int = 96,
-    agreement_tol: float = 1e-6,
-) -> float:
+# Gauss-Legendre nodes of the reported rule and of its check, and the agreement they must reach
+_SPEARMAN_NODES, _SPEARMAN_CHECK_NODES, _SPEARMAN_AGREEMENT = 64, 96, 1e-6
+
+
+def spearman_tdf_limit(lam: TailDepFunction) -> float:
     """Limiting Spearman-type functional (d+1) * integral of Lambda over [0,1]^d.
 
     By positive homogeneity the cube integral reduces exactly to integrals
     of Lambda over the faces w_k = 1, which are evaluated by fixed-node
     Gauss-Legendre rules (in d = 2 panels split at known section kinks, in
     d = 3 each face split along its diagonal t1 = t2).  The value
-    is only reported when the ``nodes`` and ``check_nodes`` rules agree
-    within ``agreement_tol``; the functional dominates the tail dependence
-    coefficient of any matching copula.
+    is only reported when the 64- and 96-node rules agree within 1e-6; the
+    functional dominates the tail dependence coefficient of any matching
+    copula.
     """
-    d = lam.dimension if dimension is None else dimension
-    if d != lam.dimension:
-        raise DimensionError(f"dimension {d} does not match the function's {lam.dimension}")
+    d = lam.dimension
     if d not in (2, 3):
         raise DomainError("quadrature is provided for d = 2 and d = 3 only (cost bound)")
-    coarse = _spearman_value(lam, d, nodes)
-    fine = _spearman_value(lam, d, check_nodes)
-    if abs(coarse - fine) > agreement_tol:
+    coarse = _spearman_value(lam, d, _SPEARMAN_NODES)
+    fine = _spearman_value(lam, d, _SPEARMAN_CHECK_NODES)
+    if abs(coarse - fine) > _SPEARMAN_AGREEMENT:
         raise QuadratureError(
-            f"quadrature disagreement {abs(coarse - fine):.3e} exceeds {agreement_tol}; "
+            f"quadrature disagreement {abs(coarse - fine):.3e} exceeds {_SPEARMAN_AGREEMENT}; "
             "the integrand is too rough for the fixed rules"
         )
     return fine

@@ -304,21 +304,23 @@ class TestContract:
         ("tdf", "independence:3", "--simplex-grid", "1"),
         ("tdf", "independence:3", "--simplex-grid", "-3"),
         ("order", "clayton:1", "clayton:2", "--loc", "--grid", "4"),
-        ("order", "clayton:1", "clayton:2", "--loc", "--tau", "1e-3"),
+        ("order", "clayton:1", "clayton:2", "--loc", "--simplex-grid", "3"),
         # options a subcommand never reads are rejected, not ignored
-        ("eval", "clayton:2", "-u", "0.3,0.4", "--format", "json", "--grid", "3", "--tau", "-1"),
+        ("eval", "clayton:2", "-u", "0.3,0.4", "--format", "json", "--grid", "3", "--eps", "-1"),
         ("eval", "clayton:2", "-u", "0.3,0.4", "--format", "json"),
         ("eval", "clayton:2", "-u", "0.3,0.4", "--schedule", "0.01,0.5,5"),
         ("verify", "expansion", "--grid", "1"),
-        ("verify", "expansion", "--tau", "1e-3"),
+        ("verify", "expansion", "--eps", "1e-3"),
         ("verify", "expansion", "--schedule", "0.01,0.5,5"),
-        ("validate", "bertino:1.5", "--tau", "1e-3"),
+        ("validate", "bertino:1.5", "--eps", "1e-3"),
         ("validate", "bertino:1.5", "--schedule", "0.01,0.5,5"),
         ("tdf", "clayton:2", "--grid", "8"),
-        ("tdf", "clayton:2", "--tau", "1e-3"),
+        ("tdf", "clayton:2", "--eps", "1e-3"),
         ("repro", "mo-clayton", "--grid", "8"),
-        ("repro", "mo-clayton", "--tau", "1e-3"),
+        ("repro", "mo-clayton", "--eps", "1e-3"),
         ("order", "clayton:1", "clayton:2"),
+        ("order", "clayton:1", "clayton:2", "--too", "--grid", "8"),
+        ("order", "clayton:1", "clayton:2", "--loc", "--grid", "64"),  # the default resolution, given
     ])
     def test_input_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)

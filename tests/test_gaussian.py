@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import dblquad
 
 import tailorder as to
+from tailorder.descriptors import _accuracy_of
 from tailorder.families import bivariate_normal_cdf
 
 
@@ -88,15 +89,18 @@ def copula_reference(u, v, rho, dps=40):
         return float(max(u + v - 1, 0) + integral / (2 * mpmath.pi))
 
 
+# s * w near the origin, and points at radius 1, which the local orders' sample reaches
 TAIL_POINTS = [(s * w1, s * w2) for s in (1e-2, 1e-8, 1e-14) for w1, w2 in ((1, 1), (1, 0.5), (0.2, 1), (1, 1e-3))]
+TAIL_POINTS += [(0.7071067811865476, 0.7071067811865476), (0.24253562503633297, 0.9701425001453319)]
 
 
 class TestTailAccuracy:
-    """The quadrature's accuracy near the origin, which the local orders' relative threshold relies on."""
+    """The quadrature's accuracy pairs in the family table, which set the orders' thresholds."""
 
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.7])
     def test_relative_error_for_positive_rho(self, rho):
         c = to.gaussian(rho)
+        assert _accuracy_of(c) == (1e-13, 0.0)
         for u in TAIL_POINTS:
             want = copula_reference(*u, rho)
             assert abs(c.cdf(u) - want) <= 1e-13 * want, u
@@ -105,5 +109,6 @@ class TestTailAccuracy:
     def test_only_absolute_error_for_negative_rho(self, rho):
         # Phi(a)Phi(b) and the negative integral cancel, so tail values are accurate only in absolute terms
         c = to.gaussian(rho)
+        assert _accuracy_of(c) == (0.0, 4e-16)
         for u in TAIL_POINTS:
             assert abs(c.cdf(u) - copula_reference(*u, rho)) <= 4e-16, u

@@ -2,11 +2,15 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tailorder as to
-from tailorder import orders
+from tailorder import descriptors, orders
+
+
+def shorthand(text):
+    return to.build_copula(to.parse_shorthand(text))
 
 
 def clayton(theta, d=2):
@@ -61,6 +65,21 @@ class TestCheckLoc:
     def test_product_below_comonotone(self):
         assert to.check_loc(to.independence(), to.comonotone(), 0.5).status == to.HOLDS
 
+    @pytest.mark.parametrize("c1, c2", [
+        (to.independence(), to.survival(to.archimedean(to.gumbel_generator(2.0)))),
+        (to.survival(to.archimedean(to.gumbel_generator(2.0))), to.comonotone()),
+        (to.independence(), to.survival(clayton(1.0))),
+        (to.survival(clayton(1.0)), to.comonotone()),
+    ], ids=["product-survival-gumbel2", "survival-gumbel2-comonotone", "product-survival-clayton1",
+            "survival-clayton1-comonotone"])
+    def test_survival_pairs_hold_on_the_unit_ball(self, c1, c2):
+        # survival values are accurate to about 1e-16 absolute only: the points below that are
+        # undecidable, counted in the note with the smallest decidable radius, and never fail
+        v = to.check_loc(c1, c2)
+        assert v.status == to.HOLDS and v.epsilon == 1.0
+        assert "undecidable, smallest decidable scale" in v.note
+        assert any(abs_ > 0.0 for _, abs_ in v.tolerance)
+
     def test_marshall_olkin_fails_with_curve_witness(self):
         mo = to.marshall_olkin(0.5)
         v = to.check_loc(mo, clayton(1.0), 0.1)
@@ -106,7 +125,13 @@ class TestLocalSampler:
         (clayton(2.0), clayton(1.0)),
         (to.lower_ev_copula(to.lift(to.parabola_section())), to.lower_ev_copula(to.lift(to.capped_slope_section()))),
         (to.lower_ev_copula(to.lift(to.capped_slope_section())), to.lower_ev_copula(to.lift(to.parabola_section()))),
-    ], ids=["comonotone-independence", "clayton2-clayton1", "fig1-parabola-piecewise", "fig1-piecewise-parabola"])
+        # thin regions near a face: Bertino's cancelling branch and a lifted section's 1 - t need an
+        # abs term only away from them, so these accurate tail values stay decidable
+        *((shorthand(a), shorthand(b)) for a, b in (("independence", "bertino:1.5"), ("lev:zero", "bertino:1.5"),
+                                                    ("semilinear:1.5", "bertino:1.25"),
+                                                    ("marshall-olkin:0.5", "lev:fig1-parabola"))),
+    ], ids=["comonotone-independence", "clayton2-clayton1", "fig1-parabola-piecewise", "fig1-piecewise-parabola",
+            "product-bertino1.5", "lev-zero-bertino1.5", "semilinear1.5-bertino1.25", "mo-lev-fig1-parabola"])
     def test_reversed_and_crossing_pairs_fail(self, c1, c2):
         v = to.check_loc(c1, c2)
         assert v.status == to.FAILS and v.witness["lhs"] > v.witness["rhs"]
@@ -130,8 +155,11 @@ class TestLocalSampler:
         assert v.status == to.HOLDS and v.epsilon == (epsilon or 1.0)
 
     def test_threshold_is_relative(self):
+        # Clayton's accuracy pair is purely relative, so no point but 0 vs 0 is undecidable
         v = to.check_loc(clayton(1.0), clayton(2.0))
-        assert v.tau == orders.KAPPA == 1e-12 and "relative" in v.note
+        pair = descriptors._GENERATORS["clayton"][2]
+        assert pair[1] == 0.0 and v.tolerance == (pair, pair)
+        assert v.as_dict()["tolerance"] == [list(pair), list(pair)] and "undecidable" not in v.note
 
     @pytest.mark.parametrize("check", [
         lambda c1, c2: to.check_loc(c1, c2),
@@ -256,7 +284,8 @@ class TestConeOrder:
         v = to.check_cone_order(to.marshall_olkin(0.5), clayton(1.0), to.ConeSpec(0.2))
         pts = v.samples.points
         assert (pts.min(axis=1) >= 0.2 * pts.sum(axis=1) * (1.0 - 1e-12)).all()
-        assert v.tau == orders.KAPPA and v.epsilon == 0.125
+        assert v.tolerance == (descriptors._accuracy_of(to.marshall_olkin(0.5)), descriptors._accuracy_of(clayton(1.0)))
+        assert v.epsilon == 0.125
 
     def test_epsilon_domain(self):
         with pytest.raises(to.DomainError):
@@ -308,9 +337,9 @@ class TestDiagonalOrder:
 
 
 class TestSubadditivity:
-    def test_identity_composition_holds(self):
+    def test_identity_composition_indistinguishable(self):
         g = to.clayton_generator(1.0)
-        assert to.subadditivity_check(g, g, 10.0).status == to.HOLDS
+        assert to.subadditivity_check(g, g, 10.0).status == to.INDISTINGUISHABLE
 
     def test_clayton_pair_holds(self):
         # f(x) = sqrt(2x + 1) - 1 is concave with f(0) = 0, hence subadditive
@@ -330,9 +359,9 @@ class TestSubadditivity:
 
 
 class TestRatioMonotonicity:
-    def test_identical_generators_hold(self):
+    def test_identical_generators_indistinguishable(self):
         g = to.clayton_generator(2.0)
-        assert to.ratio_monotonicity_check(g, g, 0.5).status == to.HOLDS
+        assert to.ratio_monotonicity_check(g, g, 0.5).status == to.INDISTINGUISHABLE
 
     def test_clayton_pair_holds(self):
         # psi(t) = 2t/(1+t) is increasing
@@ -353,6 +382,12 @@ class TestEquivalence:
     def test_gumbel_below_clayton(self):
         rep = to.archimedean_order_equivalence(to.gumbel_generator(2.0), to.clayton_generator(1.0))
         assert rep.strict_tdo and rep.tdc_ordered and rep.index_ordered
+
+    @pytest.mark.parametrize("t1, t2", [(2.5, 5.0), (3.0, 4.5), (3.0, 6.0), (5.0, 10.0)])
+    def test_larger_clayton_indices_consistent(self, t1, t2):
+        # the tail dependence gaps here are 2e-10 to 1.3e-5 of Lambda: strict under a relative bound
+        rep = to.archimedean_order_equivalence(to.clayton_generator(t1), to.clayton_generator(t2))
+        assert rep.strict_tdo and rep.consistent
 
     def test_equality_all_false(self):
         rep = to.archimedean_order_equivalence(to.clayton_generator(2.0), to.clayton_generator(2.0))
@@ -379,7 +414,7 @@ class TestTheoremChains:
         c1, c2 = clayton(1.0), clayton(2.0)
         assert to.check_loc(c1, c2, 0.2).holds
         lam1, lam2 = to.estimated_tdf(c1), to.estimated_tdf(c2)
-        g = to.GridConfig(resolution=16, tau=1e-3)
+        g = to.GridConfig(resolution=16)
         assert to.check_tdo(lam1, lam2, g).status in (to.HOLDS, to.HOLDS_STRICTLY)
 
     def test_too_implies_tdo(self):
@@ -422,65 +457,83 @@ class TestTheoremChains:
         assert float(gap.max()) <= 1e-9
 
 
+# the regions of the accuracy pairs, restated point by point
+REGIONS = {"max(u) > 1/e": lambda p: max(p) > np.exp(-1.0), "u1 > u2": lambda p: p[0] > p[1]}
+
+
 @st.composite
 def verdict_inputs(draw):
-    """Sampled sides on a coarse lattice (ties, zeros, near-threshold gaps), scales and candidates."""
+    """Sampled sides on a coarse lattice (ties, zeros, a negative value, near-threshold gaps), dyadic
+    accuracy pairs whose summed bound ties gaps exactly and makes some points undecidable, scales
+    and candidates."""
     n = draw(st.integers(1, 24))
-    quarters = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    quarters = st.lists(st.integers(-1, 4), min_size=n, max_size=n)
     lhs = np.array(draw(quarters), dtype=float) / 4.0
     rhs = np.array(draw(quarters), dtype=float) / 4.0
     scale = np.array(draw(st.lists(st.integers(1, 6), min_size=n, max_size=n)), dtype=float)
     candidates = draw(st.none() | st.lists(st.integers(1, 13), min_size=1, max_size=6, unique=True))
     if candidates is not None:
         candidates = np.array(sorted(candidates), dtype=float) / 2.0
-    relative = draw(st.booleans())
-    tau = draw(st.sampled_from([0.1, 0.3, 0.6] if not relative else [0.2, 0.5]))
-    return lhs, rhs, scale, candidates, relative, tau
+    pair = st.tuples(st.sampled_from([0.0, 0.125, 0.25]), st.sampled_from([0.0, 0.0625, 0.125, 0.25]))
+    # a named region keeps the abs term only at its points
+    pair = pair | st.tuples(pair, st.sampled_from(sorted(REGIONS))).map(lambda p: (*p[0], p[1]))
+    return lhs, rhs, scale, candidates, (draw(pair), draw(pair)), draw(st.booleans())
 
 
 class TestVerdictRule:
-    """``orders._verdict`` against a brute-force loop over the candidate radii."""
+    """``orders._verdict`` against a brute-force loop over the points and candidate radii."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(verdict_inputs())
+    # a gap equal to its bound at a decidable point is not strict
+    @example((np.array([0.25, 0.0]), np.array([0.75, 1.0]), np.ones(2), None, ((0.0, 0.0625), (0.25, 0.25)), True))
     def test_matches_brute_force(self, inputs):
-        lhs, rhs, scale, candidates, relative, tau = inputs
-        size = np.maximum(np.abs(lhs), np.abs(rhs)) if relative else np.ones_like(lhs)
-        points = np.arange(lhs.size, dtype=float)[:, None]  # a witness point names its index
-        v = orders._verdict(points, lhs, rhs, 8, tau, size=size if relative else 1.0, scale=scale,
-                            candidates=candidates)
+        lhs, rhs, scale, candidates, tolerance, strict = inputs
+        # point i is (i, n - 1 - i) / 8, so each region holds some points and not others
+        points = np.column_stack([np.arange(lhs.size), np.arange(lhs.size)[::-1]]) / 8.0
+        v = orders._verdict(points, lhs, rhs, tolerance, 8, scale=scale, candidates=candidates, strict=strict)
+        assert v.tolerance == tolerance
         gap = rhs - lhs
-        violating = [i for i in range(lhs.size) if gap[i] < -tau * size[i]]
+        bound = [sum(pair[0] * abs(side[i]) + (pair[1] if len(pair) == 2 or REGIONS[pair[2]](points[i]) else 0.0)
+                     for pair, side in zip(tolerance, (lhs, rhs))) for i in range(lhs.size)]
+        decidable = [i for i in range(lhs.size) if bound[i] < max(abs(lhs[i]), abs(rhs[i]))]
+        assert (len(decidable) < lhs.size) == ("undecidable" in v.note)
+        violating = [i for i in decidable if gap[i] < -bound[i]]
         if candidates is None:
-            fitting, verified = [], range(lhs.size)
+            fitting, verified = [], decidable
         else:
             fitting = [c for c in candidates if all(scale[i] > c for i in violating)]
-            verified = [i for i in range(lhs.size) if fitting and scale[i] <= max(fitting)]
+            verified = [i for i in decidable if fitting and scale[i] <= max(fitting)]
         if violating and (candidates is None or not fitting):
             assert v.status == to.FAILS and v.epsilon is None
-            i = int(v.witness["point"][0])
             at = violating if candidates is None else [j for j in violating if scale[j] == scale[violating].min()]
-            assert i in at and gap[i] / size[i] == min(gap[j] / size[j] for j in at)
+            ratio = {j: gap[j] / bound[j] if bound[j] else -np.inf for j in at}
+            worst = [j for j in at if ratio[j] <= min(ratio.values()) * (1.0 - 1e-9)]
+            i = int(8 * v.witness["point"][0])
+            assert i in worst and gap[i] == min(gap[j] for j in worst)
             assert v.margin == gap[i] and (v.witness["lhs"], v.witness["rhs"]) == (lhs[i], rhs[i])
             return
         assert v.epsilon == (max(fitting) if candidates is not None else None)
         assert v.witness is None
-        quiet = all(abs(gap[i]) <= tau * size[i] for i in verified)
-        assert (v.status == to.INDISTINGUISHABLE) == quiet and v.status in (to.HOLDS, to.INDISTINGUISHABLE)
-        informative = [gap[i] for i in verified if lhs[i] != 0.0 or rhs[i] != 0.0]
-        assert v.margin == (min(informative) if informative else 0.0)
+        if all(abs(gap[i]) <= bound[i] for i in verified):
+            assert v.status == to.INDISTINGUISHABLE
+        elif strict and all(gap[i] > bound[i] for i in verified):
+            assert v.status == to.HOLDS_STRICTLY
+        else:
+            assert v.status == to.HOLDS
+        assert v.margin == (min(gap[i] for i in verified) if verified else 0.0)
 
 
 class TestClaytonIndexOrder:
     """Clayton tail dependence functions are ordered by their index.
 
-    With the default grid and tau, a strict order is certified for indices in
-    [0.25, 1.5] at least 10% apart; for larger indices the gap near the edge of
-    the interior band falls below tau.
+    Each is accurate to 1e-14 relative (its recorded pair), so with the default grid a strict
+    order is certified for indices in [0.25, 5] at least 10% apart, in
+    d = 2, 3 and 4; the simplex faces, where both vanish, are undecidable.
     """
 
     @settings(max_examples=30, deadline=None)
-    @given(alpha=st.floats(0.25, 1.5), ratio=st.floats(1.1, 3.0), d=st.sampled_from([2, 3, 4]))
+    @given(alpha=st.floats(0.25, 5.0), ratio=st.floats(1.1, 3.0), d=st.sampled_from([2, 3, 4]))
     def test_smaller_index_strictly_below(self, alpha, ratio, d):
         lo, hi = to.archimedean_tdf(alpha, d), to.archimedean_tdf(alpha * ratio, d)
         assert to.check_tdo(lo, hi).status == to.HOLDS_STRICTLY
