@@ -147,12 +147,12 @@ def cmd_tdf(args) -> int:
     c = build_copula(load_descriptor(args.descriptor))
     sched = _parse_schedule(args.schedule)
     if args.simplex_grid is not None:
-        dirs = taildep.simplex_directions(args.simplex_grid, c.dimension).tolist()
-        ests = [taildep.estimate_tdf(c, w, sched) for w in dirs]
-        payload = [{"w": w, "value": e.value, "error": e.error_estimate, "converged": e.converged}
-                   for w, e in zip(dirs, ests)]
+        dirs = taildep.simplex_directions(args.simplex_grid, c.dimension)
+        est = taildep.estimate_tdfs(c, dirs, sched)
+        cols = list(zip(dirs.tolist(), est.value.tolist(), est.error_estimate.tolist(), est.converged.tolist()))
+        payload = [{"w": w, "value": v, "error": e, "converged": ok} for w, v, e, ok in cols]
         header = tuple(f"w{k + 1}" for k in range(c.dimension)) + ("value", "error", "converged")
-        _write(args, payload, header, [(*w, e.value, e.error_estimate, e.converged) for w, e in zip(dirs, ests)])
+        _write(args, payload, header, [(*w, v, e, ok) for w, v, e, ok in cols])
         return EXIT_OK
     w = _parse_point(args.w) if args.w else np.ones(c.dimension)
     est = taildep.estimate_tdf(c, w, sched)

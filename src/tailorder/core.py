@@ -12,7 +12,6 @@ checks with one rule, :meth:`CheckResult.worst_of`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -196,8 +195,7 @@ class Copula:
 
     def eval(self, u) -> float:
         """Evaluate at a single point, returning a float."""
-        out = self.cdf(np.asarray(u, dtype=float).reshape(-1))
-        return float(out)
+        return float(self.cdf(np.asarray(u, dtype=float).reshape(-1)))
 
     __call__ = cdf
 
@@ -313,12 +311,9 @@ def h_volume(c: Copula, lower, upper) -> float:
         raise DimensionError(f"box corners must have {d} coordinates")
     if (lo > hi + BOUNDARY_TOL).any():
         raise DomainError("box lower corner exceeds upper corner")
-    corners = np.empty((2**d, d), dtype=float)
-    signs = np.empty(2**d, dtype=float)
-    for i, picks in enumerate(itertools.product((0, 1), repeat=d)):
-        corners[i] = np.where(np.asarray(picks, dtype=bool), hi, lo)
-        signs[i] = -1.0 if (d - sum(picks)) % 2 else 1.0
-    vals = c.cdf(corners)
+    picks = _tensor_grid(np.array([0.0, 1.0]), d) == 1.0  # the corners in lexicographic order
+    signs = np.where((d - picks.sum(axis=1)) % 2, -1.0, 1.0)
+    vals = c.cdf(np.where(picks, hi, lo))
     return float(np.dot(signs, vals))
 
 

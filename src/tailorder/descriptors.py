@@ -159,6 +159,13 @@ def _gaussian_tdf(p: dict, d: int) -> TailDepFunction:
     return taildep.min_tdf(d) if _param(p, "rho") > families.GAUSS_RHO_CUTOFF else taildep.zero_tdf(d)
 
 
+def _ev_tdf(p: dict, d: int) -> TailDepFunction:
+    # u1 u2 exp(Lambda(-log u)) at u = s*w is of order s^(2 - Lambda(1, 1)), so C(s*w)/s tends to 0
+    # unless Lambda(1, 1) = 1: Lambda is then min (the fixture min, or Clayton with alpha = inf), C is M
+    lam = tdf_from_spec(p.get("tdf"), d)
+    return taildep.min_tdf(d) if lam.name == "min" or lam.params.get("alpha") == math.inf else taildep.zero_tdf(d)
+
+
 def _zero_tdf(p: dict, d: int) -> TailDepFunction:
     return taildep.zero_tdf(d)
 
@@ -220,7 +227,7 @@ _FAMILIES = {
     "marshall_olkin": (lambda p, desc: families.marshall_olkin(_param(p, "alpha")), _zero_tdf,
                        _const((5e-16, 0.0))),
     "gaussian": (lambda p, desc: families.gaussian(_param(p, "rho")), _gaussian_tdf, _gaussian_accuracy),
-    "extreme_value": (lambda p, desc: families.ev_copula(tdf_from_spec(p.get("tdf"))), None, _const((5e-14, 0.0))),
+    "extreme_value": (lambda p, desc: families.ev_copula(tdf_from_spec(p.get("tdf"))), _ev_tdf, _const((5e-14, 0.0))),
     "lower_extreme_value": (lambda p, desc: families.lower_ev_copula(tdf_from_spec(p.get("tdf"))),
                             lambda p, d: tdf_from_spec(p.get("tdf"), d),
                             _lower_ev_accuracy),

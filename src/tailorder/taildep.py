@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -27,10 +27,12 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "LimitSchedule",
     "TDFEstimate",
+    "TDFEstimates",
     "TailDepFunction",
     "SimplexTDF",
     "QuadratureError",
     "estimate_tdf",
+    "estimate_tdfs",
     "tdc",
     "estimated_tdf",
     "archimedean_tdf",
@@ -151,37 +153,48 @@ class TailDepFunction:
 _GAP_TOL, _WINDOW = 1e-4, 5  # convergence of an estimate: its last difference and the window of differences
 
 
-def estimate_tdf(c: "Copula", w, schedule: LimitSchedule | None = None) -> TDFEstimate:
-    """Estimate the tail dependence function of ``c`` in direction ``w``.
+class TDFEstimates(NamedTuple):
+    """The :class:`TDFEstimate` fields in n directions as (n,) arrays; row i's trace pairs scales with ratios[i]."""
 
-    Evaluates C(s*w)/s along the schedule.  The estimate is the last
-    iterate; ``converged`` requires the last 5 successive absolute
-    differences to be nonincreasing and the final one below 1e-4 (slow
-    limits, e.g. Gaussian, are reported as non-converged rather than wrong).
+    value: np.ndarray
+    error_estimate: np.ndarray
+    converged: np.ndarray
+    scales: np.ndarray
+    ratios: np.ndarray
+
+
+def estimate_tdfs(c: "Copula", directions, schedule: LimitSchedule | None = None) -> TDFEstimates:
+    """Estimate the tail dependence function of ``c`` in each row of an (n, d) array.
+
+    Evaluates C(s*w)/s along the schedule for all n directions in one ``cdf``
+    batch of n * steps points.  Each row must be nonnegative and nonzero with
+    s0 * max(w) <= 1.  A row's estimate is its last iterate; ``converged``
+    requires its last 5 successive absolute differences to be nonincreasing
+    and the final one below 1e-4 (slow limits, e.g. Gaussian, are reported
+    as non-converged rather than wrong).
     """
     sched = schedule or LimitSchedule()
-    direction = np.asarray(w, dtype=float).reshape(-1)
-    if direction.shape[0] != c.dimension:
-        raise DimensionError(
-            f"direction has {direction.shape[0]} coordinates, copula has {c.dimension}"
-        )
-    if (direction < 0).any() or not direction.any():
+    dirs = np.asarray(directions, dtype=float)
+    if dirs.ndim != 2 or dirs.shape[1] != c.dimension:
+        raise DimensionError(f"direction has {dirs.shape[-1]} coordinates, copula has {c.dimension}")
+    wmax = _row_reduce(np.maximum, dirs)
+    if dirs.min(initial=0.0) < 0 or not wmax.all():
         raise DomainError("direction must be nonnegative and nonzero")
-    wmax = float(direction.max())
-    if sched.s0 * wmax > 1.0 + 1e-12:
-        raise DomainError(f"s0 * max(w) = {sched.s0 * wmax} exceeds 1; rescale the direction")
+    if sched.s0 * (peak := float(wmax.max(initial=0.0))) > 1.0 + 1e-12:
+        raise DomainError(f"s0 * max(w) = {sched.s0 * peak} exceeds 1; rescale the direction")
     s = sched.scales()
-    ratios = np.asarray(c.cdf(s[:, None] * direction[None, :])) / s
-    diffs = np.abs(np.diff(ratios))
-    tail = diffs[-_WINDOW:]
-    monotone = bool(np.all(tail[1:] <= tail[:-1] + 1e-15))
-    converged = monotone and float(diffs[-1]) < _GAP_TOL
-    return TDFEstimate(
-        value=float(ratios[-1]),
-        error_estimate=float(diffs[-1]),
-        converged=converged,
-        trace=tuple(zip(s.tolist(), ratios.tolist())),
-    )
+    ratios = np.asarray(c.cdf(s[:, None] * dirs[:, None, :])) / s
+    diffs = np.abs(np.diff(ratios, axis=1))
+    tail = diffs[:, -_WINDOW:]
+    converged = (tail[:, 1:] <= tail[:, :-1] + 1e-15).all(axis=1) & (diffs[:, -1] < _GAP_TOL)
+    return TDFEstimates(ratios[:, -1], diffs[:, -1], converged, s, ratios)
+
+
+def estimate_tdf(c: "Copula", w, schedule: LimitSchedule | None = None) -> TDFEstimate:
+    """The estimate in one direction ``w``: :func:`estimate_tdfs` on one row, one ``cdf`` batch of steps points."""
+    est = estimate_tdfs(c, np.asarray(w, dtype=float).reshape(1, -1), schedule)
+    return TDFEstimate(float(est.value[0]), float(est.error_estimate[0]), bool(est.converged[0]),
+                       tuple(zip(est.scales.tolist(), est.ratios[0].tolist())))
 
 
 def tdc(c: "Copula", schedule: LimitSchedule | None = None) -> TDFEstimate:
@@ -190,29 +203,23 @@ def tdc(c: "Copula", schedule: LimitSchedule | None = None) -> TDFEstimate:
 
 
 def estimated_tdf(c: "Copula", schedule: LimitSchedule | None = None) -> TailDepFunction:
-    """Wrap per-direction limit estimation as a TailDepFunction.
+    """Wrap limit estimation as a TailDepFunction, one ``cdf`` batch per call.
 
-    Directions are renormalized to sup-norm 1 before estimation (harmless
-    by positive homogeneity), so any nonnegative direction is accepted.
+    The nonzero rows are renormalized to sup-norm 1 (harmless by positive
+    homogeneity) and estimated together by :func:`estimate_tdfs`; zero rows
+    give 0.  So any nonnegative direction is accepted.
     """
     sched = schedule or LimitSchedule()
 
     def fn(pts: np.ndarray) -> np.ndarray:
+        m = _row_reduce(np.maximum, pts)
+        live = m != 0.0
         out = np.zeros(pts.shape[0])
-        for i, row in enumerate(pts):
-            m = row.max()
-            if m == 0.0:
-                continue
-            out[i] = m * estimate_tdf(c, row / m, sched).value
+        out[live] = m[live] * estimate_tdfs(c, pts[live] / m[live, None], sched).value
         return out
 
-    return TailDepFunction(
-        fn,
-        c.dimension,
-        provenance="estimated",
-        name="estimated",
-        params={"family": c.descriptor.get("family", "?")},
-    )
+    return TailDepFunction(fn, c.dimension, provenance="estimated", name="estimated",
+                           params={"family": c.descriptor.get("family", "?")})
 
 
 def zero_tdf(dimension: int = 2) -> TailDepFunction:

@@ -79,6 +79,9 @@ class TestSubcommands:
         (("comonotone", "independence", "--loc"), cli.EXIT_ORDER_FAILS),
         (("lev:fig1-parabola", "lev:fig1-piecewise", "--loc"), cli.EXIT_ORDER_FAILS),
         (("lev:fig1-piecewise", "lev:fig1-parabola", "--loc"), cli.EXIT_ORDER_FAILS),
+        # both extreme value copulas have the tail dependence function 0
+        (("ev:fig1-parabola", "ev:clayton:2", "--tdo"), cli.EXIT_INDISTINGUISHABLE),
+        (("ev:clayton:2", "ev:fig1-parabola", "--tdo"), cli.EXIT_INDISTINGUISHABLE),
     ])
     def test_order(self, capsys, argv, expected):
         code, out, _ = run(capsys, "order", *argv)

@@ -144,6 +144,26 @@ class TestAnalyticTDF:
         w = to.simplex_directions(17)
         np.testing.assert_array_equal(lam(w), to.lift(to.parabola_section())(w))
 
+    @pytest.mark.parametrize("fixture, name", [("zero", "zero"), ("min", "min"), ("clayton:0.5", "zero"),
+                                               ("clayton:2", "zero"), ("clayton:inf", "min"),
+                                               ("fig1-parabola", "zero"), ("fig1-piecewise", "zero")])
+    def test_extreme_value_matches_a_long_estimate(self, fixture, name):
+        c = build_copula(parse_shorthand(f"ev:{fixture}"))
+        lam = analytic_tdf_of(c)
+        assert lam.name == name
+        rel = descriptors._accuracy_of(c)[0]
+        # C(s*w)/s is of order s^(1 - L(1, 1)) for the fixture L, so halving s scales it by rho
+        rho = 2.0 ** -(1.0 - float(descriptors.tdf_from_spec(c.descriptor["params"]["tdf"])((1.0, 1.0))))
+        for w in ((1.0, 1.0), (0.3, 1.0), (1.0, 0.05)):
+            est = to.estimate_tdf(c, w, to.LimitSchedule(1e-2, 0.5, 60))
+            if name == "min":  # C is M: every ratio is min(w) up to the copula's rounding
+                assert abs(est.value - lam(w)) <= rel * est.value
+                continue
+            # a geometric sequence of rate rho lies error * rho / (1 - rho) from its limit
+            diffs = np.abs(np.diff([r for _, r in est.trace]))
+            assert diffs[-1] / diffs[-2] == pytest.approx(rho, rel=1e-2)
+            assert abs(est.value - lam(w)) <= 1.05 * est.error_estimate * rho / (1.0 - rho)
+
     @pytest.mark.parametrize("rho, name", [(1.0, "min"), (0.9995, "min"), (0.999, "zero"), (0.5, "zero"),
                                            (0.0, "zero"), (-0.9995, "zero"), (-1.0, "zero")])
     def test_gaussian_follows_the_builder_cutoff(self, rho, name):
@@ -160,7 +180,7 @@ class TestAnalyticTDF:
         to.archimedean(to.Generator(lambda t: 1.0 - t, None, False, 0.0)),
         to.lower_ev_copula(to.TailDepFunction(lambda pts: pts.min(axis=1), 2)),
         to.fredricks_nelsen(to.DiagonalSection(lambda t: t**1.5)),
-        build_copula(parse_shorthand("ev:min")),
+        to.ev_copula(to.TailDepFunction(lambda pts: pts.min(axis=1), 2)),
     ])
     def test_no_table_entry_gives_none(self, c):
         assert analytic_tdf_of(c) is None
