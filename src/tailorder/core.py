@@ -8,6 +8,14 @@ are exactly 0 or 1; :func:`copula_from_callable` skips that wrapper so that
 arbitrary functions can be audited honestly by :func:`validate_copula`.
 Every validity audit, here and in ``families`` and ``taildep``, builds its
 checks with one rule, :meth:`CheckResult.worst_of`.
+
+Every evaluator, here and in ``families`` and ``taildep``, carries an
+``accuracy`` pair (rel, abs): a computed value v of a true value x has
+|v - x| <= rel * |x| + abs at the points the orders sample.  A third entry
+may name a region of :data:`REGIONS`, the only points where abs counts.  The
+builder of a formula sets its pair, combinators derive theirs from their
+parts', and a bare function gets :data:`CUSTOM`.  ``tests/test_accuracy.py``
+measures the pairs; the orders set every threshold from them.
 """
 
 from __future__ import annotations
@@ -20,6 +28,14 @@ import numpy as np
 __all__ = [
     "BOUNDARY_TOL",
     "VOLUME_TOL",
+    "ULP",
+    "EXACT",
+    "PRODUCT",
+    "LOWER_BOUND",
+    "CUSTOM",
+    "ESTIMATED",
+    "REGIONS",
+    "abs_at",
     "CopulaError",
     "DimensionError",
     "DomainError",
@@ -45,6 +61,28 @@ BOUNDARY_TOL = 1e-12
 # H-volumes of a true copula may round to tiny negatives; anything below
 # -VOLUME_TOL counts as a d-increasingness violation.
 VOLUME_TOL = 1e-9
+
+ULP = 2.0**-52  # ulp(1)
+# accuracy pairs (rel, abs) shared by several builders
+EXACT = (0.0, 0.0)
+PRODUCT = (5e-16, 0.0)  # a product of d <= 4 coordinates
+LOWER_BOUND = (0.0, ULP)  # max(u + v - 1, 0)
+CUSTOM = (1e-12, 0.0)  # an evaluator built from a bare function, which no builder measured
+# an estimated tail dependence function: an unmeasured stand-in until each estimate carries its error bar
+ESTIMATED = (0.0, 1e-6)
+# where an abs term counts, when not everywhere: a predicate on the sampled points, named by a pair's third entry
+REGIONS = {
+    # Bertino's cancelling branch, which a power diagonal reaches only there: t - t^p increases on [0, 1/e]
+    "max(u) > 1/e": lambda p: p.max(axis=1) > np.exp(-1.0),
+    # a lifted section forms 1 - t for t = u1 / (u1 + u2), which cancels as t nears 1 (a diagonal's
+    # single column is never in it: C(t, t) takes t = 1/2)
+    "u1 > u2": lambda p: p[:, 0] > p[:, -1],
+}
+
+
+def abs_at(pair: tuple, points):
+    """A pair's abs term at each of the points: everywhere, or on the region its third entry names."""
+    return pair[1] * REGIONS[pair[2]](points) if len(pair) > 2 else pair[1]
 
 
 class CopulaError(Exception):
@@ -148,19 +186,24 @@ class Copula:
     descriptor : dict
         JSON-able description (``{"family": ..., "params": ...}`` plus
         nested descriptors for combinators).
+    accuracy : tuple
+        The evaluator's accuracy pair (rel, abs), or (rel, abs, region);
+        see the module docstring.
 
     Instances are immutable and evaluation is pure, so copulas are safe to
     share between threads or processes.
     """
 
-    __slots__ = ("dimension", "descriptor", "_evaluator")
+    __slots__ = ("dimension", "descriptor", "accuracy", "_evaluator")
 
-    def __init__(self, dimension: int, evaluator: Callable[[np.ndarray], np.ndarray], descriptor: dict):
+    def __init__(self, dimension: int, evaluator: Callable[[np.ndarray], np.ndarray], descriptor: dict,
+                 accuracy: tuple = CUSTOM):
         if dimension < 2:
             raise DimensionError(f"copulas need dimension >= 2, got {dimension}")
         object.__setattr__(self, "dimension", int(dimension))
         object.__setattr__(self, "_evaluator", evaluator)
         object.__setattr__(self, "descriptor", descriptor)
+        object.__setattr__(self, "accuracy", accuracy)
 
     def __setattr__(self, name, value):
         raise AttributeError("Copula objects are immutable")
@@ -256,9 +299,9 @@ def _with_boundary_axioms(formula: Callable, dimension: int) -> Callable:
     return wrapped
 
 
-def copula_from_formula(dimension: int, formula: Callable, descriptor: dict) -> Copula:
+def copula_from_formula(dimension: int, formula: Callable, descriptor: dict, accuracy: tuple = CUSTOM) -> Copula:
     """Build a copula from a raw CDF formula, enforcing exact boundary axioms."""
-    return Copula(dimension, _with_boundary_axioms(formula, dimension), descriptor)
+    return Copula(dimension, _with_boundary_axioms(formula, dimension), descriptor, accuracy)
 
 
 def copula_from_callable(fn: Callable, dimension: int, descriptor: dict | None = None) -> Copula:
@@ -285,17 +328,19 @@ def _lower_frechet(pts: np.ndarray) -> np.ndarray:
 
 def independence(dimension: int = 2) -> Copula:
     """Product copula: C(u) = u_1 * ... * u_d."""
-    return copula_from_formula(dimension, _product, {"family": "independence", "params": {"d": dimension}})
+    return copula_from_formula(dimension, _product, {"family": "independence", "params": {"d": dimension}},
+                               PRODUCT)
 
 
 def comonotone(dimension: int = 2) -> Copula:
     """Upper Frechet-Hoeffding bound: C(u) = min_k u_k."""
-    return copula_from_formula(dimension, _upper_frechet, {"family": "comonotone", "params": {"d": dimension}})
+    return copula_from_formula(dimension, _upper_frechet, {"family": "comonotone", "params": {"d": dimension}},
+                               EXACT)
 
 
 def countermonotone() -> Copula:
     """Lower Frechet-Hoeffding bound max(u_1 + u_2 - 1, 0); a copula only for d = 2."""
-    return copula_from_formula(2, _lower_frechet, {"family": "countermonotone", "params": {}})
+    return copula_from_formula(2, _lower_frechet, {"family": "countermonotone", "params": {}}, LOWER_BOUND)
 
 
 def h_volume(c: Copula, lower, upper) -> float:
@@ -389,7 +434,8 @@ def glue(left: Copula, right: Copula, axis: int, split: float) -> Copula:
         "left": left.descriptor,
         "right": right.descriptor,
     }
-    return copula_from_formula(2, formula, desc)
+    # the worse of the parts' pairs in each term; a region is dropped, so its abs term counts everywhere
+    return copula_from_formula(2, formula, desc, tuple(map(max, left.accuracy[:2], right.accuracy[:2])))
 
 
 def survival(c: Copula) -> Copula:
@@ -405,4 +451,5 @@ def survival(c: Copula) -> Copula:
     def formula(pts: np.ndarray) -> np.ndarray:
         return pts[:, 0] + pts[:, 1] - 1.0 + c._evaluator(1.0 - pts)
 
-    return copula_from_formula(2, formula, {"family": "survival", "inner": c.descriptor})
+    rel, abs_ = c.accuracy[:2]
+    return copula_from_formula(2, formula, {"family": "survival", "inner": c.descriptor}, (0.0, 2 * ULP + rel + abs_))

@@ -7,17 +7,8 @@ enter as named built-ins with parameters (arbitrary user code is not
 accepted over the file interface).  The tables below are the schema: a
 family tag, shorthand head or spec name is valid exactly when it has an
 entry, and every name a built object records is a name its table accepts,
-so each descriptor a copula carries builds that copula again.
-
-Every table row also records an accuracy pair (rel, abs): a computed value v
-of a true value x has |v - x| <= rel * |x| + abs at the points the orders
-sample (s*w for s down to 1e-14 with w up to the faces, and radii up to 1).
-A pair may name a region as a third entry (``_REGIONS``): its abs term then
-counts only at the points in that region, and elsewhere the values are
-accurate relative to themselves.
-The pairs are measured against mpmath at 40 digits or exact closed forms
-(``tests/test_accuracy.py``); combinators derive theirs from their parts.
-The orders look them up with ``_accuracy_of`` to set every threshold.
+so each descriptor a copula carries builds that copula again.  The built
+objects carry their own accuracy pairs, set by the builders (see ``core``).
 """
 
 from __future__ import annotations
@@ -64,42 +55,21 @@ def _param(params: dict, key: str, kind=float, default=None):
         raise DescriptorError(f"parameter {key!r} must be {kind.__name__}") from exc
 
 
-_ULP = 2.0**-52  # ulp(1)
-# where an abs term counts, when not everywhere: a predicate on the sampled points, one per row
-_REGIONS = {
-    # Bertino's cancelling branch, which a power diagonal reaches only there: t - t^p increases on [0, 1/e]
-    "max(u) > 1/e": lambda p: p.max(axis=1) > math.exp(-1.0),
-    # a lifted section forms 1 - t for t = u1 / (u1 + u2), which cancels as t nears 1 (a diagonal's
-    # single column is never in it: C(t, t) takes t = 1/2)
-    "u1 > u2": lambda p: p[:, 0] > p[:, -1],
-}
-_EXACT = (0.0, 0.0)
-_PRODUCT = (5e-16, 0.0)  # a product of d <= 4 coordinates
-_LOWER_BOUND = (0.0, _ULP)  # max(u + v - 1, 0)
-_CUSTOM = (1e-12, 0.0)  # an evaluator no table row names
-# an estimated tail dependence function: an unmeasured stand-in until each estimate carries its error bar
-_ESTIMATED = (0.0, 1e-6)
-
-# spec name -> (parameter names, builder taking those parameters in order, accuracy pair); a
-# generator's pair bounds its Archimedean copula (Clayton measured for theta in [0.5, 6]) and the
-# compositions phi1(phi2^-1(x)) and ratios phi1/phi2 of the generator checks, which add two pairs
+# spec name -> (parameter names, builder taking those parameters in order)
 _GENERATORS = {
-    "clayton": (("theta",), families.clayton_generator, (1e-14, 0.0)),
-    "gumbel": (("theta",), families.gumbel_generator, (1e-13, 0.0)),
-    # the inverse rounds 1 - exp(-x) to 1, so values below about 1e-16 come out 0
-    "joe": (("theta",), families.joe_generator, (0.0, 5e-16)),
-    "nonstrict-linear": ((), families.nonstrict_linear_generator, _LOWER_BOUND),
+    "clayton": (("theta",), families.clayton_generator),
+    "gumbel": (("theta",), families.gumbel_generator),
+    "joe": (("theta",), families.joe_generator),
+    "nonstrict-linear": ((), families.nonstrict_linear_generator),
 }
-_DIAGONALS = {"power": (("p",), families.power_diagonal, (5e-16, 0.0))}
-# the builders also take the dimension, after the parameters; Clayton is measured for alpha <= 5,
-# and up to 15 on the grid of the tail dependence order (beyond, w^-alpha overflows near a face);
-# a lifted section forms 1 - t, which is accurate only to ulp(1) * ||w||_1 where w1 > w2
+_DIAGONALS = {"power": (("p",), families.power_diagonal)}
+# the builders also take the dimension, after the parameters
 _TDFS = {
-    "zero": ((), taildep.zero_tdf, _EXACT),
-    "min": ((), taildep.min_tdf, _EXACT),
-    "clayton": (("alpha",), taildep.archimedean_tdf, (1e-14, 0.0)),
-    "fig1-parabola": ((), lambda d: taildep.lift(taildep.parabola_section()), (1e-15, _ULP, "u1 > u2")),
-    "fig1-piecewise": ((), lambda d: taildep.lift(taildep.capped_slope_section()), (1e-15, _ULP, "u1 > u2")),
+    "zero": ((), taildep.zero_tdf),
+    "min": ((), taildep.min_tdf),
+    "clayton": (("alpha",), taildep.archimedean_tdf),
+    "fig1-parabola": ((), lambda d: taildep.lift(taildep.parabola_section())),
+    "fig1-piecewise": ((), lambda d: taildep.lift(taildep.capped_slope_section())),
 }
 
 
@@ -107,7 +77,7 @@ def _from_spec(table: dict, kind: str, spec: dict, *extra):
     _require(isinstance(spec, dict), f"{kind} spec must be an object")
     name = spec.get("name")
     _require(isinstance(name, str) and name in table, f"unknown {kind} {name!r}")
-    keys, build, _ = table[name]
+    keys, build = table[name]
     try:
         return build(*(_param(spec, k) for k in keys), *extra)
     except core.DomainError as exc:
@@ -170,81 +140,28 @@ def _zero_tdf(p: dict, d: int) -> TailDepFunction:
     return taildep.zero_tdf(d)
 
 
-def _pair(table: dict, spec) -> tuple[float, float]:
-    name = spec.get("name") if isinstance(spec, dict) else None
-    return table[name][2] if name in table else _CUSTOM
-
-
-def _sum(*pairs) -> tuple[float, float]:
-    return sum(r for r, _ in pairs), sum(a for _, a in pairs)
-
-
-def _const(pair):
-    return lambda p, desc: pair
-
-
-def _gaussian_accuracy(p: dict, desc: dict) -> tuple[float, float]:
-    # the quadrature's two terms add for rho > 0 and cancel in the tail for rho < 0
-    rho = _param(p, "rho")
-    if abs(rho) > families.GAUSS_RHO_CUTOFF:
-        return _EXACT if rho > 0 else _LOWER_BOUND
-    return _PRODUCT if rho == 0 else (1e-13, 0.0) if rho > 0 else (0.0, 4e-16)
-
-
-def _diagonal_accuracy(p: dict, desc: dict) -> tuple[float, float]:
-    # Fredricks-Nelsen and semilinear: the diagonal's pair plus a rounding
-    return _sum(_pair(_DIAGONALS, p.get("diagonal")), (_ULP, 0.0))
-
-
-def _bertino_accuracy(p: dict, desc: dict) -> tuple:
-    # Where the inner minimum is at t = min the value is delta(min) itself, with the diagonal's pair.
-    # Elsewhere min(u, v) - gap cancels, so the diagonal's relative error and a rounding of order 1
-    # turn absolute; a power diagonal gets there only where max(u, v) > 1/e
-    pair = rel, abs_ = _pair(_DIAGONALS, p.get("diagonal"))
-    return (rel, abs_ + rel + _ULP) + (() if pair == _CUSTOM else ("max(u) > 1/e",))
-
-
-def _lower_ev_accuracy(p: dict, desc: dict) -> tuple:
-    # uv + (1-u)(1-v) expm1(Lambda(x, y)), with x > y where u > v: Lambda's pair and region, plus a rounding
-    rel, *rest = _pair(_TDFS, p.get("tdf"))
-    return (rel + 1e-15, *rest)
-
-
-def _survival_accuracy(p: dict, desc: dict) -> tuple[float, float]:
-    # u + v - 1 + C(1-u, 1-v): a few roundings of terms of order 1, plus the inner value's error there
-    rel, abs_ = _copula_accuracy(desc.get("inner", {}))[:2]
-    return 0.0, 2 * _ULP + rel + abs_
-
-
 # family tag -> (builder of (params, descriptor), closed-form tail dependence function of
-# (params, dimension) or None where there is none, accuracy pair of (params, descriptor))
+# (params, dimension) or None where there is none)
 _FAMILIES = {
-    "independence": (lambda p, desc: core.independence(_dim(p)), _zero_tdf, _const(_PRODUCT)),
-    "comonotone": (lambda p, desc: core.comonotone(_dim(p)), lambda p, d: taildep.min_tdf(d), _const(_EXACT)),
-    "countermonotone": (lambda p, desc: core.countermonotone(), _zero_tdf, _const(_LOWER_BOUND)),
+    "independence": (lambda p, desc: core.independence(_dim(p)), _zero_tdf),
+    "comonotone": (lambda p, desc: core.comonotone(_dim(p)), lambda p, d: taildep.min_tdf(d)),
+    "countermonotone": (lambda p, desc: core.countermonotone(), _zero_tdf),
     "archimedean": (lambda p, desc: families.archimedean(generator_from_spec(p.get("generator")), _dim(p)),
-                    _archimedean_tdf, lambda p, desc: _pair(_GENERATORS, p.get("generator"))),
-    "marshall_olkin": (lambda p, desc: families.marshall_olkin(_param(p, "alpha")), _zero_tdf,
-                       _const((5e-16, 0.0))),
-    "gaussian": (lambda p, desc: families.gaussian(_param(p, "rho")), _gaussian_tdf, _gaussian_accuracy),
-    "extreme_value": (lambda p, desc: families.ev_copula(tdf_from_spec(p.get("tdf"))), _ev_tdf, _const((5e-14, 0.0))),
+                    _archimedean_tdf),
+    "marshall_olkin": (lambda p, desc: families.marshall_olkin(_param(p, "alpha")), _zero_tdf),
+    "gaussian": (lambda p, desc: families.gaussian(_param(p, "rho")), _gaussian_tdf),
+    "extreme_value": (lambda p, desc: families.ev_copula(tdf_from_spec(p.get("tdf"))), _ev_tdf),
     "lower_extreme_value": (lambda p, desc: families.lower_ev_copula(tdf_from_spec(p.get("tdf"))),
-                            lambda p, d: tdf_from_spec(p.get("tdf"), d),
-                            _lower_ev_accuracy),
+                            lambda p, d: tdf_from_spec(p.get("tdf"), d)),
     "fredricks_nelsen": (lambda p, desc: families.fredricks_nelsen(diagonal_from_spec(p.get("diagonal"))),
-                         _power_diagonal_tdf, _diagonal_accuracy),
-    "bertino": (lambda p, desc: families.bertino(diagonal_from_spec(p.get("diagonal"))), _power_diagonal_tdf,
-                _bertino_accuracy),
+                         _power_diagonal_tdf),
+    "bertino": (lambda p, desc: families.bertino(diagonal_from_spec(p.get("diagonal"))), _power_diagonal_tdf),
     "semilinear": (lambda p, desc: families.semilinear(diagonal_from_spec(p.get("diagonal"))),
-                   _power_diagonal_tdf, _diagonal_accuracy),
+                   _power_diagonal_tdf),
     "glue": (lambda p, desc: core.glue(_child(desc, "left"), _child(desc, "right"),
-                                       _param(p, "axis", int), _param(p, "split")), None,
-             lambda p, desc: tuple(map(max, _copula_accuracy(desc.get("left", {}))[:2],
-                                       _copula_accuracy(desc.get("right", {}))[:2]))),
-    "survival": (lambda p, desc: core.survival(_child(desc, "inner")), None, _survival_accuracy),
-    "hierarchical": (lambda p, desc: families.hierarchical(_child(desc, "outer"), _child(desc, "inner")), None,
-                     lambda p, desc: _sum(_copula_accuracy(desc.get("outer", {})),
-                                          _copula_accuracy(desc.get("inner", {})))),
+                                       _param(p, "axis", int), _param(p, "split")), None),
+    "survival": (lambda p, desc: core.survival(_child(desc, "inner")), None),
+    "hierarchical": (lambda p, desc: families.hierarchical(_child(desc, "outer"), _child(desc, "inner")), None),
 }
 
 
@@ -270,32 +187,6 @@ def analytic_tdf_of(c: Copula) -> TailDepFunction | None:
         return None if rule is None else rule(c.descriptor.get("params", {}), c.dimension)
     except DescriptorError:
         return None
-
-
-def _copula_accuracy(desc: dict) -> tuple:
-    row = _FAMILIES.get(desc.get("family"))
-    try:
-        return _CUSTOM if row is None else row[2](desc.get("params", {}), desc)
-    except DescriptorError:
-        return _CUSTOM
-
-
-def _abs_at(pair: tuple, points):
-    """A pair's abs term at each of the points: everywhere, or on the region its third entry names."""
-    return pair[1] * _REGIONS[pair[2]](points) if len(pair) > 2 else pair[1]
-
-
-def _accuracy_of(x: Copula | TailDepFunction | DiagonalSection | Generator) -> tuple:
-    """Accuracy pair (rel, abs), or (rel, abs, region), of a copula, tail dependence function, diagonal
-    section or generator: its table row's, derived for combinators, and (1e-12, 0) when no row names it."""
-    if isinstance(x, Copula):
-        return _copula_accuracy(x.descriptor)
-    if isinstance(x, TailDepFunction) and x.provenance == "estimated":
-        return _ESTIMATED
-    if isinstance(x, DiagonalSection) and x.name == "diagonal":  # diagonal_of(c) evaluates c
-        return _copula_accuracy(x.params.get("copula", {}))
-    table = {TailDepFunction: _TDFS, DiagonalSection: _DIAGONALS, Generator: _GENERATORS}[type(x)]
-    return _pair(table, {"name": x.name})
 
 
 def _spec(table: dict, text: str) -> dict:
@@ -335,7 +226,7 @@ _SHORTHANDS = {
 
 SHORTHAND_USAGE = "{}; FIXTURE is one of {}".format(
     ", ".join(head + form for head, (form, _) in _SHORTHANDS.items()),
-    ", ".join(name + "".join(f":{k.upper()}" for k in keys) for name, (keys, *_) in _TDFS.items()),
+    ", ".join(name + "".join(f":{k.upper()}" for k in keys) for name, (keys, _) in _TDFS.items()),
 )
 
 

@@ -15,6 +15,11 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    CUSTOM,
+    EXACT,
+    LOWER_BOUND,
+    PRODUCT,
+    ULP,
     CheckResult,
     Copula,
     DimensionError,
@@ -63,7 +68,8 @@ class Generator:
     ``inverse`` is the exact inverse on [0, phi(0)) when a closed form
     exists; otherwise the generalized inverse falls back to bisection.
     ``strict`` marks phi(0+) = inf, and ``rv_index_at_0`` records the
-    regular-variation index alpha when known analytically.
+    regular-variation index alpha when known analytically.  ``accuracy`` is
+    the pair of its copula and, added to another's, of the generator checks.
     """
 
     phi: Callable
@@ -72,6 +78,7 @@ class Generator:
     rv_index_at_0: float | None
     name: str = "custom"
     params: dict = field(default_factory=dict)
+    accuracy: tuple = CUSTOM
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -97,6 +104,7 @@ def clayton_generator(theta: float) -> Generator:
         rv_index_at_0=th,
         name="clayton",
         params={"theta": th},
+        accuracy=(1e-14, 0.0),  # measured for theta in [0.5, 6]
     )
 
 
@@ -112,6 +120,7 @@ def gumbel_generator(theta: float) -> Generator:
         rv_index_at_0=0.0,
         name="gumbel",
         params={"theta": th},
+        accuracy=(1e-13, 0.0),
     )
 
 
@@ -127,6 +136,7 @@ def joe_generator(theta: float) -> Generator:
         rv_index_at_0=0.0,
         name="joe",
         params={"theta": th},
+        accuracy=(0.0, 5e-16),  # the inverse rounds 1 - exp(-x) to 1, so values below about 1e-16 come out 0
     )
 
 
@@ -139,6 +149,7 @@ def nonstrict_linear_generator() -> Generator:
         rv_index_at_0=0.0,
         name="nonstrict-linear",
         params={},
+        accuracy=LOWER_BOUND,
     )
 
 
@@ -206,7 +217,7 @@ def archimedean(g: Generator, dimension: int = 2) -> Copula:
         "family": "archimedean",
         "params": {"generator": {"name": g.name, **g.params}, "d": dimension},
     }
-    return copula_from_formula(dimension, formula, desc)
+    return copula_from_formula(dimension, formula, desc, g.accuracy)
 
 
 def marshall_olkin(alpha: float) -> Copula:
@@ -222,6 +233,7 @@ def marshall_olkin(alpha: float) -> Copula:
         2,
         lambda pts: np.minimum(pts[:, 0] ** (1.0 - a) * pts[:, 1], pts[:, 0]),
         {"family": "marshall_olkin", "params": {"alpha": a}},
+        PRODUCT,
     )
 
 
@@ -233,6 +245,7 @@ class DiagonalSection:
     like ``Generator.strict``; :func:`bertino` then takes its inner minimum
     at an interval endpoint.  A claim the second differences on the
     :func:`validate_diagonal` grid contradict is rejected here.
+    ``accuracy`` is the evaluator's accuracy pair (see ``core``).
     """
 
     delta: Callable
@@ -240,6 +253,7 @@ class DiagonalSection:
     name: str = "custom"
     params: dict = field(default_factory=dict)
     convex: bool = False
+    accuracy: tuple = CUSTOM
 
     def __post_init__(self):
         if self.convex:
@@ -257,16 +271,19 @@ def power_diagonal(p: float, dimension: int = 2) -> DiagonalSection:
     """Power diagonal t^p, valid for a 2-copula when 1 <= p <= 2."""
     if not 1.0 <= p <= float(dimension):
         raise DomainError(f"power diagonal needs 1 <= p <= d = {dimension}, got {p}")
-    return DiagonalSection(lambda t: t ** float(p), dimension, name="power", params={"p": float(p)}, convex=True)
+    return DiagonalSection(lambda t: t ** float(p), dimension, name="power", params={"p": float(p)}, convex=True,
+                           accuracy=(5e-16, 0.0))
 
 
 def diagonal_of(c: Copula) -> DiagonalSection:
-    """Diagonal section of a copula as a DiagonalSection object; ``params`` keeps the copula's descriptor."""
+    """Diagonal section of a copula as a DiagonalSection object; ``params`` keeps the copula's descriptor,
+    and ``accuracy`` is the copula's pair."""
     return DiagonalSection(
         lambda t: np.asarray(c.diagonal(t), dtype=float),
         c.dimension,
         name="diagonal",
         params={"copula": c.descriptor},
+        accuracy=c.accuracy,
     )
 
 
@@ -322,7 +339,8 @@ def fredricks_nelsen(delta: DiagonalSection) -> Copula:
         return np.minimum(_upper_frechet(pts), 0.5 * _row_reduce(np.add, dv))
 
     desc = {"family": "fredricks_nelsen", "params": {"diagonal": {"name": delta.name, **delta.params}}}
-    return copula_from_formula(2, formula, desc)
+    rel, *rest = delta.accuracy  # the diagonal's pair plus a rounding
+    return copula_from_formula(2, formula, desc, (rel + ULP, *rest))
 
 
 def bertino(delta: DiagonalSection) -> Copula:
@@ -348,8 +366,13 @@ def bertino(delta: DiagonalSection) -> Copula:
         np.copyto(out, d_lo, where=gap >= lo - d_lo)  # the minimum is at t = min
         return out
 
+    # where the inner minimum is at t = min the value is delta(min) itself, with the diagonal's pair; elsewhere
+    # min(u, v) - gap cancels, so the diagonal's relative error and a rounding of order 1 turn absolute, and a
+    # power diagonal gets there only where max(u, v) > 1/e
+    rel, abs_ = delta.accuracy[:2]
+    region = ("max(u) > 1/e",) if delta.name == "power" else ()
     desc = {"family": "bertino", "params": {"diagonal": {"name": delta.name, **delta.params}}}
-    return copula_from_formula(2, formula, desc)
+    return copula_from_formula(2, formula, desc, (rel, abs_ + rel + ULP, *region))
 
 
 _BERTINO_SCAN = 1024
@@ -417,7 +440,8 @@ def semilinear(delta: DiagonalSection) -> Copula:
         return np.where(hi > 0.0, _upper_frechet(pts) * np.asarray(delta(safe), dtype=float) / safe, 0.0)
 
     desc = {"family": "semilinear", "params": {"diagonal": {"name": delta.name, **delta.params}}}
-    return copula_from_formula(2, formula, desc)
+    rel, *rest = delta.accuracy  # the diagonal's pair plus a rounding
+    return copula_from_formula(2, formula, desc, (rel + ULP, *rest))
 
 
 # beyond |rho| = GAUSS_RHO_CUTOFF gaussian() builds the comonotone or countermonotone copula
@@ -501,9 +525,10 @@ def gaussian(rho: float) -> Copula:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        return copula_from_formula(2, _upper_frechet if r > 0 else _lower_frechet, desc)
+        bound, pair = (_upper_frechet, EXACT) if r > 0 else (_lower_frechet, LOWER_BOUND)
+        return copula_from_formula(2, bound, desc, pair)
     if r == 0.0:
-        return copula_from_formula(2, _product, desc)
+        return copula_from_formula(2, _product, desc, PRODUCT)
 
     def formula(pts: np.ndarray) -> np.ndarray:
         from scipy.special import ndtri
@@ -511,7 +536,8 @@ def gaussian(rho: float) -> Copula:
         q = ndtri(np.clip(pts, 1e-300, 1.0 - 1e-16))
         return np.asarray(bivariate_normal_cdf(q[:, 0], q[:, 1], r), dtype=float)
 
-    return copula_from_formula(2, formula, desc)
+    # the quadrature's two terms add for rho > 0 and cancel in the tail for rho < 0 (bivariate_normal_cdf)
+    return copula_from_formula(2, formula, desc, (1e-13, 0.0) if r > 0 else (0.0, 4e-16))
 
 
 def ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
@@ -528,7 +554,7 @@ def ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
         return np.exp(_row_reduce(np.add, logs) + lam(-logs))
 
     desc = {"family": "extreme_value", "params": {"tdf": {"name": lam.name, **lam.params}}}
-    return copula_from_formula(2, formula, desc)
+    return copula_from_formula(2, formula, desc, (5e-14, 0.0))
 
 
 def lower_ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
@@ -545,8 +571,10 @@ def lower_ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
         comp = 1.0 - pts
         return _product(pts) + _product(comp) * np.expm1(lam(-np.log1p(-pts)))
 
+    # uv + (1-u)(1-v) expm1(Lambda(x, y)), with x > y where u > v: Lambda's pair and region, plus a rounding
+    rel, *rest = lam.accuracy
     desc = {"family": "lower_extreme_value", "params": {"tdf": {"name": lam.name, **lam.params}}}
-    return copula_from_formula(2, formula, desc)
+    return copula_from_formula(2, formula, desc, (rel + 1e-15, *rest))
 
 
 def _require_valid_ev_tdf(lam: TailDepFunction, validate: bool):
@@ -577,7 +605,7 @@ def hierarchical(outer: Copula, inner: Copula) -> Copula:
         return outer._evaluator(outer_pts)
 
     desc = {"family": "hierarchical", "outer": outer.descriptor, "inner": inner.descriptor}
-    c = copula_from_formula(3, formula, desc)
+    c = copula_from_formula(3, formula, desc, tuple(map(sum, zip(outer.accuracy, inner.accuracy))))
 
     og, ig = gen_info(outer), gen_info(inner)
     if og.get("name") == "clayton" and ig.get("name") == "clayton":

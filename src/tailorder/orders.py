@@ -1,10 +1,11 @@
 """Order checkers for tail dependence and local stochastic dominance.
 
 Every order compares two sampled sides, lhs <= rhs, and one accuracy rule
-turns the gaps rhs - lhs into a verdict.  Each side's evaluator has an
-accuracy pair (rel, abs), looked up in the ``descriptors`` tables, so a
-point's bound is rel1 * |lhs| + rel2 * |rhs| + abs1 + abs2 (a pair whose
-third entry names a region counts its abs term only at points in it):
+turns the gaps rhs - lhs into a verdict.  Each side's evaluator carries an
+accuracy pair (rel, abs) as its ``accuracy`` (see ``core``), so a point's
+bound is rel1 * |lhs| + rel2 * |rhs| + abs1 + abs2 (a pair whose third
+entry names a region of ``core.REGIONS`` counts its abs term only at points
+in it):
 
 - A point is undecidable when its bound is not below max(|lhs|, |rhs|)
   (both sides 0, say); it counts for neither side, and the note gives how
@@ -30,8 +31,7 @@ from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Copula, DimensionError, DomainError, GridConfig
-from .descriptors import _abs_at, _accuracy_of
+from .core import Copula, DimensionError, DomainError, GridConfig, abs_at
 from .families import DiagonalSection, Generator, generalized_inverse
 from .taildep import (
     LimitSchedule,
@@ -150,7 +150,7 @@ def _witness(points: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, i: int) -> di
 
 
 def _sides(x1, x2) -> tuple:
-    return _accuracy_of(x1), _accuracy_of(x2)
+    return x1.accuracy, x2.accuracy
 
 
 def _verdict(points: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, tolerance: tuple, resolution: int = 0, *,
@@ -160,7 +160,7 @@ def _verdict(points: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, tolerance: tu
     ``candidates`` ascend; ``epsilon`` is reported when none fits.  A ``note`` is prefixed with
     the verified or smallest violating radius; undecidable points are counted after it."""
     samples, gap, size1, size2 = Samples(points, lhs, rhs, scale), rhs - lhs, np.abs(lhs), np.abs(rhs)
-    bound = sum(pair[0] * size + _abs_at(pair, points) for pair, size in zip(tolerance, (size1, size2)))
+    bound = sum(pair[0] * size + abs_at(pair, points) for pair, size in zip(tolerance, (size1, size2)))
     decidable = bound < np.maximum(size1, size2)
     bad = decidable & (gap < -bound)
     undecidable = "" if decidable.all() else f"{(~decidable).sum()} of {gap.size} points undecidable" + (

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .core import CopulaError, DimensionError, DomainError, GridConfig, CheckResult, ValidityReport
-from .core import _row_reduce, _upper_frechet
+from .core import CUSTOM, ESTIMATED, EXACT, ULP, CopulaError, DimensionError, DomainError, GridConfig, CheckResult
+from .core import ValidityReport, _row_reduce, _upper_frechet
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Copula
@@ -102,13 +102,15 @@ class SimplexTDF:
 
     ``breakpoints`` lists interior kink locations (when known) so that
     quadrature can split panels there; a valid section is concave and
-    satisfies 0 <= phi(t) <= min(t, 1-t).
+    satisfies 0 <= phi(t) <= min(t, 1-t).  ``accuracy`` is the pair
+    (rel, abs) of :func:`lift`'s values (see ``core``).
     """
 
     phi: Callable
     breakpoints: tuple[float, ...] = ()
     name: str = "custom"
     params: dict = field(default_factory=dict)
+    accuracy: tuple = CUSTOM
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -124,7 +126,8 @@ class TailDepFunction:
     ``provenance`` records whether the function is a closed form or a
     numerical estimate.  ``breakpoints`` lists the known kinks t of the
     unit-simplex section t -> Lambda(t, 1-t) (d = 2 only), where the
-    quadrature functional splits its panels.
+    quadrature functional splits its panels.  ``accuracy`` is the
+    evaluator's accuracy pair (see ``core``).
     """
 
     fn: Callable
@@ -133,6 +136,7 @@ class TailDepFunction:
     name: str = "custom"
     params: dict = field(default_factory=dict)
     breakpoints: tuple[float, ...] = ()
+    accuracy: tuple = CUSTOM
 
     def __call__(self, w):
         arr = np.asarray(w, dtype=float)
@@ -219,12 +223,12 @@ def estimated_tdf(c: "Copula", schedule: LimitSchedule | None = None) -> TailDep
         return out
 
     return TailDepFunction(fn, c.dimension, provenance="estimated", name="estimated",
-                           params={"family": c.descriptor.get("family", "?")})
+                           params={"family": c.descriptor.get("family", "?")}, accuracy=ESTIMATED)
 
 
 def zero_tdf(dimension: int = 2) -> TailDepFunction:
     """Vanishing tail dependence function (tail-independent copulas)."""
-    return TailDepFunction(lambda pts: np.zeros(pts.shape[0]), dimension, name="zero")
+    return TailDepFunction(lambda pts: np.zeros(pts.shape[0]), dimension, name="zero", accuracy=EXACT)
 
 
 def min_tdf(dimension: int = 2) -> TailDepFunction:
@@ -232,6 +236,7 @@ def min_tdf(dimension: int = 2) -> TailDepFunction:
     return TailDepFunction(
         _upper_frechet, dimension, name="min",
         breakpoints=(0.5,) if dimension == 2 else (),  # the kink of min(t, 1 - t)
+        accuracy=EXACT,
     )
 
 
@@ -256,9 +261,10 @@ def archimedean_tdf(alpha: float, dimension: int = 2) -> TailDepFunction:
             return np.where(np.isfinite(out), out, 0.0)
 
         base = TailDepFunction(fn, dimension)
-    return TailDepFunction(
-        base.fn, dimension, name="clayton", params={"alpha": float(alpha)}, breakpoints=base.breakpoints
-    )
+    # measured for alpha <= 5, and up to 15 on the grid of the tail dependence order (beyond, w^-alpha
+    # overflows near a face)
+    return TailDepFunction(base.fn, dimension, name="clayton", params={"alpha": float(alpha)},
+                           breakpoints=base.breakpoints, accuracy=(1e-14, 0.0))
 
 
 def simplex_restriction(lam: TailDepFunction) -> SimplexTDF:
@@ -283,7 +289,7 @@ def lift(section: SimplexTDF) -> TailDepFunction:
         return np.where(s > 0.0, s * np.asarray(section.phi(t), dtype=float), 0.0)
 
     return TailDepFunction(fn, 2, name=section.name, params=dict(section.params),
-                           breakpoints=section.breakpoints)
+                           breakpoints=section.breakpoints, accuracy=section.accuracy)
 
 
 def tdc_from_simplex(section: SimplexTDF) -> float:
@@ -291,14 +297,20 @@ def tdc_from_simplex(section: SimplexTDF) -> float:
     return 2.0 * float(section(0.5))
 
 
+# a lifted Fig. 1 section forms 1 - t for t = u1 / (u1 + u2), which is accurate only to ulp(1) * ||u||_1
+# where u1 > u2
+_FIG1 = (1e-15, ULP, "u1 > u2")
+
+
 def parabola_section() -> SimplexTDF:
     """Concave section t * (1 - t); a valid tail dependence section."""
-    return SimplexTDF(lambda t: t * (1.0 - t), name="fig1-parabola")
+    return SimplexTDF(lambda t: t * (1.0 - t), name="fig1-parabola", accuracy=_FIG1)
 
 
 def capped_slope_section() -> SimplexTDF:
     """Piecewise-linear section min(t/2, 1 - t) with a kink at t = 2/3."""
-    return SimplexTDF(lambda t: np.minimum(0.5 * t, 1.0 - t), breakpoints=(2.0 / 3.0,), name="fig1-piecewise")
+    return SimplexTDF(lambda t: np.minimum(0.5 * t, 1.0 - t), breakpoints=(2.0 / 3.0,), name="fig1-piecewise",
+                      accuracy=_FIG1)
 
 
 def min_section() -> SimplexTDF:

@@ -1,7 +1,7 @@
 """Every accuracy pair the orders use, measured on the points the orders sample.
 
-A pair (rel, abs) recorded in the ``descriptors`` tables claims that a
-computed value v of a true value x has |v - x| <= rel * |x| + abs.  Each
+A pair (rel, abs) that an evaluator carries as its ``accuracy`` claims that
+a computed value v of a true value x has |v - x| <= rel * |x| + abs.  Each
 case here evaluates one evaluator on the log-polar sample of the local
 orders (radii from 1 down to 1e-14, directions up to 1e-18 from a face) and
 on s * w for s in {1e-2, 1e-8, 1e-14} over simplex directions including the
@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 import tailorder as to
-from tailorder import descriptors, orders, taildep
-from tailorder.descriptors import _accuracy_of
+from tailorder import core, descriptors, orders, taildep
 
 mp.mp.dps = 40
 F = mp.mpf
@@ -39,7 +38,7 @@ def worst_excess(values, reference, points, pair):
     worst = -np.inf
     for p, v in zip(points, np.asarray(values, dtype=float).reshape(-1)):
         x = reference([F(float(c)) for c in np.atleast_1d(p)])
-        a = abs_ if not region or descriptors._REGIONS[region[0]](np.atleast_2d(p))[0] else 0.0
+        a = abs_ if not region or core.REGIONS[region[0]](np.atleast_2d(p))[0] else 0.0
         worst = max(worst, float(abs(F(float(v)) - x) - (rel * abs(x) + a)))
     return worst
 
@@ -152,7 +151,7 @@ COPULAS = copula_cases()
 @pytest.mark.parametrize("c, ref", [case[1:] for case in COPULAS], ids=[case[0] for case in COPULAS])
 def test_copula_pair_holds(c, ref):
     pts = copula_points(c.dimension)
-    assert worst_excess(c.cdf(pts), ref, pts, _accuracy_of(c)) <= 0.0
+    assert worst_excess(c.cdf(pts), ref, pts, c.accuracy) <= 0.0
 
 
 def test_every_family_is_measured():
@@ -174,7 +173,7 @@ def test_tail_dependence_pair_holds(lam, ref, near):
     d = lam.dimension
     pts = taildep.simplex_directions({2: 65, 3: 33, 4: 17}[d], d)
     pts = np.concatenate([pts, copula_points(d)]) if near else pts
-    assert worst_excess(lam(pts), ref, pts, _accuracy_of(lam)) <= 0.0
+    assert worst_excess(lam(pts), ref, pts, lam.accuracy) <= 0.0
 
 
 @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75, 2.0])
@@ -182,12 +181,12 @@ def test_power_diagonal_pair_holds(p):
     t = np.linspace(0.0, 1.0, 65)[1:]  # the grid of the diagonal order, and its scaled copies
     t = np.concatenate([t, 1e-8 * t, 1e-14 * t])
     delta = to.power_diagonal(p)
-    assert worst_excess(delta(t), lambda x: x[0] ** F(p), t, _accuracy_of(delta)) <= 0.0
+    assert worst_excess(delta(t), lambda x: x[0] ** F(p), t, delta.accuracy) <= 0.0
 
 
 def test_copula_diagonal_takes_the_copula_pair():
     c = shorthand("gumbel:2")
-    assert _accuracy_of(to.diagonal_of(c)) == _accuracy_of(c) == descriptors._GENERATORS["gumbel"][2]
+    assert to.diagonal_of(c).accuracy == c.accuracy == to.gumbel_generator(2.0).accuracy
 
 
 GENERATORS = [("clayton", 1.0), ("clayton", 2.0), ("clayton", 4.0), ("gumbel", 2.0), ("joe", 2.0)]
@@ -199,7 +198,7 @@ def test_generator_pairs_hold(first, second):
     """The values the generator checks compare carry the sum of the two generators' pairs."""
     g1, g2 = (descriptors.generator_from_spec({"name": n, "theta": th}) for n, th in (first, second))
     (phi1, _, _), (phi2, inv2, _) = archimedean_ref(*first), archimedean_ref(*second)
-    pair = tuple(map(sum, zip(_accuracy_of(g1), _accuracy_of(g2))))
+    pair = tuple(map(sum, zip(g1.accuracy, g2.accuracy)))
     t = np.geomspace(0.5e-9, 0.5, 65)  # ratio monotonicity on (0, 1/2)
     with np.errstate(over="ignore", divide="ignore"):
         psi = g1.phi(t) / g2.phi(t)
@@ -211,10 +210,10 @@ def test_generator_pairs_hold(first, second):
 
 
 @pytest.mark.parametrize("lam, pair", [
-    (to.estimated_tdf(to.independence()), descriptors._ESTIMATED),
-    (to.TailDepFunction(lambda p: p.min(axis=1), 2), descriptors._CUSTOM),
-    (to.lift(to.SimplexTDF(lambda t: t * (1.0 - t))), descriptors._CUSTOM),
+    (to.estimated_tdf(to.independence()), core.ESTIMATED),
+    (to.TailDepFunction(lambda p: p.min(axis=1), 2), core.CUSTOM),
+    (to.lift(to.SimplexTDF(lambda t: t * (1.0 - t))), core.CUSTOM),
 ], ids=["estimated", "custom", "custom-section"])
 def test_unmeasured_evaluators_take_stand_in_pairs(lam, pair):
-    assert _accuracy_of(lam) == pair
-    assert _accuracy_of(to.copula_from_callable(lambda p: p.min(axis=1), 2)) == (1e-12, 0.0)
+    assert lam.accuracy == pair
+    assert to.copula_from_callable(lambda p: p.min(axis=1), 2).accuracy == (1e-12, 0.0)

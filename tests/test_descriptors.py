@@ -151,7 +151,7 @@ class TestAnalyticTDF:
         c = build_copula(parse_shorthand(f"ev:{fixture}"))
         lam = analytic_tdf_of(c)
         assert lam.name == name
-        rel = descriptors._accuracy_of(c)[0]
+        rel = c.accuracy[0]
         # C(s*w)/s is of order s^(1 - L(1, 1)) for the fixture L, so halving s scales it by rho
         rho = 2.0 ** -(1.0 - float(descriptors.tdf_from_spec(c.descriptor["params"]["tdf"])((1.0, 1.0))))
         for w in ((1.0, 1.0), (0.3, 1.0), (1.0, 0.05)):

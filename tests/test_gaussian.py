@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import dblquad
 
 import tailorder as to
-from tailorder.descriptors import _accuracy_of
 from tailorder.families import bivariate_normal_cdf
 
 
@@ -100,7 +99,7 @@ class TestTailAccuracy:
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.7])
     def test_relative_error_for_positive_rho(self, rho):
         c = to.gaussian(rho)
-        assert _accuracy_of(c) == (1e-13, 0.0)
+        assert c.accuracy == (1e-13, 0.0)
         for u in TAIL_POINTS:
             want = copula_reference(*u, rho)
             assert abs(c.cdf(u) - want) <= 1e-13 * want, u
@@ -109,6 +108,6 @@ class TestTailAccuracy:
     def test_only_absolute_error_for_negative_rho(self, rho):
         # Phi(a)Phi(b) and the negative integral cancel, so tail values are accurate only in absolute terms
         c = to.gaussian(rho)
-        assert _accuracy_of(c) == (0.0, 4e-16)
+        assert c.accuracy == (0.0, 4e-16)
         for u in TAIL_POINTS:
             assert abs(c.cdf(u) - copula_reference(*u, rho)) <= 4e-16, u

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tailorder as to
-from tailorder import descriptors, orders
+from tailorder import orders
 
 
 def shorthand(text):
@@ -157,7 +157,7 @@ class TestLocalSampler:
     def test_threshold_is_relative(self):
         # Clayton's accuracy pair is purely relative, so no point but 0 vs 0 is undecidable
         v = to.check_loc(clayton(1.0), clayton(2.0))
-        pair = descriptors._GENERATORS["clayton"][2]
+        pair = to.clayton_generator(1.0).accuracy
         assert pair[1] == 0.0 and v.tolerance == (pair, pair)
         assert v.as_dict()["tolerance"] == [list(pair), list(pair)] and "undecidable" not in v.note
 
@@ -284,7 +284,7 @@ class TestConeOrder:
         v = to.check_cone_order(to.marshall_olkin(0.5), clayton(1.0), to.ConeSpec(0.2))
         pts = v.samples.points
         assert (pts.min(axis=1) >= 0.2 * pts.sum(axis=1) * (1.0 - 1e-12)).all()
-        assert v.tolerance == (descriptors._accuracy_of(to.marshall_olkin(0.5)), descriptors._accuracy_of(clayton(1.0)))
+        assert v.tolerance == (to.marshall_olkin(0.5).accuracy, clayton(1.0).accuracy)
         assert v.epsilon == 0.125
 
     def test_epsilon_domain(self):
