@@ -94,8 +94,8 @@ class Generator:
 
 def clayton_generator(theta: float) -> Generator:
     """Clayton generator phi(t) = (t^-theta - 1)/theta; strict, alpha = theta."""
-    if not theta > 0:
-        raise DomainError(f"Clayton theta must be positive, got {theta}")
+    if not 0 < theta < np.inf:
+        raise DomainError(f"Clayton theta must be positive and finite, got {theta}")
     th = float(theta)
     return Generator(
         phi=lambda t: (t ** -th - 1.0) / th,
@@ -110,8 +110,8 @@ def clayton_generator(theta: float) -> Generator:
 
 def gumbel_generator(theta: float) -> Generator:
     """Gumbel generator phi(t) = (-log t)^theta; strict, slowly varying (alpha = 0)."""
-    if not theta >= 1:
-        raise DomainError(f"Gumbel theta must be >= 1, got {theta}")
+    if not 1 <= theta < np.inf:
+        raise DomainError(f"Gumbel theta must be finite and >= 1, got {theta}")
     th = float(theta)
     return Generator(
         phi=lambda t: (-np.log(t)) ** th,
@@ -126,8 +126,8 @@ def gumbel_generator(theta: float) -> Generator:
 
 def joe_generator(theta: float) -> Generator:
     """Joe generator phi(t) = -log(1 - (1-t)^theta); strict, slowly varying."""
-    if not theta >= 1:
-        raise DomainError(f"Joe theta must be >= 1, got {theta}")
+    if not 1 <= theta < np.inf:
+        raise DomainError(f"Joe theta must be finite and >= 1, got {theta}")
     th = float(theta)
     return Generator(
         phi=lambda t: -np.log(-np.expm1(th * np.log1p(-t))),

@@ -246,7 +246,7 @@ def archimedean_tdf(alpha: float, dimension: int = 2) -> TailDepFunction:
     Zero for alpha = 0, (sum_k w_k^-alpha)^(-1/alpha) for finite positive
     alpha, and min_k w_k for alpha = inf.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise DomainError(f"alpha must lie in [0, inf], got {alpha}")
     if alpha == 0.0:
         base = zero_tdf(dimension)

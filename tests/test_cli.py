@@ -324,6 +324,8 @@ class TestContract:
         ("order", "clayton:1", "clayton:2"),
         ("order", "clayton:1", "clayton:2", "--too", "--grid", "8"),
         ("order", "clayton:1", "clayton:2", "--loc", "--grid", "64"),  # the default resolution, given
+        ("eval", "clayton:inf", "-u", "0.3,0.4"),
+        ("order", "ev:clayton:nan", "ev:min", "--tdo"),
     ])
     def test_input_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)

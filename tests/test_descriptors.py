@@ -197,6 +197,12 @@ class TestErrors:
          "parameter 'd'"),
         ({"family": "marshall_olkin", "params": {}}, "missing parameter 'alpha'"),
         ({"family": "glue", "params": {"axis": 1, "split": 0.5}}, "needs a 'left' child"),
+        # a non-finite parameter, which the shorthand grammar parses, builds no copula
+        (parse_shorthand("clayton:inf"), "Clayton theta must be positive and finite"),
+        (parse_shorthand("gumbel:inf"), "Gumbel theta must be finite"),
+        (parse_shorthand("joe:inf"), "Joe theta must be finite"),
+        (parse_shorthand("lev:clayton:nan"), r"alpha must lie in \[0, inf\], got nan"),
+        (parse_shorthand("ev:clayton:nan"), r"alpha must lie in \[0, inf\], got nan"),
     ])
     def test_bad_descriptor(self, desc, message):
         with pytest.raises(DescriptorError, match=message):
