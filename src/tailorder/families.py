@@ -158,8 +158,9 @@ def generalized_inverse(g: Generator, x) -> np.ndarray | float:
 
     Coincides with the exact inverse for strict generators; for nonstrict
     ones it returns 0 whenever x >= phi(0).  Without a closed form the
-    inverse is bracketed on [0, 1] by bisection (200 iterations or interval
-    width below 1e-14; safe because phi is monotone).
+    inverse is the smallest double t in [0, 1] with phi(t) <= x, found by
+    bisection (safe because phi is monotone), so it is accurate relative to
+    t down to the smallest doubles.
     """
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
@@ -181,24 +182,25 @@ def generalized_inverse(g: Generator, x) -> np.ndarray | float:
     return float(out[0]) if scalar else out.reshape(x_arr.shape)
 
 
+_ONE_BITS = np.float64(1.0).view(np.int64)
+
+
 def _bisect_inverse(g: Generator, xs: np.ndarray) -> np.ndarray:
-    lo = np.zeros_like(xs)
-    hi = np.ones_like(xs)
+    # the doubles in [0, 1] ascend with their bit patterns: bisecting those down to adjacent doubles brackets
+    # each row to a relative width of ulp at every scale, whatever rows it is batched with
+    lo = np.zeros(xs.shape, dtype=np.int64)
+    hi = np.full(xs.shape, _ONE_BITS)
     with np.errstate(divide="ignore", over="ignore"):
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            f_mid = np.asarray(g.phi(mid), dtype=float)
+        while (hi - lo > 1).any():
+            mid = lo + (hi - lo) // 2
             # phi decreasing: phi(mid) <= x means the inverse lies left of mid
-            go_left = f_mid <= xs
+            go_left = np.asarray(g.phi(mid.view(np.float64)), dtype=float) <= xs
             hi = np.where(go_left, mid, hi)
             lo = np.where(go_left, lo, mid)
-            if float((hi - lo).max()) < 1e-14:
-                break
-        out = 0.5 * (lo + hi)
-        # a grossly inconsistent residual signals a non-monotone phi
-        resid = np.abs(np.asarray(g.phi(np.maximum(out, 1e-300)), dtype=float) - xs)
-    bad = (out > 1e-12) & (resid > 1e-6 * np.maximum(1.0, xs))
-    if bad.any():
+        out = hi.view(np.float64)
+        # phi(out) <= x once the bracket moved; a relative excess means no t in [0, 1] reached x
+        resid = np.asarray(g.phi(out), dtype=float) - xs
+    if (resid > 1e-6 * xs).any():
         raise DomainError("bisection failed to bracket the inverse; is phi strictly decreasing?")
     return out
 

@@ -154,6 +154,19 @@ def test_copula_pair_holds(c, ref):
     assert worst_excess(c.cdf(pts), ref, pts, c.accuracy) <= 0.0
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_bisected_inverse_meets_the_custom_pair(d):
+    # Gumbel(2)'s phi without its closed-form inverse, so generalized_inverse bisects
+    g = to.gumbel_generator(2.0)
+    c = to.archimedean(to.Generator(g.phi, None, True, 0.0), d)
+    pts = copula_points(d)
+    values = c.cdf(pts)
+    assert c.accuracy == core.CUSTOM
+    assert worst_excess(values, archimedean_ref("gumbel", 2.0)[2], pts, core.CUSTOM) <= 0.0
+    # each row is bisected to its own bracket, whatever rows share its batch
+    np.testing.assert_array_equal(values[::7], [c.eval(p) for p in pts[::7]])
+
+
 def test_every_family_is_measured():
     measured = {c.descriptor["family"] for _, c, _ in COPULAS} | {"gaussian"}  # in test_gaussian.py
     assert measured == set(descriptors._FAMILIES)
