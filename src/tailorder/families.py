@@ -205,21 +205,42 @@ def _bisect_inverse(g: Generator, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+_DECADES, _TENTHS = 10.0 ** np.arange(-300.0, 1.0), 10.0 ** (np.arange(-10.0, 1.0) / 10.0)
+
+
 def archimedean(g: Generator, dimension: int = 2) -> Copula:
-    """Archimedean copula C(u) = phi^[-1](phi(u_1) + ... + phi(u_d))."""
+    """Archimedean copula C(u) = phi^[-1](phi(u_1) + ... + phi(u_d)).
+
+    Its accuracy pair is the generator's, plus an abs term where phi
+    overflows: for large theta, t^-theta (Clayton) or (-log t)^theta
+    (Gumbel) is inf near 0 and the value comes out 0 where it is not.
+    """
     if dimension < 2:
         raise DimensionError(f"dimension must be >= 2, got {dimension}")
 
+    def phi_sum(pts: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _row_reduce(np.add, np.asarray(g.phi(pts), dtype=float))
+
     def formula(pts: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", over="ignore"):
-            total = _row_reduce(np.add, np.asarray(g.phi(pts), dtype=float))
-        return np.asarray(generalized_inverse(g, total), dtype=float)
+        return np.asarray(generalized_inverse(g, phi_sum(pts)), dtype=float)
 
     desc = {
         "family": "archimedean",
         "params": {"generator": {"name": g.name, **g.params}, "d": dimension},
     }
-    return copula_from_formula(dimension, formula, desc, g.accuracy)
+    def first_positive(ts: np.ndarray) -> float:  # of ascending t, the first where C(t, ..., t) comes out positive
+        return float(ts[np.argmax(formula(np.repeat(ts[:, None], dimension, axis=1)) > 0.0)])
+
+    # The computed C(u) grows with each coordinate, so a 0 needs min(u) below the first t where C(t, ..., t)
+    # comes out positive, and C(u) <= min(u): that t, found to a tenth of a decade, bounds the error of every
+    # 0 that an overflow makes.
+    floor = 0.0
+    if g.strict and not np.isfinite(phi_sum(np.full((1, dimension), 1e-300)))[0]:
+        decade = first_positive(_DECADES)
+        floor = first_positive(decade * _TENTHS)
+    rel, abs_, *region = g.accuracy
+    return copula_from_formula(dimension, formula, desc, (rel, abs_ + floor, *region))
 
 
 def marshall_olkin(alpha: float) -> Copula:

@@ -155,11 +155,23 @@ class TestLocalSampler:
         assert v.status == to.HOLDS and v.epsilon == (epsilon or 1.0)
 
     def test_threshold_is_relative(self):
-        # Clayton's accuracy pair is purely relative, so no point but 0 vs 0 is undecidable
+        # Clayton's accuracy pair is relative; Clayton(2)'s abs term covers the 0s of its phi's overflow
+        # below 1e-150, far below the sample, so no point but 0 vs 0 is undecidable
         v = to.check_loc(clayton(1.0), clayton(2.0))
-        pair = to.clayton_generator(1.0).accuracy
-        assert pair[1] == 0.0 and v.tolerance == (pair, pair)
-        assert v.as_dict()["tolerance"] == [list(pair), list(pair)] and "undecidable" not in v.note
+        pair, overflow = to.clayton_generator(1.0).accuracy, clayton(2.0).accuracy
+        assert pair[1] == 0.0 and v.tolerance == (pair, overflow)
+        assert overflow[0] == pair[0] and 0.0 < overflow[1] < 1e-150
+        assert v.as_dict()["tolerance"] == [list(pair), list(overflow)] and "undecidable" not in v.note
+
+    @pytest.mark.parametrize("c1, c2", [("clayton:10", "clayton:20"), ("clayton:12", "clayton:13"),
+                                        ("clayton:1", "clayton:40"), ("gumbel:150", "gumbel:200")])
+    def test_overflowing_generators_keep_their_order(self, c1, c2):
+        # both families increase with theta; near 0 phi overflows for the larger theta and the value comes
+        # out 0, which its pair's abs term makes undecidable instead of a violation
+        c1, c2 = shorthand(c1), shorthand(c2)
+        v = to.check_loc(c1, c2)
+        assert v.status == to.HOLDS and v.epsilon == 1.0 and "undecidable" in v.note
+        assert to.check_loc(c2, c1).status == to.FAILS
 
     @pytest.mark.parametrize("check", [
         lambda c1, c2: to.check_loc(c1, c2),
