@@ -168,6 +168,16 @@ def test_bisected_inverse_meets_the_custom_pair(d):
     np.testing.assert_array_equal(values[::7], [c.eval(p) for p in pts[::7]])
 
 
+def test_every_builder_sets_its_pair():
+    # a family that forgot its pair would pass its measurement with the stand-in CUSTOM, (1e-12, 0)
+    built = [c for _, c, _ in COPULAS] + [to.gaussian(rho) for rho in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    for table, build in ((descriptors._GENERATORS, descriptors.generator_from_spec),
+                         (descriptors._DIAGONALS, descriptors.diagonal_from_spec),
+                         (descriptors._TDFS, descriptors.tdf_from_spec)):
+        built += [build({"name": name, **{k: 2.0 for k in keys}}) for name, (keys, _) in table.items()]
+    assert [x for x in built if x.accuracy == core.CUSTOM] == []
+
+
 def test_every_family_is_measured():
     measured = {c.descriptor["family"] for _, c, _ in COPULAS} | {"gaussian"}  # in test_gaussian.py
     assert measured == set(descriptors._FAMILIES)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -402,3 +403,23 @@ def test_scipy_is_loaded_only_by_a_gaussian_evaluation():
     assert record["before"] is False
     assert record["after"] is True
     assert record["gaussian"] == [cli.EXIT_OK, "0.19189068682491817\n"]
+
+
+def package_imports(module):
+    """The (module, name) pairs a ``tailorder`` module takes from the package: ``from .m import name`` gives
+    (m, name), and ``from . import m`` gives (m, None) and (m, attr) for every attribute it reads of m."""
+    tree = ast.parse(Path(cli.__file__).with_name(f"{module}.py").read_text())
+    pairs, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            pairs += [(node.module, a.name) if node.module else (a.name, None) for a in node.names]
+            modules |= set() if node.module else {a.asname or a.name for a in node.names}
+    return pairs + [(node.value.id, node.attr) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules]
+
+
+def test_module_boundaries():
+    # the orders read each evaluator's own accuracy pair, and the CLI uses only public names
+    assert [p for p in package_imports("orders") if p[0] == "descriptors"] == []
+    assert [p for p in package_imports("cli") if p[1] and p[1].startswith("_")] == []
+    assert ("descriptors", "build_copula") in package_imports("cli") and ("taildep", "estimate_tdfs") in package_imports("cli")
