@@ -116,7 +116,8 @@ _OPTIONS = {
                       "it only for its tail dependence precondition. A verdict's JSON 'tolerance' holds each side's "
                       "accuracy pair [rel, abs], or [rel, abs, region] with abs only at points in the named "
                       "region: a point violates when C2 - C1 < -(rel1 |C1| + rel2 |C2| + abs1 + abs2)"),
-    "schedule": dict(default=None, help="limit schedule as s0,ratio,steps"),
+    "schedule": dict(default=None, help="limit schedule as s0,ratio,steps; order --too reads only ratio and steps, "
+                                        "since each ray starts where s*w meets a face of the cube"),
     "out": dict(default=None, help="output file (default: stdout)"),
     "format": dict(choices=("json", "csv"), help="output format (default: %(default)s)"),
 }

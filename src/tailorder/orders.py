@@ -255,8 +255,8 @@ def check_too(c1: Copula, c2: Copula, directions: Sequence | None = None,
 
     For each direction w the scan starts at the largest scale s with
     s*w in [0,1]^d and descends geometrically by the schedule's ratio for
-    the schedule's step count.  All rays go to ``cdf`` in one batch per
-    copula.  Returns one verdict per direction.
+    the schedule's step count; the schedule's s0 is not read.  All rays go
+    to ``cdf`` in one batch per copula.  Returns one verdict per direction.
     """
     if c1.dimension != c2.dimension:
         raise DimensionError("copulas have different dimensions")
