@@ -33,7 +33,6 @@ __all__ = [
     "PRODUCT",
     "LOWER_BOUND",
     "CUSTOM",
-    "ESTIMATED",
     "REGIONS",
     "abs_at",
     "CopulaError",
@@ -68,8 +67,6 @@ EXACT = (0.0, 0.0)
 PRODUCT = (5e-16, 0.0)  # a product of d <= 4 coordinates
 LOWER_BOUND = (0.0, ULP)  # max(u + v - 1, 0)
 CUSTOM = (1e-12, 0.0)  # an evaluator built from a bare function, which no builder measured
-# an estimated tail dependence function: an unmeasured stand-in until each estimate carries its error bar
-ESTIMATED = (0.0, 1e-6)
 # where an abs term counts, when not everywhere: a predicate on the sampled points, named by a pair's third entry
 REGIONS = {
     # Bertino's cancelling branch, which a power diagonal reaches only there: t - t^p increases on [0, 1/e]

@@ -211,9 +211,12 @@ _DECADES, _TENTHS = 10.0 ** np.arange(-300.0, 1.0), 10.0 ** (np.arange(-10.0, 1.
 def archimedean(g: Generator, dimension: int = 2) -> Copula:
     """Archimedean copula C(u) = phi^[-1](phi(u_1) + ... + phi(u_d)).
 
-    Its accuracy pair is the generator's, plus an abs term where phi
-    overflows: for large theta, t^-theta (Clayton) or (-log t)^theta
-    (Gumbel) is inf near 0 and the value comes out 0 where it is not.
+    Its accuracy pair is the generator's plus an abs term where phi
+    overflows near 0 (t^-theta for a large Clayton theta, (-log t)^theta
+    for Gumbel) and values come out 0 that are not: the computed C(u) grows
+    with each coordinate, so a 0 needs min(u) below the first t where
+    C(t, ..., t) comes out positive, found to a tenth of a decade, and
+    C(u) <= min(u).
     """
     if dimension < 2:
         raise DimensionError(f"dimension must be >= 2, got {dimension}")
@@ -225,20 +228,16 @@ def archimedean(g: Generator, dimension: int = 2) -> Copula:
     def formula(pts: np.ndarray) -> np.ndarray:
         return np.asarray(generalized_inverse(g, phi_sum(pts)), dtype=float)
 
+    def first_positive(ts: np.ndarray) -> float:  # the first of ascending t where C(t, ..., t) comes out positive
+        return float(ts[np.argmax(formula(np.repeat(ts[:, None], dimension, axis=1)) > 0.0)])
+
+    floor = 0.0
+    if g.strict and not np.isfinite(phi_sum(np.full((1, dimension), 1e-300)))[0]:
+        floor = first_positive(first_positive(_DECADES) * _TENTHS)
     desc = {
         "family": "archimedean",
         "params": {"generator": {"name": g.name, **g.params}, "d": dimension},
     }
-    def first_positive(ts: np.ndarray) -> float:  # of ascending t, the first where C(t, ..., t) comes out positive
-        return float(ts[np.argmax(formula(np.repeat(ts[:, None], dimension, axis=1)) > 0.0)])
-
-    # The computed C(u) grows with each coordinate, so a 0 needs min(u) below the first t where C(t, ..., t)
-    # comes out positive, and C(u) <= min(u): that t, found to a tenth of a decade, bounds the error of every
-    # 0 that an overflow makes.
-    floor = 0.0
-    if g.strict and not np.isfinite(phi_sum(np.full((1, dimension), 1e-300)))[0]:
-        decade = first_positive(_DECADES)
-        floor = first_positive(decade * _TENTHS)
     rel, abs_, *region = g.accuracy
     return copula_from_formula(dimension, formula, desc, (rel, abs_ + floor, *region))
 

@@ -149,10 +149,6 @@ def _witness(points: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, i: int) -> di
     return {"point": [float(x) for x in np.atleast_1d(points[i])], "lhs": float(lhs[i]), "rhs": float(rhs[i])}
 
 
-def _sides(x1, x2) -> tuple:
-    return x1.accuracy, x2.accuracy
-
-
 def _verdict(points: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, tolerance: tuple, resolution: int = 0, *,
              scale: np.ndarray | None = None, candidates: np.ndarray | None = None,
              epsilon: float | None = None, strict: bool = False, note: str = "") -> OrderVerdict:
@@ -204,7 +200,7 @@ def check_tdo(lam1: TailDepFunction, lam2: TailDepFunction, grid: GridConfig | N
         raise DimensionError("tail dependence functions have different dimensions")
     g = _order_grid(grid)
     dirs = simplex_directions(g.resolution + 1, lam1.dimension)
-    return _verdict(dirs, lam1(dirs), lam2(dirs), _sides(lam1, lam2), g.resolution, strict=True)
+    return _verdict(dirs, lam1(dirs), lam2(dirs), (lam1.accuracy, lam2.accuracy), g.resolution, strict=True)
 
 
 @lru_cache(maxsize=None)
@@ -232,7 +228,7 @@ def _local_verdict(c1: Copula, c2: Copula, epsilon: float | None, cone: float = 
     radii = (1.0 if epsilon is None else epsilon) * 2.0 ** (-0.5 * np.arange(_RADII))
     points = np.minimum(radii[:, None, None] * dirs[None, :, :], 1.0).reshape(-1, d)
     lhs, rhs = np.asarray(c1.cdf(points)), np.asarray(c2.cdf(points))
-    return _verdict(points, lhs, rhs, _sides(c1, c2), scale=np.repeat(radii, len(dirs)),
+    return _verdict(points, lhs, rhs, (c1.accuracy, c2.accuracy), scale=np.repeat(radii, len(dirs)),
                     candidates=_HALVINGS if epsilon is None else np.array([epsilon]),
                     epsilon=epsilon, note=f"{_RADII} radii x {len(dirs)} directions")
 
@@ -275,7 +271,7 @@ def check_too(c1: Copula, c2: Copula, directions: Sequence | None = None,
     S = (1.0 / W.max(axis=1))[:, None] * sched.ratio ** np.arange(n)
     P = S[:, :, None] * W[:, None, :]
     lhs, rhs = (np.asarray(c.cdf(P.reshape(-1, d))).reshape(S.shape) for c in (c1, c2))
-    sides = _sides(c1, c2)
+    sides = c1.accuracy, c2.accuracy
     return [(w, _verdict(P[i], lhs[i], rhs[i], sides, scale=S[i])) for i, w in enumerate(dir_list)]
 
 
@@ -309,13 +305,13 @@ def check_diagonal_order(d1: DiagonalSection, d2: DiagonalSection,
     g = _order_grid(grid)
     t = np.linspace(0.0, 1.0, g.resolution + 1)[1:]
     v1, v2 = np.asarray(d1(t), dtype=float), np.asarray(d2(t), dtype=float)
-    return _verdict(t[:, None], v1, v2, _sides(d1, d2), g.resolution, scale=t, candidates=t)
+    return _verdict(t[:, None], v1, v2, (d1.accuracy, d2.accuracy), g.resolution, scale=t, candidates=t)
 
 
 def _generator_sides(g1: Generator, g2: Generator, what: str) -> tuple:
     if not (g1.strict and g2.strict):
         raise DomainError(f"{what} requires strict generators")
-    pair = tuple(map(sum, zip(*_sides(g1, g2))))  # each side combines both generators
+    pair = tuple(map(sum, zip(g1.accuracy, g2.accuracy)))  # each side combines both generators
     return pair, pair
 
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .core import CUSTOM, ESTIMATED, EXACT, ULP, CopulaError, DimensionError, DomainError, GridConfig, CheckResult
+from .core import CUSTOM, EXACT, ULP, CopulaError, DimensionError, DomainError, GridConfig, CheckResult
 from .core import ValidityReport, _row_reduce, _upper_frechet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -222,8 +222,9 @@ def estimated_tdf(c: "Copula", schedule: LimitSchedule | None = None) -> TailDep
         out[live] = m[live] * estimate_tdfs(c, pts[live] / m[live, None], sched).value
         return out
 
+    # an unmeasured stand-in pair until each estimate carries its error bar
     return TailDepFunction(fn, c.dimension, provenance="estimated", name="estimated",
-                           params={"family": c.descriptor.get("family", "?")}, accuracy=ESTIMATED)
+                           params={"family": c.descriptor.get("family", "?")}, accuracy=(0.0, 1e-6))
 
 
 def zero_tdf(dimension: int = 2) -> TailDepFunction:

@@ -234,7 +234,7 @@ def test_generator_pairs_hold(first, second):
 
 
 @pytest.mark.parametrize("lam, pair", [
-    (to.estimated_tdf(to.independence()), core.ESTIMATED),
+    (to.estimated_tdf(to.independence()), (0.0, 1e-6)),
     (to.TailDepFunction(lambda p: p.min(axis=1), 2), core.CUSTOM),
     (to.lift(to.SimplexTDF(lambda t: t * (1.0 - t))), core.CUSTOM),
 ], ids=["estimated", "custom", "custom-section"])
