@@ -222,7 +222,7 @@ def archimedean(g: Generator, dimension: int = 2) -> Copula:
         raise DimensionError(f"dimension must be >= 2, got {dimension}")
 
     def phi_sum(pts: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return _row_reduce(np.add, np.asarray(g.phi(pts), dtype=float))
 
     def formula(pts: np.ndarray) -> np.ndarray:
