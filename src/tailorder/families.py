@@ -69,7 +69,8 @@ class Generator:
     exists; otherwise the generalized inverse falls back to bisection.
     ``strict`` marks phi(0+) = inf, and ``rv_index_at_0`` records the
     regular-variation index alpha when known analytically.  ``accuracy`` is
-    the pair of its copula and, added to another's, of the generator checks.
+    its pair: :func:`archimedean` extends it where phi overflows, and the
+    generator checks add it to the other generator's.
     """
 
     phi: Callable
