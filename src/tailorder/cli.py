@@ -32,7 +32,6 @@ from .core import CopulaError, DimensionError, GridConfig
 from .descriptors import (
     SHORTHAND_USAGE,
     DescriptorError,
-    analytic_tdf_of,
     build_copula,
     load_descriptor,
 )
@@ -176,8 +175,7 @@ def _exit_code(statuses: set) -> int:
 
 
 def _tdf_of(c, sched) -> taildep.TailDepFunction:
-    lam = analytic_tdf_of(c)
-    return lam if lam is not None else taildep.estimated_tdf(c, sched)
+    return c.tdf if c.tdf is not None else taildep.estimated_tdf(c, sched)
 
 
 def _ray_table(results) -> tuple[tuple, list]:
@@ -208,8 +206,7 @@ def cmd_order(args) -> int:
         verdict = orders.check_diagonal_order(families.diagonal_of(c1), families.diagonal_of(c2), g)
         header = ("t", "C1", "C2")
     elif args.cone is not None:
-        verdict = orders.check_cone_order(c1, c2, orders.ConeSpec(args.cone), args.eps, g,
-                                          lam1=analytic_tdf_of(c1), lam2=analytic_tdf_of(c2))
+        verdict = orders.check_cone_order(c1, c2, orders.ConeSpec(args.cone), args.eps, g)
     else:  # --loc
         verdict = orders.check_loc(c1, c2, args.eps)
     s = verdict.samples

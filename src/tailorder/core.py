@@ -1,7 +1,12 @@
-"""Copula objects, axiomatic validity audits, and structural combinators.
+"""Copula objects, their tail dependence functions, axiomatic validity audits, and structural combinators.
 
 A copula is represented by an immutable :class:`Copula` carrying its
-dimension, a vectorized evaluator, and a JSON-able descriptor.  Evaluators
+dimension, a vectorized evaluator, a JSON-able descriptor, and its lower
+tail dependence function Lambda(w) = lim C(s*w)/s as a
+:class:`TailDepFunction` when a closed form is known.  The builder that owns
+a copula's formula sets that Lambda, as it sets the accuracy pair below; a
+copula without one carries None, and its Lambda can only be estimated (see
+``taildep``).  Evaluators
 built through the family constructors are wrapped so that the boundary
 axioms (groundedness and uniform margins) hold exactly at coordinates that
 are exactly 0 or 1; :func:`copula_from_callable` skips that wrapper so that
@@ -20,7 +25,7 @@ measures the pairs; the orders set every threshold from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +46,9 @@ __all__ = [
     "GridConfig",
     "CheckResult",
     "ValidityReport",
+    "TailDepFunction",
+    "zero_tdf",
+    "min_tdf",
     "Copula",
     "copula_from_formula",
     "copula_from_callable",
@@ -170,6 +178,42 @@ class ValidityReport:
         }
 
 
+@dataclass(frozen=True)
+class TailDepFunction:
+    """Positively homogeneous tail dependence function on [0, inf)^d.
+
+    ``fn`` maps an (n, d) array of nonnegative directions to (n,) values;
+    ``provenance`` records whether the function is a closed form or a
+    numerical estimate.  ``breakpoints`` lists the known kinks t of the
+    unit-simplex section t -> Lambda(t, 1-t) (d = 2 only), where the
+    quadrature functional splits its panels.  ``accuracy`` is the
+    evaluator's accuracy pair (see the module docstring).
+    """
+
+    fn: Callable
+    dimension: int
+    provenance: str = "analytic"
+    name: str = "custom"
+    params: dict = field(default_factory=dict)
+    breakpoints: tuple[float, ...] = ()
+    accuracy: tuple = CUSTOM
+
+    def __call__(self, w):
+        arr = np.asarray(w, dtype=float)
+        scalar = arr.ndim == 1
+        if arr.shape[-1] != self.dimension:
+            raise DimensionError(
+                f"directions have {arr.shape[-1]} coordinates, expected {self.dimension}"
+            )
+        pts = np.atleast_2d(arr).reshape(-1, self.dimension)
+        if (pts < 0).any():
+            raise DomainError("directions must be nonnegative")
+        vals = np.asarray(self.fn(pts), dtype=float)
+        if scalar:
+            return float(vals[0])
+        return vals.reshape(arr.shape[:-1])
+
+
 class Copula:
     """A d-dimensional copula with a vectorized pointwise evaluator.
 
@@ -186,21 +230,25 @@ class Copula:
     accuracy : tuple
         The evaluator's accuracy pair (rel, abs), or (rel, abs, region);
         see the module docstring.
+    tdf : TailDepFunction or None
+        The closed-form lower tail dependence function, or None when the
+        builder knows none.
 
     Instances are immutable and evaluation is pure, so copulas are safe to
     share between threads or processes.
     """
 
-    __slots__ = ("dimension", "descriptor", "accuracy", "_evaluator")
+    __slots__ = ("dimension", "descriptor", "accuracy", "tdf", "_evaluator")
 
     def __init__(self, dimension: int, evaluator: Callable[[np.ndarray], np.ndarray], descriptor: dict,
-                 accuracy: tuple = CUSTOM):
+                 accuracy: tuple = CUSTOM, tdf: TailDepFunction | None = None):
         if dimension < 2:
             raise DimensionError(f"copulas need dimension >= 2, got {dimension}")
         object.__setattr__(self, "dimension", int(dimension))
         object.__setattr__(self, "_evaluator", evaluator)
         object.__setattr__(self, "descriptor", descriptor)
         object.__setattr__(self, "accuracy", accuracy)
+        object.__setattr__(self, "tdf", tdf)
 
     def __setattr__(self, name, value):
         raise AttributeError("Copula objects are immutable")
@@ -296,9 +344,10 @@ def _with_boundary_axioms(formula: Callable, dimension: int) -> Callable:
     return wrapped
 
 
-def copula_from_formula(dimension: int, formula: Callable, descriptor: dict, accuracy: tuple = CUSTOM) -> Copula:
+def copula_from_formula(dimension: int, formula: Callable, descriptor: dict, accuracy: tuple = CUSTOM,
+                        tdf: TailDepFunction | None = None) -> Copula:
     """Build a copula from a raw CDF formula, enforcing exact boundary axioms."""
-    return Copula(dimension, _with_boundary_axioms(formula, dimension), descriptor, accuracy)
+    return Copula(dimension, _with_boundary_axioms(formula, dimension), descriptor, accuracy, tdf)
 
 
 def copula_from_callable(fn: Callable, dimension: int, descriptor: dict | None = None) -> Copula:
@@ -323,21 +372,36 @@ def _lower_frechet(pts: np.ndarray) -> np.ndarray:
     return np.maximum(_row_reduce(np.add, pts) - 1.0, 0.0)
 
 
+def zero_tdf(dimension: int = 2) -> TailDepFunction:
+    """Vanishing tail dependence function (tail-independent copulas)."""
+    return TailDepFunction(lambda pts: np.zeros(pts.shape[0]), dimension, name="zero", accuracy=EXACT)
+
+
+def min_tdf(dimension: int = 2) -> TailDepFunction:
+    """Upper bound min_k w_k (the comonotone tail dependence function)."""
+    return TailDepFunction(
+        _upper_frechet, dimension, name="min",
+        breakpoints=(0.5,) if dimension == 2 else (),  # the kink of min(t, 1 - t)
+        accuracy=EXACT,
+    )
+
+
 def independence(dimension: int = 2) -> Copula:
     """Product copula: C(u) = u_1 * ... * u_d."""
     return copula_from_formula(dimension, _product, {"family": "independence", "params": {"d": dimension}},
-                               PRODUCT)
+                               PRODUCT, zero_tdf(dimension))
 
 
 def comonotone(dimension: int = 2) -> Copula:
     """Upper Frechet-Hoeffding bound: C(u) = min_k u_k."""
     return copula_from_formula(dimension, _upper_frechet, {"family": "comonotone", "params": {"d": dimension}},
-                               EXACT)
+                               EXACT, min_tdf(dimension))
 
 
 def countermonotone() -> Copula:
     """Lower Frechet-Hoeffding bound max(u_1 + u_2 - 1, 0); a copula only for d = 2."""
-    return copula_from_formula(2, _lower_frechet, {"family": "countermonotone", "params": {}}, LOWER_BOUND)
+    return copula_from_formula(2, _lower_frechet, {"family": "countermonotone", "params": {}}, LOWER_BOUND,
+                               zero_tdf())
 
 
 def h_volume(c: Copula, lower, upper) -> float:

@@ -8,13 +8,14 @@ accepted over the file interface).  The tables below are the schema: a
 family tag, shorthand head or spec name is valid exactly when it has an
 entry, and every name a built object records is a name its table accepts,
 so each descriptor a copula carries builds that copula again.  The built
-objects carry their own accuracy pairs, set by the builders (see ``core``).
+objects carry their own accuracy pairs and closed-form tail dependence
+functions, set by the builders (see ``core``); a descriptor is only read
+to build.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 from . import core, families, taildep
@@ -33,7 +34,6 @@ __all__ = [
     "load_descriptor",
     "descriptor_to_json",
     "descriptor_from_json",
-    "analytic_tdf_of",
 ]
 
 
@@ -110,58 +110,23 @@ def _dim(p: dict) -> int:
     return _param(p, "d", int, 2)
 
 
-def _archimedean_tdf(p: dict, d: int) -> TailDepFunction | None:
-    alpha = generator_from_spec(p.get("generator")).rv_index_at_0
-    return None if alpha is None else taildep.archimedean_tdf(alpha, d)
-
-
-def _power_diagonal_tdf(p: dict, d: int) -> TailDepFunction | None:
-    # C(s*w)/s for the diagonal t^p is min(w) when p = 1 and O(s^(p-1)) -> 0 when p > 1
-    spec = p.get("diagonal", {})
-    if spec.get("name") != "power":
-        return None
-    return taildep.min_tdf(d) if _param(spec, "p") == 1.0 else taildep.zero_tdf(d)
-
-
-def _gaussian_tdf(p: dict, d: int) -> TailDepFunction:
-    # above the cutoff families.gaussian builds the comonotone copula; below
-    # it the tail limit vanishes (for |rho| < 1 too slowly to estimate)
-    return taildep.min_tdf(d) if _param(p, "rho") > families.GAUSS_RHO_CUTOFF else taildep.zero_tdf(d)
-
-
-def _ev_tdf(p: dict, d: int) -> TailDepFunction:
-    # u1 u2 exp(Lambda(-log u)) at u = s*w is of order s^(2 - Lambda(1, 1)), so C(s*w)/s tends to 0
-    # unless Lambda(1, 1) = 1: Lambda is then min (the fixture min, or Clayton with alpha = inf), C is M
-    lam = tdf_from_spec(p.get("tdf"), d)
-    return taildep.min_tdf(d) if lam.name == "min" or lam.params.get("alpha") == math.inf else taildep.zero_tdf(d)
-
-
-def _zero_tdf(p: dict, d: int) -> TailDepFunction:
-    return taildep.zero_tdf(d)
-
-
-# family tag -> (builder of (params, descriptor), closed-form tail dependence function of
-# (params, dimension) or None where there is none)
+# family tag -> builder of (params, descriptor)
 _FAMILIES = {
-    "independence": (lambda p, desc: core.independence(_dim(p)), _zero_tdf),
-    "comonotone": (lambda p, desc: core.comonotone(_dim(p)), lambda p, d: taildep.min_tdf(d)),
-    "countermonotone": (lambda p, desc: core.countermonotone(), _zero_tdf),
-    "archimedean": (lambda p, desc: families.archimedean(generator_from_spec(p.get("generator")), _dim(p)),
-                    _archimedean_tdf),
-    "marshall_olkin": (lambda p, desc: families.marshall_olkin(_param(p, "alpha")), _zero_tdf),
-    "gaussian": (lambda p, desc: families.gaussian(_param(p, "rho")), _gaussian_tdf),
-    "extreme_value": (lambda p, desc: families.ev_copula(tdf_from_spec(p.get("tdf"))), _ev_tdf),
-    "lower_extreme_value": (lambda p, desc: families.lower_ev_copula(tdf_from_spec(p.get("tdf"))),
-                            lambda p, d: tdf_from_spec(p.get("tdf"), d)),
-    "fredricks_nelsen": (lambda p, desc: families.fredricks_nelsen(diagonal_from_spec(p.get("diagonal"))),
-                         _power_diagonal_tdf),
-    "bertino": (lambda p, desc: families.bertino(diagonal_from_spec(p.get("diagonal"))), _power_diagonal_tdf),
-    "semilinear": (lambda p, desc: families.semilinear(diagonal_from_spec(p.get("diagonal"))),
-                   _power_diagonal_tdf),
-    "glue": (lambda p, desc: core.glue(_child(desc, "left"), _child(desc, "right"),
-                                       _param(p, "axis", int), _param(p, "split")), None),
-    "survival": (lambda p, desc: core.survival(_child(desc, "inner")), None),
-    "hierarchical": (lambda p, desc: families.hierarchical(_child(desc, "outer"), _child(desc, "inner")), None),
+    "independence": lambda p, desc: core.independence(_dim(p)),
+    "comonotone": lambda p, desc: core.comonotone(_dim(p)),
+    "countermonotone": lambda p, desc: core.countermonotone(),
+    "archimedean": lambda p, desc: families.archimedean(generator_from_spec(p.get("generator")), _dim(p)),
+    "marshall_olkin": lambda p, desc: families.marshall_olkin(_param(p, "alpha")),
+    "gaussian": lambda p, desc: families.gaussian(_param(p, "rho")),
+    "extreme_value": lambda p, desc: families.ev_copula(tdf_from_spec(p.get("tdf"))),
+    "lower_extreme_value": lambda p, desc: families.lower_ev_copula(tdf_from_spec(p.get("tdf"))),
+    "fredricks_nelsen": lambda p, desc: families.fredricks_nelsen(diagonal_from_spec(p.get("diagonal"))),
+    "bertino": lambda p, desc: families.bertino(diagonal_from_spec(p.get("diagonal"))),
+    "semilinear": lambda p, desc: families.semilinear(diagonal_from_spec(p.get("diagonal"))),
+    "glue": lambda p, desc: core.glue(_child(desc, "left"), _child(desc, "right"), _param(p, "axis", int),
+                                      _param(p, "split")),
+    "survival": lambda p, desc: core.survival(_child(desc, "inner")),
+    "hierarchical": lambda p, desc: families.hierarchical(_child(desc, "outer"), _child(desc, "inner")),
 }
 
 
@@ -174,19 +139,9 @@ def build_copula(desc: dict) -> Copula:
     params = desc.get("params", {})
     _require(isinstance(params, dict), "'params' must be an object")
     try:
-        return _FAMILIES[family][0](params, desc)
+        return _FAMILIES[family](params, desc)
     except (core.DomainError, core.DimensionError) as exc:
         raise DescriptorError(f"invalid {family} descriptor: {exc}") from exc
-
-
-def analytic_tdf_of(c: Copula) -> TailDepFunction | None:
-    """Closed-form tail dependence function of a copula, or None when its
-    descriptor names no family, generator, diagonal or fixture with one."""
-    rule = _FAMILIES.get(c.descriptor.get("family"), (None, None))[1]
-    try:
-        return None if rule is None else rule(c.descriptor.get("params", {}), c.dimension)
-    except DescriptorError:
-        return None
 
 
 def _spec(table: dict, text: str) -> dict:

@@ -3,7 +3,9 @@
 Archimedean generators with exact or bisected inverses, the Marshall-Olkin
 and Gaussian families, diagonal-driven constructions (Fredricks-Nelsen,
 Bertino, semilinear), extreme value copulas driven by a tail dependence
-function, and the three-variable hierarchical Archimedean nesting.
+function, and the three-variable hierarchical Archimedean nesting.  Each
+builder sets the copula's closed-form tail dependence function where it
+knows one (see ``core``).
 """
 
 from __future__ import annotations
@@ -25,15 +27,18 @@ from .core import (
     DimensionError,
     DomainError,
     GridConfig,
+    TailDepFunction,
     ValidityReport,
     _lower_frechet,
     _product,
     _row_reduce,
     _upper_frechet,
     copula_from_formula,
+    min_tdf,
     validate_copula,
+    zero_tdf,
 )
-from .taildep import TailDepFunction, _gauss_legendre_01, validate_tdf
+from .taildep import _gauss_legendre_01, archimedean_tdf, validate_tdf
 
 __all__ = [
     "Generator",
@@ -217,7 +222,8 @@ def archimedean(g: Generator, dimension: int = 2) -> Copula:
     for Gumbel) and values come out 0 that are not: the computed C(u) grows
     with each coordinate, so a 0 needs min(u) below the first t where
     C(t, ..., t) comes out positive, found to a tenth of a decade, and
-    C(u) <= min(u).
+    C(u) <= min(u).  Its tail dependence function is the closed form of
+    the generator's regular-variation index, or None when that is unknown.
     """
     if dimension < 2:
         raise DimensionError(f"dimension must be >= 2, got {dimension}")
@@ -240,7 +246,8 @@ def archimedean(g: Generator, dimension: int = 2) -> Copula:
         "params": {"generator": {"name": g.name, **g.params}, "d": dimension},
     }
     rel, abs_, *region = g.accuracy
-    return copula_from_formula(dimension, formula, desc, (rel, abs_ + floor, *region))
+    tdf = None if g.rv_index_at_0 is None else archimedean_tdf(g.rv_index_at_0, dimension)
+    return copula_from_formula(dimension, formula, desc, (rel, abs_ + floor, *region), tdf)
 
 
 def marshall_olkin(alpha: float) -> Copula:
@@ -257,6 +264,7 @@ def marshall_olkin(alpha: float) -> Copula:
         lambda pts: np.minimum(pts[:, 0] ** (1.0 - a) * pts[:, 1], pts[:, 0]),
         {"family": "marshall_olkin", "params": {"alpha": a}},
         PRODUCT,
+        zero_tdf(),
     )
 
 
@@ -350,6 +358,13 @@ def validate_semilinear_diagonal(delta: DiagonalSection, grid: GridConfig | None
     ))
 
 
+def _power_diagonal_tdf(delta: DiagonalSection) -> TailDepFunction | None:
+    # Fredricks-Nelsen, Bertino and semilinear lie between 0 and min(u, v, (u^p + v^p)/2) for the diagonal t^p,
+    # so C(s*w)/s is min(w) when p = 1 and O(s^(p-1)) -> 0 when p > 1; no other diagonal has a closed form here
+    p = delta.params.get("p", 0.0) if delta.name == "power" else 0.0
+    return min_tdf() if p == 1.0 else zero_tdf() if p > 1.0 else None
+
+
 def fredricks_nelsen(delta: DiagonalSection) -> Copula:
     """Pointwise maximal symmetric copula with the prescribed diagonal.
 
@@ -363,7 +378,7 @@ def fredricks_nelsen(delta: DiagonalSection) -> Copula:
 
     desc = {"family": "fredricks_nelsen", "params": {"diagonal": {"name": delta.name, **delta.params}}}
     rel, *rest = delta.accuracy  # the diagonal's pair plus a rounding
-    return copula_from_formula(2, formula, desc, (rel + ULP, *rest))
+    return copula_from_formula(2, formula, desc, (rel + ULP, *rest), _power_diagonal_tdf(delta))
 
 
 def bertino(delta: DiagonalSection) -> Copula:
@@ -395,7 +410,7 @@ def bertino(delta: DiagonalSection) -> Copula:
     rel, abs_ = delta.accuracy[:2]
     region = ("max(u) > 1/e",) if delta.name == "power" else ()
     desc = {"family": "bertino", "params": {"diagonal": {"name": delta.name, **delta.params}}}
-    return copula_from_formula(2, formula, desc, (rel, abs_ + rel + ULP, *region))
+    return copula_from_formula(2, formula, desc, (rel, abs_ + rel + ULP, *region), _power_diagonal_tdf(delta))
 
 
 _BERTINO_SCAN = 1024
@@ -464,7 +479,7 @@ def semilinear(delta: DiagonalSection) -> Copula:
 
     desc = {"family": "semilinear", "params": {"diagonal": {"name": delta.name, **delta.params}}}
     rel, *rest = delta.accuracy  # the diagonal's pair plus a rounding
-    return copula_from_formula(2, formula, desc, (rel + ULP, *rest))
+    return copula_from_formula(2, formula, desc, (rel + ULP, *rest), _power_diagonal_tdf(delta))
 
 
 # beyond |rho| = GAUSS_RHO_CUTOFF gaussian() builds the comonotone or countermonotone copula
@@ -548,10 +563,10 @@ def gaussian(rho: float) -> Copula:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        bound, pair = (_upper_frechet, EXACT) if r > 0 else (_lower_frechet, LOWER_BOUND)
-        return copula_from_formula(2, bound, desc, pair)
+        bound, pair, tdf = (_upper_frechet, EXACT, min_tdf()) if r > 0 else (_lower_frechet, LOWER_BOUND, zero_tdf())
+        return copula_from_formula(2, bound, desc, pair, tdf)
     if r == 0.0:
-        return copula_from_formula(2, _product, desc, PRODUCT)
+        return copula_from_formula(2, _product, desc, PRODUCT, zero_tdf())
 
     def formula(pts: np.ndarray) -> np.ndarray:
         from scipy.special import ndtri
@@ -559,8 +574,9 @@ def gaussian(rho: float) -> Copula:
         q = ndtri(np.clip(pts, 1e-300, 1.0 - 1e-16))
         return np.asarray(bivariate_normal_cdf(q[:, 0], q[:, 1], r), dtype=float)
 
-    # the quadrature's two terms add for rho > 0 and cancel in the tail for rho < 0 (bivariate_normal_cdf)
-    return copula_from_formula(2, formula, desc, (1e-13, 0.0) if r > 0 else (0.0, 4e-16))
+    # the quadrature's two terms add for rho > 0 and cancel in the tail for rho < 0 (bivariate_normal_cdf);
+    # the tail limit vanishes for |rho| < 1, though too slowly to estimate
+    return copula_from_formula(2, formula, desc, (1e-13, 0.0) if r > 0 else (0.0, 4e-16), zero_tdf())
 
 
 def ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
@@ -568,7 +584,10 @@ def ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
 
     ``lam`` must be a valid bivariate tail dependence function (audited
     unless ``validate=False``); the boundary value 0 at u_k = 0 is taken as
-    the limit.
+    the limit.  Near the origin C(s*w) is of order s^(2 - Lambda(1, 1)), so
+    C(s*w)/s tends to 0 unless Lambda(1, 1) = 1, which holds exactly when
+    Lambda is min, and then C is the comonotone copula: the copula's tail
+    dependence function is min or zero.
     """
     _require_valid_ev_tdf(lam, validate)
 
@@ -577,7 +596,7 @@ def ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
         return np.exp(_row_reduce(np.add, logs) + lam(-logs))
 
     desc = {"family": "extreme_value", "params": {"tdf": {"name": lam.name, **lam.params}}}
-    return copula_from_formula(2, formula, desc, (5e-14, 0.0))
+    return copula_from_formula(2, formula, desc, (5e-14, 0.0), min_tdf() if lam((1.0, 1.0)) == 1.0 else zero_tdf())
 
 
 def lower_ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
@@ -597,7 +616,7 @@ def lower_ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
     # uv + (1-u)(1-v) expm1(Lambda(x, y)), with x > y where u > v: Lambda's pair and region, plus a rounding
     rel, *rest = lam.accuracy
     desc = {"family": "lower_extreme_value", "params": {"tdf": {"name": lam.name, **lam.params}}}
-    return copula_from_formula(2, formula, desc, (rel + 1e-15, *rest))
+    return copula_from_formula(2, formula, desc, (rel + 1e-15, *rest), lam)
 
 
 def _require_valid_ev_tdf(lam: TailDepFunction, validate: bool):

@@ -276,19 +276,18 @@ def check_too(c1: Copula, c2: Copula, directions: Sequence | None = None,
 
 
 def check_cone_order(c1: Copula, c2: Copula, cone: ConeSpec, epsilon: float | None = None,
-                     grid: GridConfig | None = None,
-                     lam1: TailDepFunction | None = None,
-                     lam2: TailDepFunction | None = None) -> OrderVerdict:
+                     grid: GridConfig | None = None) -> OrderVerdict:
     """Pointwise order on a cone bounded away from the axes, near the origin.
 
-    A strict tail dependence ordering guarantees some such radius exists;
-    passing the tail dependence functions triggers that precondition check
-    on ``grid`` (a warning is emitted when it is not strict).  The copulas
-    are sampled as in :func:`check_loc` on the directions in the cone.
+    A strict tail dependence ordering guarantees some such radius exists:
+    when both copulas carry a closed-form tail dependence function (their
+    ``tdf``), that precondition is checked on ``grid`` and a warning is
+    emitted when it is not strict.  The copulas are sampled as in
+    :func:`check_loc` on the directions in the cone.
     """
     g = _order_grid(grid)
-    if lam1 is not None and lam2 is not None:
-        pre = check_tdo(lam1, lam2, g)
+    if c1.tdf is not None and c2.tdf is not None:
+        pre = check_tdo(c1.tdf, c2.tdf, g)
         if pre.status != HOLDS_STRICTLY:
             warnings.warn(f"cone ordering expects a strictly ordered pair; tail dependence check says {pre.status}",
                           RuntimeWarning, stacklevel=2)

@@ -1,9 +1,12 @@
 """Tail dependence functions: limits, closed forms, audits, and functionals.
 
 The lower tail dependence function of a copula C in direction w is the
-limit of C(s*w)/s as s decreases to 0.  This module estimates that limit
-along geometric schedules, ships the closed forms available for the
-regularly varying Archimedean class, reduces bivariate functions to their
+limit of C(s*w)/s as s decreases to 0.  A copula carries it as ``tdf`` when
+its builder knows a closed form (see ``core``, which also holds the
+:class:`TailDepFunction` type and the zero and min functions, re-exported
+here).  This module estimates that limit along geometric schedules for the
+copulas without one, ships the closed forms available for the regularly
+varying Archimedean class, reduces bivariate functions to their
 unit-simplex sections and back, audits the characterizing properties, and
 evaluates the limiting Spearman-type functional (d+1) * integral of the
 tail dependence function over the unit cube.
@@ -17,8 +20,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .core import CUSTOM, EXACT, ULP, CopulaError, DimensionError, DomainError, GridConfig, CheckResult
-from .core import ValidityReport, _row_reduce, _upper_frechet
+from .core import CUSTOM, ULP, CopulaError, DimensionError, DomainError, GridConfig, CheckResult, TailDepFunction
+from .core import ValidityReport, _row_reduce, min_tdf, zero_tdf
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Copula
@@ -118,42 +121,6 @@ class SimplexTDF:
         return float(out) if t_arr.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class TailDepFunction:
-    """Positively homogeneous tail dependence function on [0, inf)^d.
-
-    ``fn`` maps an (n, d) array of nonnegative directions to (n,) values;
-    ``provenance`` records whether the function is a closed form or a
-    numerical estimate.  ``breakpoints`` lists the known kinks t of the
-    unit-simplex section t -> Lambda(t, 1-t) (d = 2 only), where the
-    quadrature functional splits its panels.  ``accuracy`` is the
-    evaluator's accuracy pair (see ``core``).
-    """
-
-    fn: Callable
-    dimension: int
-    provenance: str = "analytic"
-    name: str = "custom"
-    params: dict = field(default_factory=dict)
-    breakpoints: tuple[float, ...] = ()
-    accuracy: tuple = CUSTOM
-
-    def __call__(self, w):
-        arr = np.asarray(w, dtype=float)
-        scalar = arr.ndim == 1
-        if arr.shape[-1] != self.dimension:
-            raise DimensionError(
-                f"directions have {arr.shape[-1]} coordinates, expected {self.dimension}"
-            )
-        pts = np.atleast_2d(arr).reshape(-1, self.dimension)
-        if (pts < 0).any():
-            raise DomainError("directions must be nonnegative")
-        vals = np.asarray(self.fn(pts), dtype=float)
-        if scalar:
-            return float(vals[0])
-        return vals.reshape(arr.shape[:-1])
-
-
 _GAP_TOL, _WINDOW = 1e-4, 5  # convergence of an estimate: its last difference and the window of differences
 
 
@@ -225,20 +192,6 @@ def estimated_tdf(c: "Copula", schedule: LimitSchedule | None = None) -> TailDep
     # an unmeasured stand-in pair until each estimate carries its error bar
     return TailDepFunction(fn, c.dimension, provenance="estimated", name="estimated",
                            params={"family": c.descriptor.get("family", "?")}, accuracy=(0.0, 1e-6))
-
-
-def zero_tdf(dimension: int = 2) -> TailDepFunction:
-    """Vanishing tail dependence function (tail-independent copulas)."""
-    return TailDepFunction(lambda pts: np.zeros(pts.shape[0]), dimension, name="zero", accuracy=EXACT)
-
-
-def min_tdf(dimension: int = 2) -> TailDepFunction:
-    """Upper bound min_k w_k (the comonotone tail dependence function)."""
-    return TailDepFunction(
-        _upper_frechet, dimension, name="min",
-        breakpoints=(0.5,) if dimension == 2 else (),  # the kink of min(t, 1 - t)
-        accuracy=EXACT,
-    )
 
 
 def archimedean_tdf(alpha: float, dimension: int = 2) -> TailDepFunction:

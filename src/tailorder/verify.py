@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, families, orders, taildep
-from .descriptors import analytic_tdf_of, build_copula, parse_shorthand
+from .descriptors import build_copula, parse_shorthand
 
 __all__ = ["CheckOutcome", "SUITES", "run_suite", "suite_names"]
 
@@ -47,37 +47,36 @@ def _fig1_tdfs():
 
 
 def _matching_pairs():
-    """Fixture copulas paired with their closed-form tail dependence functions from the family table."""
+    """Fixture copulas paired with the closed-form tail dependence functions they carry."""
     fixtures = (("independence", "independence"), ("comonotone", "comonotone"),
                 ("marshall-olkin-0.5", "marshall-olkin:0.5"), ("clayton-1", "clayton:1"),
                 ("clayton-2", "clayton:2"), ("nonstrict-linear", "nonstrict-linear"),
                 ("lev-parabola", "lev:fig1-parabola"), ("lev-piecewise", "lev:fig1-piecewise"))
     copulas = [(name, build_copula(parse_shorthand(text))) for name, text in fixtures]
-    return [(name, c, analytic_tdf_of(c)) for name, c in copulas]
+    return [(name, c, c.tdf) for name, c in copulas]
 
 
 def _suite_expansion():
     out = []
-    cp, lam_min = core.comonotone(), taildep.min_tdf()
+    cp = core.comonotone()
     worst = max(
-        abs(taildep.tail_expansion_residual(cp, lam_min, (u, v)))
+        abs(taildep.tail_expansion_residual(cp, cp.tdf, (u, v)))
         for u, v in ((0.3, 0.7), (0.05, 0.02), (0.5, 0.5))
     )
     out.append(_outcome("expansion", "comonotone-residual-exact", worst <= 1e-15, f"worst |R| = {worst:.2e}"))
 
-    c1, lam1 = _clayton(1.0), taildep.archimedean_tdf(1.0)
-    worst = max(abs(taildep.tail_expansion_residual(c1, lam1, (s, s)) - s / (4.0 * (2.0 - s)))
+    c1 = _clayton(1.0)
+    worst = max(abs(taildep.tail_expansion_residual(c1, c1.tdf, (s, s)) - s / (4.0 * (2.0 - s)))
                 for s in (0.1, 0.01, 0.001))
     out.append(_outcome("expansion", "clayton-residual-closed-form", worst <= 1e-9, f"worst dev = {worst:.2e}"))
 
-    pi, lam0 = core.independence(), taildep.zero_tdf()
-    devs = [abs(taildep.tail_expansion_residual(pi, lam0, (s, s)) - s / 2.0) for s in (0.1, 0.01, 0.001)]
+    pi = core.independence()
+    devs = [abs(taildep.tail_expansion_residual(pi, pi.tdf, (s, s)) - s / 2.0) for s in (0.1, 0.01, 0.001)]
     out.append(_outcome("expansion", "product-residual-s-over-2", max(devs) <= 1e-15, f"worst dev = {max(devs):.2e}"))
 
     scales = [10.0 ** (-k) for k in range(1, 7)]
-    for name, c, lam in (("clayton-2", _clayton(2.0), taildep.archimedean_tdf(2.0)),
-                         ("product", pi, lam0)):
-        res = [abs(taildep.tail_expansion_residual(c, lam, (s, s))) for s in scales]
+    for name, c in (("clayton-2", _clayton(2.0)), ("product", pi)):
+        res = [abs(taildep.tail_expansion_residual(c, c.tdf, (s, s))) for s in scales]
         shrinking = all(b <= a + 1e-15 for a, b in zip(res, res[1:])) and res[-1] < 1e-4
         out.append(_outcome("expansion", f"residual-vanishes-{name}", shrinking, f"last |R| = {res[-1]:.2e}"))
     return out
@@ -131,9 +130,9 @@ def _suite_archimedean():
     out.append(_outcome("archimedean", "rv-index-matches-analytic", max(devs) <= 1e-3,
                         f"worst dev = {max(devs):.2e}"))
 
-    lam2 = taildep.archimedean_tdf(2.0)
+    c2 = _clayton(2.0)
     dirs = taildep.simplex_directions(21)
-    worst = float(np.abs(taildep.estimate_tdfs(_clayton(2.0), dirs).value - lam2(dirs)).max())
+    worst = float(np.abs(taildep.estimate_tdfs(c2, dirs).value - c2.tdf(dirs)).max())
     out.append(_outcome("archimedean", "clayton-tdf-surface", worst <= 5e-3, f"worst dev = {worst:.2e}"))
     return out
 
@@ -209,7 +208,7 @@ def _suite_cone():
     out = []
     mo = families.marshall_olkin(0.5)
     c1 = _clayton(1.0)
-    tdo = orders.check_tdo(taildep.zero_tdf(), taildep.archimedean_tdf(1.0))
+    tdo = orders.check_tdo(mo.tdf, c1.tdf)
     out.append(_outcome("cone", "mo-strictly-below-clayton-tdo",
                         tdo.status == orders.HOLDS_STRICTLY, tdo.status))
     for eps in (0.2, 0.1, 0.05):
@@ -242,8 +241,7 @@ def _suite_spearman():
     out.append(_outcome("spearman", "equality-comonotone", abs(bound - 1.0) <= 1e-6,
                         f"bound = {bound:.9f}"))
     c3 = families.archimedean(families.clayton_generator(2.0), 3)
-    lam3 = taildep.archimedean_tdf(2.0, 3)
-    bound3 = taildep.spearman_tdf_limit(lam3)
+    bound3 = taildep.spearman_tdf_limit(c3.tdf)
     tdc3 = taildep.tdc(c3).value
     out.append(_outcome("spearman", "bound-dominates-clayton-d3", tdc3 <= bound3 + 1e-6,
                         f"tdc = {tdc3:.6f} <= bound = {bound3:.6f}"))

@@ -9,7 +9,6 @@ import tailorder as to
 from tailorder import descriptors
 from tailorder.descriptors import (
     DescriptorError,
-    analytic_tdf_of,
     build_copula,
     descriptor_from_json,
     descriptor_to_json,
@@ -123,7 +122,7 @@ class TestAnalyticTDF:
     @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0])
     def test_power_diagonal_families(self, family, p):
         c = build_copula(parse_shorthand(f"{family}:{p}"))
-        lam = analytic_tdf_of(c)
+        lam = c.tdf
         assert lam.name == ("min" if p == 1.0 else "zero")
         # each of the three lies between 0 and min(u, v, (u^p + v^p)/2), so for max(w) <= 1
         # 0 <= C(s*w)/s - Lambda(w) <= s^(p-1)
@@ -135,12 +134,12 @@ class TestAnalyticTDF:
     @pytest.mark.parametrize("text, alpha", [("clayton:2", 2.0), ("gumbel:2", 0.0), ("joe:3", 0.0),
                                              ("nonstrict-linear", 0.0)])
     def test_archimedean_index_comes_from_the_generator(self, text, alpha):
-        lam = analytic_tdf_of(build_copula(parse_shorthand(text)))
+        lam = build_copula(parse_shorthand(text)).tdf
         w = to.simplex_directions(17)
         np.testing.assert_array_equal(lam(w), to.archimedean_tdf(alpha)(w))
 
     def test_lower_ev_returns_its_fixture(self):
-        lam = analytic_tdf_of(build_copula(parse_shorthand("lev:fig1-parabola")))
+        lam = build_copula(parse_shorthand("lev:fig1-parabola")).tdf
         w = to.simplex_directions(17)
         np.testing.assert_array_equal(lam(w), to.lift(to.parabola_section())(w))
 
@@ -149,7 +148,7 @@ class TestAnalyticTDF:
                                                ("fig1-parabola", "zero"), ("fig1-piecewise", "zero")])
     def test_extreme_value_matches_a_long_estimate(self, fixture, name):
         c = build_copula(parse_shorthand(f"ev:{fixture}"))
-        lam = analytic_tdf_of(c)
+        lam = c.tdf
         assert lam.name == name
         rel = c.accuracy[0]
         # C(s*w)/s is of order s^(1 - L(1, 1)) for the fixture L, so halving s scales it by rho
@@ -170,20 +169,26 @@ class TestAnalyticTDF:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             c = build_copula(parse_shorthand(f"gaussian:{rho}"))
-        assert analytic_tdf_of(c).name == name
+        assert c.tdf.name == name
         if name == "min":
             pts = to.simplex_directions(17) * 1e-3
             np.testing.assert_array_equal(c.cdf(pts), pts.min(axis=1))
 
     @pytest.mark.parametrize("c", [
         to.copula_from_callable(lambda pts: pts.prod(axis=1), 2),
-        to.archimedean(to.Generator(lambda t: 1.0 - t, None, False, 0.0)),
-        to.lower_ev_copula(to.TailDepFunction(lambda pts: pts.min(axis=1), 2)),
         to.fredricks_nelsen(to.DiagonalSection(lambda t: t**1.5)),
-        to.ev_copula(to.TailDepFunction(lambda pts: pts.min(axis=1), 2)),
     ])
     def test_no_table_entry_gives_none(self, c):
-        assert analytic_tdf_of(c) is None
+        assert c.tdf is None
+
+    def test_custom_parts_get_their_closed_form(self):
+        # a builder's closed form needs only what the part says of itself, not a name the tables know
+        w = to.simplex_directions(17)
+        custom_min = to.TailDepFunction(lambda pts: pts.min(axis=1), 2)
+        nonstrict = to.archimedean(to.Generator(lambda t: 1.0 - t, None, False, 0.0))
+        np.testing.assert_array_equal(nonstrict.tdf(w), np.zeros(len(w)))
+        assert to.lower_ev_copula(custom_min).tdf is custom_min
+        assert to.ev_copula(custom_min).tdf.name == "min"
 
 
 class TestErrors:

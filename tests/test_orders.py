@@ -283,10 +283,7 @@ class TestConeOrder:
 
     def test_warns_when_not_strictly_ordered(self):
         with pytest.warns(RuntimeWarning):
-            to.check_cone_order(
-                to.comonotone(), to.independence(), to.ConeSpec(0.2), 0.1,
-                lam1=to.min_tdf(), lam2=to.zero_tdf(),
-            )
+            to.check_cone_order(to.comonotone(), to.independence(), to.ConeSpec(0.2), 0.1)
 
     def test_empty_cone_rejected(self):
         with pytest.raises(to.DomainError):
