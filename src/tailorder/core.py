@@ -465,7 +465,9 @@ def glue(left: Copula, right: Copula, axis: int, split: float) -> Copula:
     Along axis 1 the value is ``split * left(u1/split, u2)`` for
     ``u1 <= split`` and ``split * u2 + (1-split) * right((u1-split)/(1-split), u2)``
     beyond it; axis 2 is symmetric.  Both margins are preserved, so the
-    result is again a copula.
+    result is again a copula.  Near the origin only the left part counts:
+    the tail dependence function is ``split * Lambda_left(w1/split, w2)``
+    along axis 1 when the left part carries one.
     """
     if left.dimension != 2 or right.dimension != 2:
         raise DimensionError("glue is defined for bivariate copulas")
@@ -495,8 +497,18 @@ def glue(left: Copula, right: Copula, axis: int, split: float) -> Copula:
         "left": left.descriptor,
         "right": right.descriptor,
     }
+    tdf = None
+    if (lam := left.tdf) is not None:
+        def tail(pts: np.ndarray) -> np.ndarray:
+            w = pts.copy()
+            w[:, j] /= theta
+            return theta * lam.fn(w)
+
+        # Lambda_left's pair plus a rounding each for w_j / split and the product; a region is dropped, so its abs
+        # term counts everywhere
+        tdf = TailDepFunction(tail, 2, accuracy=(lam.accuracy[0] + ULP, lam.accuracy[1]))
     # the worse of the parts' pairs in each term; a region is dropped, so its abs term counts everywhere
-    return copula_from_formula(2, formula, desc, tuple(map(max, left.accuracy[:2], right.accuracy[:2])))
+    return copula_from_formula(2, formula, desc, tuple(map(max, left.accuracy[:2], right.accuracy[:2])), tdf)
 
 
 def survival(c: Copula) -> Copula:

@@ -632,7 +632,9 @@ def hierarchical(outer: Copula, inner: Copula) -> Copula:
     Both nodes must be bivariate Archimedean.  For Clayton/Clayton nesting
     the sufficient condition theta_outer <= theta_inner is enforced
     analytically; any other combination is audited numerically, on a grid of
-    resolution 16, and rejected if the result fails the copula axioms.
+    resolution 16, and rejected if the result fails the copula axioms.  The
+    tail dependence function is Lambda_outer(w1, Lambda_inner(w2, w3)) when
+    both nodes carry one.
     """
     for node, label in ((outer, "outer"), (inner, "inner")):
         if node.descriptor.get("family") != "archimedean" or node.dimension != 2:
@@ -646,8 +648,15 @@ def hierarchical(outer: Copula, inner: Copula) -> Copula:
         outer_pts = np.stack([pts[:, 0], inner_vals], axis=1)
         return outer._evaluator(outer_pts)
 
+    tdf = None
+    if outer.tdf is not None and inner.tdf is not None:
+        def tail(pts: np.ndarray) -> np.ndarray:
+            return outer.tdf.fn(np.stack([pts[:, 0], inner.tdf.fn(pts[:, 1:])], axis=1))
+
+        # Lambda_outer is increasing and 1-Lipschitz, so inner's relative and absolute errors pass through
+        tdf = TailDepFunction(tail, 3, accuracy=tuple(map(sum, zip(outer.tdf.accuracy, inner.tdf.accuracy))))
     desc = {"family": "hierarchical", "outer": outer.descriptor, "inner": inner.descriptor}
-    c = copula_from_formula(3, formula, desc, tuple(map(sum, zip(outer.accuracy, inner.accuracy))))
+    c = copula_from_formula(3, formula, desc, tuple(map(sum, zip(outer.accuracy, inner.accuracy))), tdf)
 
     og, ig = gen_info(outer), gen_info(inner)
     if og.get("name") == "clayton" and ig.get("name") == "clayton":

@@ -101,6 +101,12 @@ def glue_ref(left, axis, split):
     return ref
 
 
+def glue_tdf_ref(left, axis, split):
+    # near the origin only the left piece counts: split * Lambda_left(w with w_j replaced by w_j / split)
+    th = F(split)
+    return lambda w: th * left([x / th if k == axis - 1 else x for k, x in enumerate(w)])
+
+
 def shorthand(text):
     return descriptors.build_copula(descriptors.parse_shorthand(text))
 
@@ -178,6 +184,13 @@ def test_every_builder_sets_its_pair():
     assert [x for x in built if x.accuracy == core.CUSTOM] == []
 
 
+def test_every_builder_sets_its_tdf():
+    # a family that forgot its tail dependence function would fall back to estimation without a word;
+    # survival has none, since its tail comes from the inner copula's upper tail
+    built = [c for _, c, _ in COPULAS] + [to.gaussian(rho) for rho in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    assert [c for c in built if c.tdf is None and c.descriptor["family"] != "survival"] == []
+
+
 def test_every_family_is_measured():
     measured = {c.descriptor["family"] for _, c, _ in COPULAS} | {"gaussian"}  # in test_gaussian.py
     assert measured == set(descriptors._FAMILIES)
@@ -188,6 +201,10 @@ TDFS = [(f"{name}-d{d}", lam, ref, near) for d in (2, 3, 4) for name, lam, ref, 
     *((f"clayton-{a:g}", to.archimedean_tdf(a, d), tdf_ref("clayton", a), a <= 5.0) for a in (0.25, 1.0, 5.0, 15.0)),
 )] + [(name, descriptors.tdf_from_spec({"name": name}), tdf_ref(name), True)
       for name in ("fig1-parabola", "fig1-piecewise")]
+TDFS += [(f"glue-clayton-{a:g}-axis{axis}", to.glue(shorthand(f"clayton:{a:g}"), to.independence(), axis, 0.3).tdf,
+          glue_tdf_ref(tdf_ref("clayton", a), axis, 0.3), True) for a in (1.0, 2.0) for axis in (1, 2)]
+TDFS.append(("hierarchical-clayton-1-2", to.hierarchical(shorthand("clayton:1"), shorthand("clayton:2")).tdf,
+             lambda w: tdf_ref("clayton", 1.0)([w[0], tdf_ref("clayton", 2.0)(w[1:])]), True))
 
 
 @pytest.mark.parametrize("lam, ref, near", [case[1:] for case in TDFS], ids=[case[0] for case in TDFS])

@@ -90,6 +90,26 @@ class TestSubcommands:
         if expected != cli.EXIT_DIMENSION_ERROR:
             assert "status" in json.loads(out)
 
+    @pytest.mark.parametrize("pair, expected", [
+        (("ev:clayton:2", "ev:fig1-parabola"), cli.EXIT_INDISTINGUISHABLE),
+        ((GLUED_JOE[1], GLUED_JOE[2]), cli.EXIT_INDISTINGUISHABLE),  # Joe's tail, and so each glue's, is 0
+        (({"family": "glue", "params": {"axis": 1, "split": 0.5}, "left": descriptors.parse_shorthand("clayton:2"),
+           "right": descriptors.parse_shorthand("independence")}, "clayton:2"), cli.EXIT_OK),
+        (tuple({"family": "hierarchical", "outer": descriptors.parse_shorthand("clayton:1"),
+                "inner": descriptors.parse_shorthand(f"clayton:{theta}")} for theta in (2, 4)), cli.EXIT_OK),
+    ], ids=["ev", "glue", "glue-below-its-left-part", "hierarchical"])
+    def test_tdo_compares_closed_forms(self, capsys, monkeypatch, tmp_path, pair, expected):
+        estimated = []
+        monkeypatch.setattr(taildep, "estimate_tdfs", lambda *args: estimated.append(args))
+        argv = []
+        for k, desc in enumerate(pair):
+            if isinstance(desc, dict):
+                (tmp_path / f"{k}.json").write_text(json.dumps(desc))
+                desc = str(tmp_path / f"{k}.json")
+            argv.append(desc)
+        code, out, _ = run(capsys, "order", *argv, "--tdo")
+        assert (code, estimated) == (expected, [])
+
     def test_tdo_csv_writes_whole_directions(self, capsys):
         code, out, _ = run(capsys, "order", "independence:3", "comonotone:3", "--tdo", "--format", "csv")
         assert code == cli.EXIT_OK
