@@ -301,6 +301,8 @@ def check_diagonal_order(d1: DiagonalSection, d2: DiagonalSection,
     Every grid point t is a candidate epsilon, so where the sections cross,
     delta2 - delta1 violates somewhere in [eps, eps + 1/resolution).
     """
+    if d1.dimension != d2.dimension:
+        raise DimensionError("diagonal sections have different dimensions")
     g = _order_grid(grid)
     t = np.linspace(0.0, 1.0, g.resolution + 1)[1:]
     v1, v2 = np.asarray(d1(t), dtype=float), np.asarray(d2(t), dtype=float)

@@ -83,6 +83,7 @@ class TestSubcommands:
         # both extreme value copulas have the tail dependence function 0
         (("ev:fig1-parabola", "ev:clayton:2", "--tdo"), cli.EXIT_INDISTINGUISHABLE),
         (("ev:clayton:2", "ev:fig1-parabola", "--tdo"), cli.EXIT_INDISTINGUISHABLE),
+        (("clayton:1", "independence:3", "--diagonal"), cli.EXIT_DIMENSION_ERROR),
     ])
     def test_order(self, capsys, argv, expected):
         code, out, _ = run(capsys, "order", *argv)

@@ -302,6 +302,10 @@ class TestConeOrder:
 
 
 class TestDiagonalOrder:
+    def test_dimension_guard(self):
+        with pytest.raises(to.DimensionError):
+            to.check_diagonal_order(to.diagonal_of(clayton(1.0)), to.diagonal_of(to.independence(3)))
+
     def test_clayton_diagonals_ordered_everywhere(self):
         d1 = to.diagonal_of(clayton(1.0))
         d2 = to.diagonal_of(clayton(2.0))
