@@ -50,9 +50,13 @@ def _param(params: dict, key: str, kind=float, default=None):
     value = params.get(key, default)
     _require(value is not None, f"missing parameter {key!r}")
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DescriptorError(f"parameter {key!r} must be {kind.__name__}") from exc
+    # JSON true is no number, and a number given for an int parameter keeps its value: 3.0 is 3, but 2.6 is not 2
+    _require(not (isinstance(value, bool) or kind is int and isinstance(value, float) and out != value),
+             f"parameter {key!r} must be {kind.__name__}, got {json.dumps(value)}")
+    return out
 
 
 # spec name -> (parameter names, builder taking those parameters in order)

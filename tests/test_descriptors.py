@@ -208,6 +208,15 @@ class TestErrors:
         (parse_shorthand("joe:inf"), "Joe theta must be finite"),
         (parse_shorthand("lev:clayton:nan"), r"alpha must lie in \[0, inf\], got nan"),
         (parse_shorthand("ev:clayton:nan"), r"alpha must lie in \[0, inf\], got nan"),
+        # a JSON number or bool that a conversion would change builds no copula
+        ({"family": "glue", "params": {"axis": 1.9, "split": 0.5}, "left": parse_shorthand("independence"),
+          "right": parse_shorthand("comonotone")}, "parameter 'axis' must be int, got 1.9"),
+        ({"family": "independence", "params": {"d": 2.6}}, "parameter 'd' must be int, got 2.6"),
+        ({"family": "archimedean", "params": {"generator": {"name": "clayton", "theta": 2}, "d": 3.99}},
+         "parameter 'd' must be int, got 3.99"),
+        ({"family": "archimedean", "params": {"generator": {"name": "clayton", "theta": True}, "d": 2}},
+         "parameter 'theta' must be float, got true"),
+        ({"family": "independence", "params": {"d": float("inf")}}, "parameter 'd' must be int"),
     ])
     def test_bad_descriptor(self, desc, message):
         with pytest.raises(DescriptorError, match=message):
@@ -222,6 +231,9 @@ class TestErrors:
     def test_bad_shorthand(self, text, message):
         with pytest.raises(DescriptorError, match=message):
             parse_shorthand(text)
+
+    def test_integral_float_dimension_builds(self):
+        assert build_copula({"family": "independence", "params": {"d": 3.0}}).dimension == 3
 
     def test_fixture_dimension_is_checked(self):
         with pytest.raises(DescriptorError, match="bivariate"):
