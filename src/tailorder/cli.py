@@ -174,10 +174,6 @@ def _exit_code(statuses: set) -> int:
     return EXIT_INDISTINGUISHABLE if statuses <= {orders.INDISTINGUISHABLE} else EXIT_OK
 
 
-def _tdf_of(c, sched) -> taildep.TailDepFunction:
-    return c.tdf if c.tdf is not None else taildep.estimated_tdf(c, sched)
-
-
 def _ray_table(results) -> tuple[tuple, list]:
     # one row per sampled scale of every ray: "w1|w2|...", s, C1, C2, gap
     return ("w", "s", "C1", "C2", "gap"), [
@@ -200,7 +196,8 @@ def cmd_order(args) -> int:
 
     header = tuple(f"u{k + 1}" for k in range(c1.dimension)) + ("C1", "C2")  # --cone and --loc
     if args.tdo:
-        verdict = orders.check_tdo(_tdf_of(c1, sched), _tdf_of(c2, sched), g)
+        # a copula without a closed form gets an estimate
+        verdict = orders.check_tdo(*(c.tdf or taildep.estimated_tdf(c, sched) for c in (c1, c2)), g)
         header = tuple(f"w{k + 1}" for k in range(c1.dimension)) + ("L1", "L2")
     elif args.diagonal:
         verdict = orders.check_diagonal_order(families.diagonal_of(c1), families.diagonal_of(c2), g)

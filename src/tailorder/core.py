@@ -2,11 +2,9 @@
 
 A copula is represented by an immutable :class:`Copula` carrying its
 dimension, a vectorized evaluator, a JSON-able descriptor, and its lower
-tail dependence function Lambda(w) = lim C(s*w)/s as a
-:class:`TailDepFunction` when a closed form is known.  The builder that owns
-a copula's formula sets that Lambda, as it sets the accuracy pair below; a
-copula without one carries None, and its Lambda can only be estimated (see
-``taildep``).  Evaluators
+tail dependence function Lambda(w) = lim C(s*w)/s as a :class:`TailDepFunction`,
+set like the accuracy pair below, or None where no closed form is known and
+Lambda can only be estimated (see ``taildep``).  Evaluators
 built through the family constructors are wrapped so that the boundary
 axioms (groundedness and uniform margins) hold exactly at coordinates that
 are exactly 0 or 1; :func:`copula_from_callable` skips that wrapper so that
@@ -202,9 +200,7 @@ class TailDepFunction:
         arr = np.asarray(w, dtype=float)
         scalar = arr.ndim == 1
         if arr.shape[-1] != self.dimension:
-            raise DimensionError(
-                f"directions have {arr.shape[-1]} coordinates, expected {self.dimension}"
-            )
+            raise DimensionError(f"directions have {arr.shape[-1]} coordinates, expected {self.dimension}")
         pts = np.atleast_2d(arr).reshape(-1, self.dimension)
         if (pts < 0).any():
             raise DomainError("directions must be nonnegative")
@@ -379,11 +375,8 @@ def zero_tdf(dimension: int = 2) -> TailDepFunction:
 
 def min_tdf(dimension: int = 2) -> TailDepFunction:
     """Upper bound min_k w_k (the comonotone tail dependence function)."""
-    return TailDepFunction(
-        _upper_frechet, dimension, name="min",
-        breakpoints=(0.5,) if dimension == 2 else (),  # the kink of min(t, 1 - t)
-        accuracy=EXACT,
-    )
+    return TailDepFunction(_upper_frechet, dimension, name="min", accuracy=EXACT,
+                           breakpoints=(0.5,) if dimension == 2 else ())  # the kink of min(t, 1 - t)
 
 
 def independence(dimension: int = 2) -> Copula:
@@ -497,16 +490,10 @@ def glue(left: Copula, right: Copula, axis: int, split: float) -> Copula:
         "left": left.descriptor,
         "right": right.descriptor,
     }
-    tdf = None
-    if (lam := left.tdf) is not None:
-        def tail(pts: np.ndarray) -> np.ndarray:
-            w = pts.copy()
-            w[:, j] /= theta
-            return theta * lam.fn(w)
-
-        # Lambda_left's pair plus a rounding each for w_j / split and the product; a region is dropped, so its abs
-        # term counts everywhere
-        tdf = TailDepFunction(tail, 2, accuracy=(lam.accuracy[0] + ULP, lam.accuracy[1]))
+    # Lambda_left's pair plus a rounding each for w_j / split and the product; a region is dropped, as below
+    divisor, lam = np.where(np.arange(2) == j, theta, 1.0), left.tdf
+    tdf = None if lam is None else TailDepFunction(lambda pts: theta * lam.fn(pts / divisor), 2,
+                                                   accuracy=(lam.accuracy[0] + ULP, lam.accuracy[1]))
     # the worse of the parts' pairs in each term; a region is dropped, so its abs term counts everywhere
     return copula_from_formula(2, formula, desc, tuple(map(max, left.accuracy[:2], right.accuracy[:2])), tdf)
 

@@ -4,8 +4,7 @@ Archimedean generators with exact or bisected inverses, the Marshall-Olkin
 and Gaussian families, diagonal-driven constructions (Fredricks-Nelsen,
 Bertino, semilinear), extreme value copulas driven by a tail dependence
 function, and the three-variable hierarchical Archimedean nesting.  Each
-builder sets the copula's closed-form tail dependence function where it
-knows one (see ``core``).
+builder sets the copula's closed-form tail dependence function (see ``core``).
 """
 
 from __future__ import annotations
@@ -584,10 +583,8 @@ def ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
 
     ``lam`` must be a valid bivariate tail dependence function (audited
     unless ``validate=False``); the boundary value 0 at u_k = 0 is taken as
-    the limit.  Near the origin C(s*w) is of order s^(2 - Lambda(1, 1)), so
-    C(s*w)/s tends to 0 unless Lambda(1, 1) = 1, which holds exactly when
-    Lambda is min, and then C is the comonotone copula: the copula's tail
-    dependence function is min or zero.
+    the limit.  C(s*w) is of order s^(2 - Lambda(1, 1)), so the copula's tail
+    dependence function is zero unless Lambda(1, 1) = 1, where Lambda and it are min.
     """
     _require_valid_ev_tdf(lam, validate)
 
@@ -648,13 +645,10 @@ def hierarchical(outer: Copula, inner: Copula) -> Copula:
         outer_pts = np.stack([pts[:, 0], inner_vals], axis=1)
         return outer._evaluator(outer_pts)
 
-    tdf = None
-    if outer.tdf is not None and inner.tdf is not None:
-        def tail(pts: np.ndarray) -> np.ndarray:
-            return outer.tdf.fn(np.stack([pts[:, 0], inner.tdf.fn(pts[:, 1:])], axis=1))
-
-        # Lambda_outer is increasing and 1-Lipschitz, so inner's relative and absolute errors pass through
-        tdf = TailDepFunction(tail, 3, accuracy=tuple(map(sum, zip(outer.tdf.accuracy, inner.tdf.accuracy))))
+    # Lambda_outer is increasing and 1-Lipschitz, so inner's relative and absolute errors pass through
+    tdf = None if outer.tdf is None or inner.tdf is None else TailDepFunction(
+        lambda pts: outer.tdf.fn(np.stack([pts[:, 0], inner.tdf.fn(pts[:, 1:])], axis=1)), 3,
+        accuracy=tuple(map(sum, zip(outer.tdf.accuracy, inner.tdf.accuracy))))
     desc = {"family": "hierarchical", "outer": outer.descriptor, "inner": inner.descriptor}
     c = copula_from_formula(3, formula, desc, tuple(map(sum, zip(outer.accuracy, inner.accuracy))), tdf)
 
