@@ -235,6 +235,14 @@ class TestSpearmanLimit:
         with pytest.raises(to.DomainError):
             to.spearman_tdf_limit(to.archimedean_tdf(1.0, 4))
 
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_glued_min_keeps_its_kink(self, axis):
+        # M glued at 1/2 has the tail min(w1, w2/2) or min(w1/2, w2), kinked at t = 1/3 or 2/3 of the simplex,
+        # and 3 * integral of min(x, y/2) over the square is 3 * (1/4 - 1/24) = 5/8
+        lam = to.glue(to.comonotone(), to.independence(), axis, 0.5).tdf
+        assert lam.breakpoints == pytest.approx([(1.0 / 3.0, 2.0 / 3.0)[axis - 1]], abs=1e-15)
+        assert to.spearman_tdf_limit(lam) == pytest.approx(0.625, abs=1e-12)
+
     @pytest.mark.parametrize("lam", [to.min_tdf(3), to.archimedean_tdf(float("inf"), 3)], ids=["min", "alpha-inf"])
     def test_d3_min_equals_one(self, lam):
         # (d+1) * integral of min over the cube is 1; each face is cut along its kink t1 = t2
