@@ -196,7 +196,6 @@ def cmd_order(args) -> int:
 
     header = tuple(f"u{k + 1}" for k in range(c1.dimension)) + ("C1", "C2")  # --cone and --loc
     if args.tdo:
-        # a copula without a closed form gets an estimate
         verdict = orders.check_tdo(*(c.tdf or taildep.estimated_tdf(c, sched) for c in (c1, c2)), g)
         header = tuple(f"w{k + 1}" for k in range(c1.dimension)) + ("L1", "L2")
     elif args.diagonal:

@@ -495,8 +495,9 @@ def glue(left: Copula, right: Copula, axis: int, split: float) -> Copula:
         divisor = np.where(np.arange(2) == j, theta, 1.0)
         kinks = [divisor * (t, 1.0 - t) for t in lam.breakpoints]  # a kink of Lambda_left, as a direction here
         # Lambda_left's pair plus a rounding each for w_j / split and the product; a region is dropped, as below
-        tdf = TailDepFunction(lambda pts: theta * lam.fn(pts / divisor), 2, accuracy=(lam.accuracy[0] + ULP,
-                              lam.accuracy[1]), breakpoints=tuple(float(w[0] / w.sum()) for w in kinks))
+        tdf = TailDepFunction(lambda pts: theta * lam.fn(pts / divisor), 2,
+                              breakpoints=tuple(float(w[0] / w.sum()) for w in kinks),
+                              accuracy=(lam.accuracy[0] + ULP, lam.accuracy[1]))
     # the worse of the parts' pairs in each term; a region is dropped, so its abs term counts everywhere
     return copula_from_formula(2, formula, desc, tuple(map(max, left.accuracy[:2], right.accuracy[:2])), tdf)
 
