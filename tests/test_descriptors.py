@@ -117,6 +117,10 @@ class TestRoundTrip:
         assert heads == set(SHORTHANDS)
 
 
+_W17 = to.simplex_directions(17)
+_CUSTOM_MIN = to.TailDepFunction(lambda pts: pts.min(axis=1), 2)
+
+
 class TestAnalyticTDF:
     @pytest.mark.parametrize("family", ["fn", "bertino", "semilinear"])
     @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0])
@@ -174,21 +178,17 @@ class TestAnalyticTDF:
             pts = to.simplex_directions(17) * 1e-3
             np.testing.assert_array_equal(c.cdf(pts), pts.min(axis=1))
 
-    @pytest.mark.parametrize("c", [
-        to.copula_from_callable(lambda pts: pts.prod(axis=1), 2),
-        to.fredricks_nelsen(to.DiagonalSection(lambda t: t**1.5)),
-    ])
-    def test_no_table_entry_gives_none(self, c):
-        assert c.tdf is None
-
-    def test_custom_parts_get_their_closed_form(self):
-        # a builder's closed form needs only what the part says of itself, not a name the tables know
-        w = to.simplex_directions(17)
-        custom_min = to.TailDepFunction(lambda pts: pts.min(axis=1), 2)
-        nonstrict = to.archimedean(to.Generator(lambda t: 1.0 - t, None, False, 0.0))
-        np.testing.assert_array_equal(nonstrict.tdf(w), np.zeros(len(w)))
-        assert to.lower_ev_copula(custom_min).tdf is custom_min
-        assert to.ev_copula(custom_min).tdf.name == "min"
+    # a part no table names gives None, unless the builder's closed form needs only what the part says of itself
+    @pytest.mark.parametrize("c, check", [
+        (to.copula_from_callable(lambda pts: pts.prod(axis=1), 2), lambda tdf: tdf is None),
+        (to.archimedean(to.Generator(lambda t: 1.0 - t, None, False, 0.0)),
+         lambda tdf: np.array_equal(tdf(_W17), np.zeros(len(_W17)))),
+        (to.lower_ev_copula(_CUSTOM_MIN), lambda tdf: tdf is _CUSTOM_MIN),
+        (to.fredricks_nelsen(to.DiagonalSection(lambda t: t**1.5)), lambda tdf: tdf is None),
+        (to.ev_copula(_CUSTOM_MIN), lambda tdf: tdf.name == "min"),
+    ], ids=[f"c{i}" for i in range(5)])
+    def test_no_table_entry_gives_none(self, c, check):
+        assert check(c.tdf)
 
 
 class TestErrors:
