@@ -254,7 +254,14 @@ class Copula:
         return f"Copula(family={fam!r}, d={self.dimension})"
 
     def cdf(self, u) -> np.ndarray | float:
-        """Evaluate C(u) for one point ``(d,)`` or a batch ``(..., d)``."""
+        """Evaluate C(u) for one point ``(d,)`` or a batch ``(..., d)``.
+
+        One range pass, the batch's min and max, checks every coordinate: a
+        NaN or an infinity shows in it as a non-finite bound.  Coordinates
+        within ``BOUNDARY_TOL`` outside [0, 1] are clipped onto it; a batch
+        already inside reaches the evaluator uncopied, often as a view of the
+        caller's array, so evaluators must not write into their input.
+        """
         arr = np.asarray(u, dtype=float)
         scalar = arr.ndim == 1
         if arr.shape[-1] != self.dimension:
@@ -262,16 +269,17 @@ class Copula:
                 f"points have {arr.shape[-1]} coordinates, copula has dimension {self.dimension}"
             )
         pts = np.atleast_2d(arr).reshape(-1, self.dimension)
-        if not np.isfinite(pts).all():
-            raise DomainError("coordinates must be finite")
         if pts.shape[0] == 0:
             return np.empty(arr.shape[:-1])
         low, high = pts.min(), pts.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise DomainError("coordinates must be finite")
         if low < -BOUNDARY_TOL or high > 1.0 + BOUNDARY_TOL:
             raise DomainError(
                 f"coordinate outside [0, 1] beyond tolerance {BOUNDARY_TOL}: range [{low}, {high}]"
             )
-        pts = np.clip(pts, 0.0, 1.0)
+        if low < 0.0 or high > 1.0:  # np.clip keeps -0.0, so skipping it inside [0, 1] changes nothing
+            pts = np.clip(pts, 0.0, 1.0)
         vals = np.asarray(self._evaluator(pts), dtype=float)
         if scalar:
             return float(vals[0])
@@ -316,25 +324,29 @@ def _with_boundary_axioms(formula: Callable, dimension: int) -> Callable:
     coordinates exactly 1 return the remaining coordinate.  Interior values
     are clipped into [0, 1] to absorb rounding.  A batch whose coordinates
     all lie strictly inside (0, 1) has no such rows, so it goes to the
-    formula whole, without the row masks and the copy of the inner rows;
-    a formula that treats each row on its own gives the same values on
-    either path.  The column rule: the row masks and the margin value, like
-    every family formula, combine a row's d columns with :func:`_row_reduce`
-    and never reduce along axis 1.
+    formula whole, without the row masks; so does a batch whose masks find
+    none.  Otherwise the inner rows are taken by index into a new array; a
+    formula that treats each row on its own gives the same values on either
+    path.  The formula must not write into its input, which may be the
+    caller's array (see :meth:`Copula.cdf`).  The column rule: the row
+    masks and the margin value, like every family formula, combine a row's
+    d columns with :func:`_row_reduce` and never reduce along axis 1.
     """
 
     def wrapped(pts: np.ndarray) -> np.ndarray:
         if pts.size and pts.min() > 0.0 and pts.max() < 1.0:
             return np.clip(formula(pts), 0.0, 1.0)
-        out = np.empty(pts.shape[0], dtype=float)
         zero = _row_reduce(np.logical_or, pts == 0.0)
         margin = (_row_reduce(np.add, pts == 1.0, dtype=np.intp) >= dimension - 1) & ~zero
-        inner = ~(zero | margin)
+        inner = np.flatnonzero(~(zero | margin))
+        if 0 < inner.size == pts.shape[0]:
+            return np.clip(formula(pts), 0.0, 1.0)
+        out = np.empty(pts.shape[0], dtype=float)
         out[zero] = 0.0
         if margin.any():
             out[margin] = _row_reduce(np.minimum, pts[margin])
-        if inner.any():
-            out[inner] = np.clip(formula(pts[inner]), 0.0, 1.0)
+        if inner.size:
+            out[inner] = np.clip(formula(pts.take(inner, axis=0)), 0.0, 1.0)
         return out
 
     return wrapped
@@ -458,9 +470,11 @@ def glue(left: Copula, right: Copula, axis: int, split: float) -> Copula:
     Along axis 1 the value is ``split * left(u1/split, u2)`` for
     ``u1 <= split`` and ``split * u2 + (1-split) * right((u1-split)/(1-split), u2)``
     beyond it; axis 2 is symmetric.  Both margins are preserved, so the
-    result is again a copula.  Near the origin only the left part counts:
-    the tail dependence function is ``split * Lambda_left(w1/split, w2)``
-    along axis 1 when the left part carries one.
+    result is again a copula.  The rows are split once, at ``u_j <= split``,
+    and each part sees only its own rows.  Near the origin only the left
+    part counts: the tail dependence function is
+    ``split * Lambda_left(w1/split, w2)`` along axis 1 when the left part
+    carries one.
     """
     if left.dimension != 2 or right.dimension != 2:
         raise DimensionError("glue is defined for bivariate copulas")
@@ -473,16 +487,17 @@ def glue(left: Copula, right: Copula, axis: int, split: float) -> Copula:
     k = 1 - j     # passthrough coordinate
 
     def formula(pts: np.ndarray) -> np.ndarray:
-        a, b = pts[:, j], pts[:, k]
-        lo = np.empty_like(pts)
-        lo[:, j] = np.minimum(a / theta, 1.0)
-        lo[:, k] = b
-        hi = np.empty_like(pts)
-        hi[:, j] = np.clip((a - theta) / (1.0 - theta), 0.0, 1.0)
-        hi[:, k] = b
-        below = theta * left._evaluator(lo)
-        above = theta * b + (1.0 - theta) * right._evaluator(hi)
-        return np.where(a <= theta, below, above)
+        below = pts[:, j] <= theta
+        rows, rest = np.flatnonzero(below), np.flatnonzero(~below)
+        # rounding is monotone, so u_j <= split gives u_j / split <= 1, and u_j > split
+        # gives (u_j - split) / (1 - split) in (0, 1]: no clip is needed
+        lo, hi = pts.take(rows, axis=0), pts.take(rest, axis=0)
+        lo[:, j] /= theta
+        hi[:, j] = (hi[:, j] - theta) / (1.0 - theta)
+        out = np.empty(pts.shape[0])
+        out[rows] = theta * left._evaluator(lo)
+        out[rest] = theta * hi[:, k] + (1.0 - theta) * right._evaluator(hi)
+        return out
 
     desc = {
         "family": "glue",

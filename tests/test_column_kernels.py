@@ -278,7 +278,11 @@ def test_family_values_are_bit_identical(desc, seed):
     c, ref = build(desc), ref_evaluator(desc)
     d = c.dimension
     for pts in (interior_batch(seed, d), boundary_batch(seed, d)):
+        # an in-range batch reaches the formula uncopied: a formula that wrote into it would raise here
+        pts.flags.writeable = False
+        before = pts.copy()
         assert np.array_equal(c.cdf(pts), ref(pts))
+        assert np.array_equal(pts, before)
 
 
 @pytest.mark.parametrize("ufunc", [np.add, np.multiply, np.minimum, np.maximum, np.logical_or])

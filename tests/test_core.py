@@ -104,6 +104,74 @@ class TestEval:
             np.testing.assert_array_equal(np.asarray(c.cdf(pts)), masked[:-1], err_msg=repr(c))
 
 
+class TestGuard:
+    """The contract of Copula.cdf's range check and of the boundary wrapper."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates(self, bad):
+        pts = np.full((4, 2), 0.5)
+        pts[2, 1] = bad
+        with pytest.raises(to.DomainError, match="coordinates must be finite"):
+            to.independence().cdf(pts)
+
+    @pytest.mark.parametrize("bad", [-1e-11, 1.0 + 1e-11, -0.5, 2.0])
+    def test_beyond_tolerance(self, bad):
+        pts = np.full((4, 2), 0.5)
+        pts[1, 0] = bad
+        with pytest.raises(to.DomainError, match=r"outside \[0, 1\] beyond tolerance 1e-12: range"):
+            to.independence().cdf(pts)
+
+    def test_within_tolerance_is_clipped_to_the_boundary(self):
+        pts = np.array([[-1e-13, 0.5], [0.5, -1e-13], [1.0 + 1e-13, 0.37], [0.37, 1.0 + 1e-13],
+                        [1.0 + 1e-13, 1.0 + 1e-13]])
+        for c in family_zoo():
+            np.testing.assert_array_equal(c.cdf(pts), [0.0, 0.0, 0.37, 0.37, 1.0], err_msg=repr(c))
+
+    def test_negative_zero_gives_zero(self):
+        pts = np.array([[-0.0, 0.5], [0.5, -0.0], [-0.0, 1.0]])
+        for c in family_zoo():
+            out = c.cdf(pts)
+            assert np.array_equal(out, np.zeros(3)) and not np.signbit(out).any(), repr(c)
+
+    def test_boundary_free_rows_reach_the_formula_in_one_call(self):
+        # a 1 in one coordinate of a trivariate row makes it neither a zero row nor a margin
+        # row: the whole batch, the caller's own array, goes to the formula in one call
+        seen = []
+
+        def formula(pts):
+            seen.append(pts)
+            return pts[:, 0] * pts[:, 1] * pts[:, 2]
+
+        c = to.copula_from_formula(3, formula, {"family": "custom", "params": {}})
+        batch = np.random.default_rng(3).uniform(0.1, 0.9, size=(16, 3))
+        batch[5, 1] = 1.0
+        np.testing.assert_array_equal(c.cdf(batch), batch.prod(axis=1))
+        assert len(seen) == 1 and seen[0].shape == batch.shape and np.shares_memory(seen[0], batch)
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_glue_hands_each_part_its_own_rows(self, axis):
+        # parts without the boundary wrapper show every row glue hands them
+        seen = {"left": [], "right": []}
+
+        def part(side):
+            def fn(pts):
+                seen[side].append(pts.copy())
+                return pts[:, 0] * pts[:, 1]
+            return to.copula_from_callable(fn, 2)
+
+        split, j = 0.4, axis - 1
+        c = to.glue(part("left"), part("right"), axis, split)
+        batch = np.random.default_rng(axis).uniform(0.05, 0.95, size=(64, 2))
+        below = batch[:, j] <= split
+        assert 0 < below.sum() < len(batch)
+        np.testing.assert_allclose(c.cdf(batch), batch.prod(axis=1), rtol=1e-15)
+        left, right = np.concatenate(seen["left"]), np.concatenate(seen["right"])
+        np.testing.assert_array_equal(left[:, j], batch[below, j] / split)
+        np.testing.assert_array_equal(left[:, 1 - j], batch[below, 1 - j])
+        np.testing.assert_array_equal(right[:, j], (batch[~below, j] - split) / (1.0 - split))
+        np.testing.assert_array_equal(right[:, 1 - j], batch[~below, 1 - j])
+
+
 class TestHVolume:
     def test_product_box(self):
         assert to.h_volume(to.independence(), (0.25, 0.25), (0.75, 0.75)) == pytest.approx(0.25)
