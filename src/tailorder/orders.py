@@ -285,6 +285,8 @@ def check_cone_order(c1: Copula, c2: Copula, cone: ConeSpec, epsilon: float | No
     emitted when it is not strict.  The copulas are sampled as in
     :func:`check_loc` on the directions in the cone.
     """
+    if c1.dimension != c2.dimension:  # before the precondition, which would name the tail dependence functions
+        raise DimensionError("copulas have different dimensions")
     g = _order_grid(grid)
     if c1.tdf is not None and c2.tdf is not None:
         pre = check_tdo(c1.tdf, c2.tdf, g)

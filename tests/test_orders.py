@@ -300,6 +300,11 @@ class TestConeOrder:
         with pytest.raises(to.DomainError):
             to.check_cone_order(to.independence(), to.comonotone(), to.ConeSpec(0.2), 0.0)
 
+    def test_dimension_guard(self):
+        # both copulas carry a tail dependence function, so the precondition would run first
+        with pytest.raises(to.DimensionError, match="copulas have different dimensions"):
+            to.check_cone_order(clayton(1.0), to.independence(3), to.ConeSpec(0.2))
+
 
 class TestDiagonalOrder:
     def test_dimension_guard(self):
