@@ -53,8 +53,8 @@ def _param(params: dict, key: str, kind=float, default=None):
         out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DescriptorError(f"parameter {key!r} must be {kind.__name__}") from exc
-    # JSON true is no number, and a number given for an int parameter keeps its value: 3.0 is 3, but 2.6 is not 2
-    _require(not (isinstance(value, bool) or kind is int and isinstance(value, float) and out != value),
+    # JSON true and "3" are no numbers, and a number for an int parameter keeps its value: 3.0 is 3, but 2.6 is not 2
+    _require(not (isinstance(value, (bool, str)) or kind is int and isinstance(value, float) and out != value),
              f"parameter {key!r} must be {kind.__name__}, got {json.dumps(value)}")
     return out
 

@@ -217,6 +217,10 @@ class TestErrors:
         ({"family": "archimedean", "params": {"generator": {"name": "clayton", "theta": True}, "d": 2}},
          "parameter 'theta' must be float, got true"),
         ({"family": "independence", "params": {"d": float("inf")}}, "parameter 'd' must be int"),
+        # a JSON string is no number, even where a conversion would accept it
+        ({"family": "independence", "params": {"d": "3"}}, "parameter 'd' must be int, got \"3\""),
+        ({"family": "archimedean", "params": {"generator": {"name": "clayton", "theta": "2"}, "d": 2}},
+         "parameter 'theta' must be float, got \"2\""),
     ])
     def test_bad_descriptor(self, desc, message):
         with pytest.raises(DescriptorError, match=message):
