@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -259,6 +260,11 @@ def cmd_validate(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads '-...' as an option unless it is a plain number like -1.5; a point like -1e-13,0.5 is a value
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # a usage error is bad input: exit 2 with one ``error:`` line
         raise DescriptorError(f"{message} (see {self.prog} --help)")
 

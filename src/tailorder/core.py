@@ -1,16 +1,18 @@
 """Copula objects, their tail dependence functions, axiomatic validity audits, and structural combinators.
 
 A copula is represented by an immutable :class:`Copula` carrying its
-dimension, a vectorized evaluator, a JSON-able descriptor, and its lower
+dimension, a vectorized formula, a JSON-able descriptor, and its lower
 tail dependence function Lambda(w) = lim C(s*w)/s as a :class:`TailDepFunction`,
 set like the accuracy pair below, or None where no closed form is known and
-Lambda can only be estimated (see ``taildep``).  Evaluators
-built through the family constructors are wrapped so that the boundary
-axioms (groundedness and uniform margins) hold exactly at coordinates that
-are exactly 0 or 1; :func:`copula_from_callable` skips that wrapper so that
-arbitrary functions can be audited honestly by :func:`validate_copula`.
-Every validity audit, here and in ``families`` and ``taildep``, builds its
-checks with one rule, :meth:`CheckResult.worst_of`.
+Lambda can only be estimated (see ``taildep``).  The builder picks how a
+copula evaluates: :class:`Copula` itself keeps the boundary axioms
+(groundedness and uniform margins) exact at coordinates that are exactly 0
+or 1 around a formula from :func:`copula_from_formula`, as every family's
+is, while :func:`copula_from_callable` takes a function verbatim so that it
+can be audited honestly by :func:`validate_copula`.  The combinators here
+evaluate each part its own way.  Every validity audit, here and in
+``families`` and ``taildep``, builds its checks with one rule,
+:meth:`CheckResult.worst_of`.
 
 Every evaluator, here and in ``families`` and ``taildep``, carries an
 ``accuracy`` pair (rel, abs): a computed value v of a true value x has
@@ -57,6 +59,7 @@ __all__ = [
     "validate_copula",
     "glue",
     "survival",
+    "hierarchical",
 ]
 
 # Coordinates within BOUNDARY_TOL of {0, 1} are clamped; beyond it they are
@@ -211,15 +214,15 @@ class TailDepFunction:
 
 
 class Copula:
-    """A d-dimensional copula with a vectorized pointwise evaluator.
+    """A d-dimensional copula evaluated from a vectorized formula.
 
     Parameters
     ----------
     dimension : int
         Number of coordinates, at least 2.
     evaluator : callable
-        Maps an ``(n, d)`` float array with entries in [0, 1] to an ``(n,)``
-        array of copula values.
+        The raw formula: maps an ``(n, d)`` float array with entries in
+        [0, 1] to an ``(n,)`` array of copula values.
     descriptor : dict
         JSON-able description (``{"family": ..., "params": ...}`` plus
         nested descriptors for combinators).
@@ -230,18 +233,20 @@ class Copula:
         The closed-form lower tail dependence function, or None when the
         builder knows none.
 
+    The boundary axioms hold exactly by the rule of :meth:`_values`; a
+    copula from :func:`copula_from_callable` is evaluated verbatim instead.
     Instances are immutable and evaluation is pure, so copulas are safe to
     share between threads or processes.
     """
 
-    __slots__ = ("dimension", "descriptor", "accuracy", "tdf", "_evaluator")
+    __slots__ = ("dimension", "descriptor", "accuracy", "tdf", "_formula")
 
     def __init__(self, dimension: int, evaluator: Callable[[np.ndarray], np.ndarray], descriptor: dict,
                  accuracy: tuple = CUSTOM, tdf: TailDepFunction | None = None):
         if dimension < 2:
             raise DimensionError(f"copulas need dimension >= 2, got {dimension}")
         object.__setattr__(self, "dimension", int(dimension))
-        object.__setattr__(self, "_evaluator", evaluator)
+        object.__setattr__(self, "_formula", evaluator)
         object.__setattr__(self, "descriptor", descriptor)
         object.__setattr__(self, "accuracy", accuracy)
         object.__setattr__(self, "tdf", tdf)
@@ -259,8 +264,9 @@ class Copula:
         One range pass, the batch's min and max, checks every coordinate: a
         NaN or an infinity shows in it as a non-finite bound.  Coordinates
         within ``BOUNDARY_TOL`` outside [0, 1] are clipped onto it; a batch
-        already inside reaches the evaluator uncopied, often as a view of the
-        caller's array, so evaluators must not write into their input.
+        already inside reaches the formula uncopied, often as a view of the
+        caller's array, so formulas must not write into their input.  The
+        same pass gives :meth:`_values` its interior verdict.
         """
         arr = np.asarray(u, dtype=float)
         scalar = arr.ndim == 1
@@ -280,10 +286,37 @@ class Copula:
             )
         if low < 0.0 or high > 1.0:  # np.clip keeps -0.0, so skipping it inside [0, 1] changes nothing
             pts = np.clip(pts, 0.0, 1.0)
-        vals = np.asarray(self._evaluator(pts), dtype=float)
-        if scalar:
-            return float(vals[0])
-        return vals.reshape(arr.shape[:-1])
+        vals = np.asarray(self._values(pts, 0.0 < low and high < 1.0), dtype=float)
+        return float(vals[0]) if scalar else vals.reshape(arr.shape[:-1])
+
+    def _values(self, pts: np.ndarray, interior: bool | None = None) -> np.ndarray:
+        """C at the rows of an (n, d) array in [0, 1]^d, by the boundary rule.
+
+        Rows with any coordinate exactly 0 return 0; rows with at least d-1
+        coordinates exactly 1 return the remaining coordinate; the formula's
+        values at the other rows are clipped into [0, 1].  ``interior``, the
+        verdict of the caller's range pass, says that no coordinate is 0 or 1
+        (the pass is made here when it is not given): the batch then goes to
+        the formula whole, as does one whose row masks find no boundary row.
+        Otherwise the inner rows are taken by index into a new array; a
+        formula that treats each row on its own gives the same values either
+        way.  Like every family formula, the masks and the margin value
+        combine a row's d columns with :func:`_row_reduce`.
+        """
+        if interior is None:
+            interior = pts.size > 0 and pts.min() > 0.0 and pts.max() < 1.0
+        if not interior:
+            zero = _row_reduce(np.logical_or, pts == 0.0)
+            margin = (_row_reduce(np.add, pts == 1.0, dtype=np.intp) >= self.dimension - 1) & ~zero
+            inner = np.flatnonzero(~(zero | margin))
+        if interior or 0 < inner.size == pts.shape[0]:
+            return np.clip(self._formula(pts), 0.0, 1.0)
+        out = np.empty(pts.shape[0], dtype=float)
+        out[zero] = 0.0
+        out[margin] = _row_reduce(np.minimum, pts[margin])
+        if inner.size:
+            out[inner] = np.clip(self._formula(pts.take(inner, axis=0)), 0.0, 1.0)
+        return out
 
     def eval(self, u) -> float:
         """Evaluate at a single point, returning a float."""
@@ -297,6 +330,14 @@ class Copula:
         pts = np.repeat(t_arr.reshape(-1, 1), self.dimension, axis=1)
         vals = self.cdf(pts)
         return float(vals[0]) if t_arr.ndim == 0 else np.asarray(vals).reshape(t_arr.shape)
+
+
+class _Verbatim(Copula):
+    """A copula whose function is trusted verbatim, boundary included (see :func:`copula_from_callable`)."""
+    __slots__ = ()
+
+    def _values(self, pts: np.ndarray, interior: bool | None = None) -> np.ndarray:
+        return np.asarray(self._formula(pts), dtype=float)
 
 
 def _row_reduce(ufunc: np.ufunc, pts: np.ndarray, dtype=None) -> np.ndarray:
@@ -317,55 +358,20 @@ def _row_reduce(ufunc: np.ufunc, pts: np.ndarray, dtype=None) -> np.ndarray:
     return out
 
 
-def _with_boundary_axioms(formula: Callable, dimension: int) -> Callable:
-    """Wrap a CDF formula so the copula axioms hold exactly on the boundary.
-
-    Rows with any coordinate exactly 0 return 0; rows with at least d-1
-    coordinates exactly 1 return the remaining coordinate.  Interior values
-    are clipped into [0, 1] to absorb rounding.  A batch whose coordinates
-    all lie strictly inside (0, 1) has no such rows, so it goes to the
-    formula whole, without the row masks; so does a batch whose masks find
-    none.  Otherwise the inner rows are taken by index into a new array; a
-    formula that treats each row on its own gives the same values on either
-    path.  The formula must not write into its input, which may be the
-    caller's array (see :meth:`Copula.cdf`).  The column rule: the row
-    masks and the margin value, like every family formula, combine a row's
-    d columns with :func:`_row_reduce` and never reduce along axis 1.
-    """
-
-    def wrapped(pts: np.ndarray) -> np.ndarray:
-        if pts.size and pts.min() > 0.0 and pts.max() < 1.0:
-            return np.clip(formula(pts), 0.0, 1.0)
-        zero = _row_reduce(np.logical_or, pts == 0.0)
-        margin = (_row_reduce(np.add, pts == 1.0, dtype=np.intp) >= dimension - 1) & ~zero
-        inner = np.flatnonzero(~(zero | margin))
-        if 0 < inner.size == pts.shape[0]:
-            return np.clip(formula(pts), 0.0, 1.0)
-        out = np.empty(pts.shape[0], dtype=float)
-        out[zero] = 0.0
-        if margin.any():
-            out[margin] = _row_reduce(np.minimum, pts[margin])
-        if inner.size:
-            out[inner] = np.clip(formula(pts.take(inner, axis=0)), 0.0, 1.0)
-        return out
-
-    return wrapped
-
-
 def copula_from_formula(dimension: int, formula: Callable, descriptor: dict, accuracy: tuple = CUSTOM,
                         tdf: TailDepFunction | None = None) -> Copula:
-    """Build a copula from a raw CDF formula, enforcing exact boundary axioms."""
-    return Copula(dimension, _with_boundary_axioms(formula, dimension), descriptor, accuracy, tdf)
+    """Build a copula from a raw CDF formula; :class:`Copula` keeps the boundary axioms exact around it."""
+    return Copula(dimension, formula, descriptor, accuracy, tdf)
 
 
 def copula_from_callable(fn: Callable, dimension: int, descriptor: dict | None = None) -> Copula:
-    """Wrap an arbitrary ``(n, d) -> (n,)`` function without boundary shortcuts.
+    """Build a copula from an arbitrary ``(n, d) -> (n,)`` function without the boundary rule.
 
     Intended for auditing candidate functions with :func:`validate_copula`;
     the function is trusted verbatim, including on the boundary.
     """
     desc = descriptor if descriptor is not None else {"family": "custom", "params": {}}
-    return Copula(dimension, lambda pts: np.asarray(fn(pts), dtype=float), desc)
+    return _Verbatim(dimension, fn, desc)
 
 
 def _product(pts: np.ndarray) -> np.ndarray:
@@ -495,8 +501,8 @@ def glue(left: Copula, right: Copula, axis: int, split: float) -> Copula:
         lo[:, j] /= theta
         hi[:, j] = (hi[:, j] - theta) / (1.0 - theta)
         out = np.empty(pts.shape[0])
-        out[rows] = theta * left._evaluator(lo)
-        out[rest] = theta * hi[:, k] + (1.0 - theta) * right._evaluator(hi)
+        out[rows] = theta * left._values(lo)
+        out[rest] = theta * hi[:, k] + (1.0 - theta) * right._values(hi)
         return out
 
     desc = {
@@ -528,7 +534,39 @@ def survival(c: Copula) -> Copula:
         raise DimensionError("survival is implemented for bivariate copulas")
 
     def formula(pts: np.ndarray) -> np.ndarray:
-        return pts[:, 0] + pts[:, 1] - 1.0 + c._evaluator(1.0 - pts)
+        return pts[:, 0] + pts[:, 1] - 1.0 + c._values(1.0 - pts)
 
     rel, abs_ = c.accuracy[:2]
     return copula_from_formula(2, formula, {"family": "survival", "inner": c.descriptor}, (0.0, 2 * ULP + rel + abs_))
+
+
+def hierarchical(outer: Copula, inner: Copula) -> Copula:
+    """Hierarchical Archimedean 3-copula (u1, u2, u3) -> outer(u1, inner(u2, u3)).
+
+    Both nodes must be bivariate Archimedean.  For Clayton/Clayton nesting
+    the sufficient condition theta_outer <= theta_inner is enforced
+    analytically; any other combination is audited numerically, on a grid of
+    resolution 16, and rejected if the result fails the copula axioms.  The
+    tail dependence function is Lambda_outer(w1, Lambda_inner(w2, w3)) when
+    both nodes carry one.
+    """
+    for node, label in ((outer, "outer"), (inner, "inner")):
+        if node.descriptor.get("family") != "archimedean" or node.dimension != 2:
+            raise DomainError(f"{label} node must be a bivariate Archimedean copula")
+
+    def formula(pts: np.ndarray) -> np.ndarray:
+        return outer._values(np.stack([pts[:, 0], inner._values(pts[:, 1:])], axis=1))
+
+    # Lambda_outer is increasing and 1-Lipschitz, so inner's relative and absolute errors pass through
+    tdf = None if outer.tdf is None or inner.tdf is None else TailDepFunction(
+        lambda pts: outer.tdf.fn(np.stack([pts[:, 0], inner.tdf.fn(pts[:, 1:])], axis=1)), 3,
+        accuracy=tuple(map(sum, zip(outer.tdf.accuracy, inner.tdf.accuracy))))
+    desc = {"family": "hierarchical", "outer": outer.descriptor, "inner": inner.descriptor}
+    c = copula_from_formula(3, formula, desc, tuple(map(sum, zip(outer.accuracy, inner.accuracy))), tdf)
+
+    og, ig = (node.descriptor["params"]["generator"] for node in (outer, inner))
+    if og.get("name") != "clayton" or ig.get("name") != "clayton":
+        validate_copula(c, GridConfig(resolution=16)).require("invalid hierarchical nesting")
+    elif og["theta"] > ig["theta"]:
+        raise DomainError(f"Clayton nesting requires outer theta <= inner theta, got {og['theta']} > {ig['theta']}")
+    return c

@@ -2,15 +2,17 @@
 
 Archimedean generators with exact or bisected inverses, the Marshall-Olkin
 and Gaussian families, diagonal-driven constructions (Fredricks-Nelsen,
-Bertino, semilinear), extreme value copulas driven by a tail dependence
-function, and the three-variable hierarchical Archimedean nesting.  Each
-builder sets the copula's closed-form tail dependence function (see ``core``).
+Bertino, semilinear), and extreme value copulas driven by a tail dependence
+function.  Each builder sets the copula's closed-form tail dependence
+function (see ``core``).  The hierarchical Archimedean nesting is a
+combinator like ``glue`` and lives in ``core``; it is re-exported here.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -33,8 +35,8 @@ from .core import (
     _row_reduce,
     _upper_frechet,
     copula_from_formula,
+    hierarchical,
     min_tdf,
-    validate_copula,
     zero_tdf,
 )
 from .taildep import _gauss_legendre_01, archimedean_tdf, validate_tdf
@@ -297,24 +299,23 @@ class DiagonalSection:
         return float(out) if t_arr.ndim == 0 else out
 
 
+def _power(t, p: float):
+    return t ** p
+
+
 def power_diagonal(p: float, dimension: int = 2) -> DiagonalSection:
     """Power diagonal t^p, valid for a 2-copula when 1 <= p <= 2."""
     if not 1.0 <= p <= float(dimension):
         raise DomainError(f"power diagonal needs 1 <= p <= d = {dimension}, got {p}")
-    return DiagonalSection(lambda t: t ** float(p), dimension, name="power", params={"p": float(p)}, convex=True,
-                           accuracy=(5e-16, 0.0))
+    return DiagonalSection(partial(_power, p=float(p)), dimension, name="power", params={"p": float(p)},
+                           convex=True, accuracy=(5e-16, 0.0))
 
 
 def diagonal_of(c: Copula) -> DiagonalSection:
     """Diagonal section of a copula as a DiagonalSection object; ``params`` keeps the copula's descriptor,
     and ``accuracy`` is the copula's pair."""
-    return DiagonalSection(
-        lambda t: np.asarray(c.diagonal(t), dtype=float),
-        c.dimension,
-        name="diagonal",
-        params={"copula": c.descriptor},
-        accuracy=c.accuracy,
-    )
+    return DiagonalSection(c.diagonal, c.dimension, name="diagonal", params={"copula": c.descriptor},
+                           accuracy=c.accuracy)
 
 
 def _diagonal_grid(grid: GridConfig | None = None) -> np.ndarray:
@@ -360,8 +361,10 @@ def validate_semilinear_diagonal(delta: DiagonalSection, grid: GridConfig | None
 def _power_diagonal_tdf(delta: DiagonalSection) -> TailDepFunction | None:
     # Fredricks-Nelsen, Bertino and semilinear lie between 0 and min(u, v, (u^p + v^p)/2) for the diagonal t^p,
     # so C(s*w)/s is min(w) when p = 1 and O(s^(p-1)) -> 0 when p > 1; no other diagonal has a closed form here
-    p = delta.params.get("p", 0.0) if delta.name == "power" else 0.0
-    return min_tdf() if p == 1.0 else zero_tdf() if p > 1.0 else None
+    fn = delta.delta  # a section power_diagonal built is known by its function, not by its name
+    if not (isinstance(fn, partial) and fn.func is _power):
+        return None
+    return min_tdf() if fn.keywords["p"] == 1.0 else zero_tdf()
 
 
 def fredricks_nelsen(delta: DiagonalSection) -> Copula:
@@ -407,9 +410,10 @@ def bertino(delta: DiagonalSection) -> Copula:
     # min(u, v) - gap cancels, so the diagonal's relative error and a rounding of order 1 turn absolute, and a
     # power diagonal gets there only where max(u, v) > 1/e
     rel, abs_ = delta.accuracy[:2]
-    region = ("max(u) > 1/e",) if delta.name == "power" else ()
+    tdf = _power_diagonal_tdf(delta)
+    region = ("max(u) > 1/e",) if tdf is not None else ()  # a power diagonal
     desc = {"family": "bertino", "params": {"diagonal": {"name": delta.name, **delta.params}}}
-    return copula_from_formula(2, formula, desc, (rel, abs_ + rel + ULP, *region), _power_diagonal_tdf(delta))
+    return copula_from_formula(2, formula, desc, (rel, abs_ + rel + ULP, *region), tdf)
 
 
 _BERTINO_SCAN = 1024
@@ -472,9 +476,8 @@ def semilinear(delta: DiagonalSection) -> Copula:
     validate_semilinear_diagonal(delta).require("invalid diagonal section")
 
     def formula(pts: np.ndarray) -> np.ndarray:
-        hi = _row_reduce(np.maximum, pts)
-        safe = np.where(hi > 0.0, hi, 1.0)
-        return np.where(hi > 0.0, _upper_frechet(pts) * np.asarray(delta(safe), dtype=float) / safe, 0.0)
+        hi = _row_reduce(np.maximum, pts)  # positive: a row with a 0 never reaches the formula (see ``core``)
+        return _upper_frechet(pts) * np.asarray(delta(hi), dtype=float) / hi
 
     desc = {"family": "semilinear", "params": {"diagonal": {"name": delta.name, **delta.params}}}
     rel, *rest = delta.accuracy  # the diagonal's pair plus a rounding
@@ -621,43 +624,3 @@ def _require_valid_ev_tdf(lam: TailDepFunction, validate: bool):
         raise DimensionError("extreme value construction is bivariate")
     if validate:
         validate_tdf(lam, GridConfig(resolution=16)).require("invalid tail dependence function")
-
-
-def hierarchical(outer: Copula, inner: Copula) -> Copula:
-    """Hierarchical Archimedean 3-copula (u1, u2, u3) -> outer(u1, inner(u2, u3)).
-
-    Both nodes must be bivariate Archimedean.  For Clayton/Clayton nesting
-    the sufficient condition theta_outer <= theta_inner is enforced
-    analytically; any other combination is audited numerically, on a grid of
-    resolution 16, and rejected if the result fails the copula axioms.  The
-    tail dependence function is Lambda_outer(w1, Lambda_inner(w2, w3)) when
-    both nodes carry one.
-    """
-    for node, label in ((outer, "outer"), (inner, "inner")):
-        if node.descriptor.get("family") != "archimedean" or node.dimension != 2:
-            raise DomainError(f"{label} node must be a bivariate Archimedean copula")
-
-    def gen_info(c: Copula) -> dict:
-        return c.descriptor["params"]["generator"]
-
-    def formula(pts: np.ndarray) -> np.ndarray:
-        inner_vals = inner._evaluator(pts[:, 1:])
-        outer_pts = np.stack([pts[:, 0], inner_vals], axis=1)
-        return outer._evaluator(outer_pts)
-
-    # Lambda_outer is increasing and 1-Lipschitz, so inner's relative and absolute errors pass through
-    tdf = None if outer.tdf is None or inner.tdf is None else TailDepFunction(
-        lambda pts: outer.tdf.fn(np.stack([pts[:, 0], inner.tdf.fn(pts[:, 1:])], axis=1)), 3,
-        accuracy=tuple(map(sum, zip(outer.tdf.accuracy, inner.tdf.accuracy))))
-    desc = {"family": "hierarchical", "outer": outer.descriptor, "inner": inner.descriptor}
-    c = copula_from_formula(3, formula, desc, tuple(map(sum, zip(outer.accuracy, inner.accuracy))), tdf)
-
-    og, ig = gen_info(outer), gen_info(inner)
-    if og.get("name") == "clayton" and ig.get("name") == "clayton":
-        if og["theta"] > ig["theta"]:
-            raise DomainError(
-                f"Clayton nesting requires outer theta <= inner theta, got {og['theta']} > {ig['theta']}"
-            )
-    else:
-        validate_copula(c, GridConfig(resolution=16)).require("invalid hierarchical nesting")
-    return c

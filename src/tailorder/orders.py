@@ -397,14 +397,6 @@ class EquivalenceReport:
         }
 
 
-def _tdc_from_alpha(alpha: float, d: int) -> float:
-    if alpha == 0.0:
-        return 0.0
-    if np.isinf(alpha):
-        return 1.0
-    return float(d ** (-1.0 / alpha))
-
-
 def archimedean_order_equivalence(g1: Generator, g2: Generator, dimension: int = 2,
                                   grid: GridConfig | None = None) -> EquivalenceReport:
     """Evaluate the three-way equivalence for strict regularly varying generators.
@@ -427,6 +419,6 @@ def archimedean_order_equivalence(g1: Generator, g2: Generator, dimension: int =
     a1, a2 = index_of(g1), index_of(g2)
     lam1, lam2 = archimedean_tdf(a1, dimension), archimedean_tdf(a2, dimension)
     verdict = check_tdo(lam1, lam2, grid)
-    t1, t2 = _tdc_from_alpha(a1, dimension), _tdc_from_alpha(a2, dimension)
+    t1, t2 = lam1(np.ones(dimension)), lam2(np.ones(dimension))  # the coefficients Lambda(1, ..., 1)
     return EquivalenceReport(strict_tdo=verdict.status == HOLDS_STRICTLY, tdc_ordered=t1 < t2,
                              index_ordered=a1 < a2, alpha1=a1, alpha2=a2, tdc1=t1, tdc2=t2)

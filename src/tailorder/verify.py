@@ -47,13 +47,12 @@ def _fig1_tdfs():
 
 
 def _matching_pairs():
-    """Fixture copulas paired with the closed-form tail dependence functions they carry."""
+    """Named fixture copulas, each carrying its closed-form tail dependence function as ``tdf``."""
     fixtures = (("independence", "independence"), ("comonotone", "comonotone"),
                 ("marshall-olkin-0.5", "marshall-olkin:0.5"), ("clayton-1", "clayton:1"),
                 ("clayton-2", "clayton:2"), ("nonstrict-linear", "nonstrict-linear"),
                 ("lev-parabola", "lev:fig1-parabola"), ("lev-piecewise", "lev:fig1-piecewise"))
-    copulas = [(name, build_copula(parse_shorthand(text))) for name, text in fixtures]
-    return [(name, c, c.tdf) for name, c in copulas]
+    return [(name, build_copula(parse_shorthand(text))) for name, text in fixtures]
 
 
 def _suite_expansion():
@@ -120,7 +119,7 @@ def _suite_archimedean():
     out.append(_outcome("archimedean", "nonstrict-flat-region", flat == 0.0, f"max |C| = {flat:.2e}"))
     loc_all = all(
         orders.check_loc(ns, c, 0.5).status in (orders.HOLDS, orders.INDISTINGUISHABLE)
-        for _, c, _ in _matching_pairs()
+        for _, c in _matching_pairs()
     )
     out.append(_outcome("archimedean", "nonstrict-loc-below-fixtures", loc_all))
 
@@ -230,9 +229,9 @@ def _suite_cone():
 
 def _suite_spearman():
     out = []
-    for name, c, lam in _matching_pairs():
+    for name, c in _matching_pairs():
         est = taildep.tdc(c)
-        bound = taildep.spearman_tdf_limit(lam)
+        bound = taildep.spearman_tdf_limit(c.tdf)
         # the inequality concerns the true limit; grant the estimate its error bar
         slack = max(1e-6, 10.0 * est.error_estimate)
         out.append(_outcome("spearman", f"bound-dominates-{name}", est.value <= bound + slack,

@@ -41,6 +41,17 @@ class TestSubcommands:
         assert code == cli.EXIT_OK
         assert [float(x) for x in out.split()] == pytest.approx([1.0 / 3.0, 1.0 / 6.5], abs=1e-15)
 
+    @pytest.mark.parametrize("point", ["-1e-13,0.5", "-0.0,0.5"])
+    def test_eval_reads_a_point_that_starts_with_a_minus(self, capsys, point):
+        # a coordinate within BOUNDARY_TOL below 0 clamps to 0, so the point is a zero row, whichever way it is given
+        assert run(capsys, "eval", "clayton:2", "-u", point) == (cli.EXIT_OK, "0\n", "")
+        assert run(capsys, "eval", "clayton:2", f"-u={point}") == (cli.EXIT_OK, "0\n", "")
+
+    def test_eval_rejects_a_negative_point_beyond_the_tolerance(self, capsys):
+        code, _, err = run(capsys, "eval", "clayton:2", "-u", "-0.1,0.5")
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "outside [0, 1] beyond tolerance" in err
+
     def test_tdf_trace(self, capsys):
         code, out, _ = run(capsys, "tdf", "clayton:2")
         assert code == cli.EXIT_OK
@@ -444,3 +455,9 @@ def test_module_boundaries():
     assert [p for p in package_imports("orders") if p[0] == "descriptors"] == []
     assert [p for p in package_imports("cli") if p[1] and p[1].startswith("_")] == []
     assert {("descriptors", "build_copula"), ("taildep", "estimate_tdfs")} <= set(package_imports("cli"))
+    # the boundary rule is core's own: no other module reads a private attribute of a Copula
+    private = {name for name in vars(core.Copula) if name.startswith("_") and not name.endswith("__")}
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        if path.stem != "core":
+            nodes = ast.walk(ast.parse(path.read_text()))
+            assert [n.attr for n in nodes if isinstance(n, ast.Attribute) and n.attr in private] == [], path.stem

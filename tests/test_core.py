@@ -171,6 +171,12 @@ class TestGuard:
         np.testing.assert_array_equal(right[:, j], (batch[~below, j] - split) / (1.0 - split))
         np.testing.assert_array_equal(right[:, 1 - j], batch[~below, 1 - j])
 
+    def test_a_callable_part_returning_a_list_evaluates_inside_glue_and_survival(self):
+        part = to.copula_from_callable(lambda pts: (pts[:, 0] * pts[:, 1]).tolist(), 2)
+        batch = np.random.default_rng(5).uniform(0.05, 0.95, size=(64, 2))
+        np.testing.assert_allclose(to.glue(part, part, 1, 0.4).cdf(batch), batch.prod(axis=1), rtol=1e-15)
+        np.testing.assert_allclose(to.survival(part).cdf(batch), batch.prod(axis=1), rtol=0.0, atol=1e-15)
+
 
 class TestHVolume:
     def test_product_box(self):

@@ -244,6 +244,16 @@ class TestBertinoEndpoint:
         with pytest.raises(to.DomainError, match="convex"):
             to.DiagonalSection(delta, convex=True)
 
+    def test_only_a_section_power_diagonal_built_counts_as_a_power(self):
+        # convex, named "power" with p = 2, but (t + t^2) / 2: near 0 it is t / 2, so C(s, s) / s tends to 1/2
+        # for Fredricks-Nelsen, not to the 0 of t^2; it gets neither the region of t^p nor a closed-form Lambda
+        impostor = to.DiagonalSection(lambda t: 0.5 * (t + t * t), name="power", params={"p": 2.0}, convex=True)
+        for build in (to.fredricks_nelsen, to.bertino, to.semilinear):
+            assert build(impostor).tdf is None
+            assert build(to.power_diagonal(2.0)).tdf.name == "zero"
+        assert to.bertino(impostor).accuracy[2:] == ()
+        assert to.bertino(to.power_diagonal(1.5)).accuracy[2:] == ("max(u) > 1/e",)
+
 
 class TestExtremeValue:
     def test_zero_gives_product(self):
