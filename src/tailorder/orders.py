@@ -31,7 +31,7 @@ from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Copula, DimensionError, DomainError, GridConfig, abs_at
+from .core import Copula, DimensionError, DomainError, GridConfig, _tensor_grid, abs_at
 from .families import DiagonalSection, Generator, generalized_inverse
 from .taildep import (
     LimitSchedule,
@@ -208,7 +208,7 @@ def _local_directions(d: int) -> np.ndarray:
     """Unit vectors w / ||w||_2 of the node vectors w with max w = 1."""
     n_geo, n_lin = _NODE_COUNTS.get(d, (2, 2))
     nodes = np.concatenate([np.geomspace(1e-18, 1e-2, n_geo), np.arange(1, n_lin + 1) / n_lin])
-    w = np.stack(np.meshgrid(*[nodes] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    w = _tensor_grid(nodes, d)
     w = w[w.max(axis=1) == 1.0]
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     w.flags.writeable = False

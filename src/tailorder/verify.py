@@ -31,8 +31,7 @@ def _outcome(suite, name, passed, detail=""):
 
 
 def _grid_points(n=64):
-    g = np.linspace(0.0, 1.0, n + 1)
-    return np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    return core._tensor_grid(np.linspace(0.0, 1.0, n + 1), 2)
 
 
 def _clayton(theta):

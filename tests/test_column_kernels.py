@@ -22,9 +22,8 @@ from tailorder.families import bivariate_normal_cdf
 
 
 def ref_normal_cdf(a, b, rho, nodes=64):
-    """One-shot quadrature over an (n, nodes) array."""
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
+    """One-shot quadrature over an (n, nodes) array, with the exponent as two terms that are never positive."""
+    a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     base = ndtr(a_arr) * ndtr(b_arr)
     if rho == 0.0:
         out = base
@@ -33,11 +32,12 @@ def ref_normal_cdf(a, b, rho, nodes=64):
         t = np.arcsin(rho) * x
         wt = np.arcsin(rho) * w
         sin_t = np.sin(t)
-        cos2 = np.cos(t) ** 2
-        aa = a_arr[..., None]
-        bb = b_arr[..., None]
-        integrand = np.exp(-(aa**2 - 2.0 * aa * bb * sin_t + bb**2) / (2.0 * cos2))
-        out = base + (integrand * wt).sum(axis=-1) / (2.0 * np.pi)
+        node_rows = -1.0 / np.stack([2.0 * np.cos(t) ** 2, 1.0 + sin_t, 1.0 - sin_t])
+        aa, bb = a_arr.reshape(-1), b_arr.reshape(-1)
+        ab = aa * bb
+        cols = np.stack([(np.abs(aa) - np.abs(bb)) ** 2, np.maximum(ab, 0.0), np.maximum(-ab, 0.0)], axis=1)
+        integral = np.exp(cols @ node_rows) @ wt
+        out = base + integral.reshape(base.shape) / (2.0 * np.pi)
     out = np.clip(out, 0.0, 1.0)
     return float(out) if np.isscalar(a) and np.isscalar(b) else out
 
@@ -303,7 +303,7 @@ class TestBlockedNormalCdf:
     B = families._NORMAL_BLOCK
 
     @pytest.mark.parametrize("rho", [0.5, -0.7, 0.999, 0.0])
-    @pytest.mark.parametrize("size", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("size", [0, 1, 2, B - 1, B, B + 1, B + 2, 2 * B + 1, 2 * B + 3, 64 * B])
     def test_sizes(self, rho, size):
         rng = np.random.default_rng(size)
         a, b = rng.normal(scale=3.0, size=(2, size))

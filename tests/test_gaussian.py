@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
+from scipy.special import ndtr
 
 import tailorder as to
 from tailorder.families import bivariate_normal_cdf
@@ -32,6 +33,23 @@ class TestBivariateNormal:
             v64 = bivariate_normal_cdf(-0.7, 1.2, rho, nodes=64)
             v96 = bivariate_normal_cdf(-0.7, 1.2, rho, nodes=96)
             assert abs(v64 - v96) < 1e-13
+
+    @pytest.mark.parametrize("rho", [0.5, -0.5, 0.999])
+    @pytest.mark.parametrize("x", [0.3, -1.2, math.inf, -math.inf])
+    @pytest.mark.parametrize("inf", [math.inf, -math.inf])
+    def test_infinite_arguments_give_the_limit(self, rho, x, inf):
+        # Phi2(inf, x) = Phi(x), Phi2(-inf, x) = 0, and the same with the arguments swapped
+        want = float(ndtr(x)) if inf > 0 else 0.0
+        assert bivariate_normal_cdf(inf, x, rho) == want
+        assert bivariate_normal_cdf(x, inf, rho) == want
+
+    def test_infinite_and_nan_rows_leave_the_other_rows_alone(self):
+        a = np.array([0.3, math.inf, -1.2, math.nan, -math.inf, 2.0])
+        b = np.array([-0.4, 0.7, math.inf, 0.1, 0.5, math.nan])
+        got = bivariate_normal_cdf(a, b, 0.5)
+        assert got[0] == bivariate_normal_cdf(0.3, -0.4, 0.5)
+        assert list(got[1:3]) == [ndtr(0.7), ndtr(-1.2)] and got[4] == 0.0
+        assert np.isnan(got[3]) and np.isnan(got[5])
 
     def test_orthant_identity(self):
         for rho in (-0.9, -0.5, 0.0, 0.25, 0.5, 0.9):
@@ -69,45 +87,59 @@ class TestGaussianCopula:
         assert to.validate_copula(to.gaussian(-0.7), to.GridConfig(resolution=48)).passed
 
 
-def copula_reference(u, v, rho, dps=40):
+def copula_reference(u, v, rho, tol, dps=40):
     """Gaussian copula C(u, v) in mpmath, integrating the angular form from -pi/2.
 
     Phi2(a, b; rho) = max(u + v - 1, 0) + (1/2pi) int_{-pi/2}^{asin rho} exp(...) dt
     with a = Phi^-1(u), b = Phi^-1(v); below the anti-diagonal only the
-    integral is left, so nothing cancels for rho < 0 either.
+    integral is left, so nothing cancels for rho < 0 either.  a and b are
+    taken 20 digits finer, since 2u - 1 cancels for u near 0.  In the tail
+    the integrand is a narrow peak at the upper end, which one unsplit
+    ``quad`` resolves badly, so the interval is cut at graded distances
+    below asin(rho), and mpmath's own error estimate must lie far below
+    ``tol``, the absolute error the caller allows.
     """
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(dps):
+    with mpmath.workdps(dps + 20):
         u, v = mpmath.mpf(u), mpmath.mpf(v)
         a, b = (mpmath.sqrt(2) * mpmath.erfinv(2 * x - 1) for x in (u, v))
+    with mpmath.workdps(dps):
 
         def integrand(t):
             return mpmath.exp(-(a * a - 2 * a * b * mpmath.sin(t) + b * b) / (2 * mpmath.cos(t) ** 2))
 
-        integral = mpmath.quad(integrand, [-mpmath.pi / 2, mpmath.asin(mpmath.mpf(rho))])
+        lo, hi = -mpmath.pi / 2, mpmath.asin(mpmath.mpf(rho))
+        cuts = [lo] + [hi - f * (hi - lo) for f in (0.1, 1e-2, 1e-3)] + [hi]
+        integral, err = mpmath.quad(integrand, cuts, maxdegree=10, error=True)
+        assert err / (2 * mpmath.pi) <= 1e-3 * tol, (u, v, rho, err)
         return float(max(u + v - 1, 0) + integral / (2 * mpmath.pi))
 
 
 # s * w near the origin, and points at radius 1, which the local orders' sample reaches
 TAIL_POINTS = [(s * w1, s * w2) for s in (1e-2, 1e-8, 1e-14) for w1, w2 in ((1, 1), (1, 0.5), (0.2, 1), (1, 1e-3))]
 TAIL_POINTS += [(0.7071067811865476, 0.7071067811865476), (0.24253562503633297, 0.9701425001453319)]
+# an asymmetric tail point of the local orders' sample (direction ratio 1e-16 at radius 3.37e-7), and its mirror
+TAIL_POINTS += [(3.37e-23, 3.37e-7), (3.37e-7, 3.37e-23)]
+# points where Phi^-1(u) Phi^-1(v) < 0, which take the -|ab|/(1 - sin t) term of the exponent
+TAIL_POINTS += [(0.3, 0.7), (0.05, 0.99), (1e-6, 0.999999)]
 
 
 class TestTailAccuracy:
     """The quadrature's accuracy pairs in the family table, which set the orders' thresholds."""
 
-    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.7, 0.9, 0.99, 0.999])
     def test_relative_error_for_positive_rho(self, rho):
         c = to.gaussian(rho)
         assert c.accuracy == (1e-13, 0.0)
         for u in TAIL_POINTS:
-            want = copula_reference(*u, rho)
-            assert abs(c.cdf(u) - want) <= 1e-13 * want, u
+            got = c.cdf(u)
+            want = copula_reference(*u, rho, 1e-13 * got)
+            assert abs(got - want) <= 1e-13 * want, u
 
-    @pytest.mark.parametrize("rho", [-0.3, -0.7])
+    @pytest.mark.parametrize("rho", [-0.3, -0.7, -0.99, -0.999])
     def test_only_absolute_error_for_negative_rho(self, rho):
         # Phi(a)Phi(b) and the negative integral cancel, so tail values are accurate only in absolute terms
         c = to.gaussian(rho)
         assert c.accuracy == (0.0, 4e-16)
         for u in TAIL_POINTS:
-            assert abs(c.cdf(u) - copula_reference(*u, rho)) <= 4e-16, u
+            assert abs(c.cdf(u) - copula_reference(*u, rho, 4e-16)) <= 4e-16, u
