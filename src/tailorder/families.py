@@ -523,14 +523,15 @@ def bivariate_normal_cdf(a, b, rho: float, nodes: int = 64) -> np.ndarray | floa
         sin_t = np.sin(t)
         node_rows = -1.0 / np.stack([2.0 * np.cos(t) ** 2, 1.0 + sin_t, 1.0 - sin_t])
         aa, bb = a_arr.reshape(-1), b_arr.reshape(-1)
-        cols = np.empty((aa.size, 3))  # filled column by column: no temporary (n, 3) stack
-        sums = np.empty(aa.size)
-        buf = np.empty((min(aa.size, _NORMAL_BLOCK + 1), nodes))
+        cols = np.empty((aa.size, 3))  # filled column by column, before the buffers: no (n, 3) temporary
         with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 on rows with an infinite argument
-            ab = aa * bb
-            np.square(np.abs(aa) - np.abs(bb), out=cols[:, 0])
-            np.maximum(ab, 0.0, out=cols[:, 1])
+            ab = np.multiply(aa, bb, out=cols[:, 1])
             np.maximum(-ab, 0.0, out=cols[:, 2])
+            np.maximum(ab, 0.0, out=ab)
+            np.subtract(np.abs(aa), np.abs(bb), out=cols[:, 0])
+            np.square(cols[:, 0], out=cols[:, 0])
+            sums = np.empty(aa.size)
+            buf = np.empty((min(aa.size, _NORMAL_BLOCK + 1), nodes))
             # BLAS rounds a one-row product by another path than a row of a larger one, so a last block of one
             # row joins the block before it, and every row rounds as it would in one product over all rows
             for start in range(0, max(aa.size - 1, 1), _NORMAL_BLOCK):
@@ -539,7 +540,7 @@ def bivariate_normal_cdf(a, b, rho: float, nodes: int = 64) -> np.ndarray | floa
                 np.matmul(cols[start:stop], node_rows, out=blk)
                 np.exp(blk, out=blk)
                 np.matmul(blk, wt, out=sums[start:stop])
-        sums[~np.isfinite(ab)] = 0.0  # a or b infinite: the integrand vanishes (a NaN row stays NaN in Phi(a)Phi(b))
+        sums[np.isnan(sums)] = 0.0  # only from an infinite argument (integral 0) or a NaN one (Phi(a)Phi(b) keeps it)
         out = out + sums.reshape(out.shape) / (2.0 * np.pi)
     out = np.clip(out, 0.0, 1.0)
     return float(out) if np.isscalar(a) and np.isscalar(b) else out
