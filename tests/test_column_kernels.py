@@ -2,10 +2,11 @@
 
 The family formulas combine a row's columns with ``core._row_reduce`` and
 the bivariate normal quadrature runs in blocks.  The references below write
-the same formulas with numpy reductions along axis 1 and the quadrature as
-one (n, nodes) array.  Both forms must give the same float64 values on
-every family of the descriptor table, on interior batches and on rows with
-a coordinate exactly 0 or 1.
+the same formulas with numpy reductions along axis 1, the quadrature as one
+(n, nodes) array and the Archimedean inverse with its live rows gathered
+and scattered.  Both forms must give the same float64 values on every
+family of the descriptor table, on interior batches and on rows with a
+coordinate exactly 0 or 1.
 """
 
 import warnings
@@ -21,25 +22,44 @@ from tailorder.families import bivariate_normal_cdf
 # ---------------------------------------------------------------- references
 
 
-def ref_normal_cdf(a, b, rho, nodes=64):
+def ref_normal_integral(a, b, rho, nodes=64):
     """One-shot quadrature over an (n, nodes) array, with the exponent as two terms that are never positive."""
+    x, w = taildep._gauss_legendre_01(nodes)
+    t = np.arcsin(rho) * x
+    wt = np.arcsin(rho) * w
+    sin_t = np.sin(t)
+    node_rows = -1.0 / np.stack([2.0 * np.cos(t) ** 2, 1.0 + sin_t, 1.0 - sin_t])
+    ab = a * b
+    cols = np.stack([(np.abs(a) - np.abs(b)) ** 2, np.maximum(ab, 0.0), np.maximum(-ab, 0.0)], axis=1)
+    return np.exp(cols @ node_rows) @ wt / (2.0 * np.pi)
+
+
+def ref_normal_cdf(a, b, rho, nodes=64):
+    """Phi(a)Phi(b) plus the one-shot integral."""
     a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    base = ndtr(a_arr) * ndtr(b_arr)
-    if rho == 0.0:
-        out = base
-    else:
-        x, w = taildep._gauss_legendre_01(nodes)
-        t = np.arcsin(rho) * x
-        wt = np.arcsin(rho) * w
-        sin_t = np.sin(t)
-        node_rows = -1.0 / np.stack([2.0 * np.cos(t) ** 2, 1.0 + sin_t, 1.0 - sin_t])
-        aa, bb = a_arr.reshape(-1), b_arr.reshape(-1)
-        ab = aa * bb
-        cols = np.stack([(np.abs(aa) - np.abs(bb)) ** 2, np.maximum(ab, 0.0), np.maximum(-ab, 0.0)], axis=1)
-        integral = np.exp(cols @ node_rows) @ wt
-        out = base + integral.reshape(base.shape) / (2.0 * np.pi)
+    out = ndtr(a_arr) * ndtr(b_arr)
+    if rho != 0.0:
+        out = out + ref_normal_integral(a_arr.reshape(-1), b_arr.reshape(-1), rho, nodes).reshape(out.shape)
     out = np.clip(out, 0.0, 1.0)
     return float(out) if np.isscalar(a) and np.isscalar(b) else out
+
+
+def ref_generalized_inverse(g, x):
+    """The generalized inverse with its saturated rows masked out and its live rows gathered and scattered."""
+    x_arr = np.asarray(x, dtype=float)
+    xs = np.atleast_1d(x_arr).astype(float)
+    out = np.empty_like(xs)
+    saturated = xs >= g.phi_at_zero()
+    out[saturated] = 0.0
+    live = ~saturated
+    if live.any():
+        if g.inverse is not None:
+            with np.errstate(over="ignore", divide="ignore"):
+                vals = np.asarray(g.inverse(xs[live]), dtype=float)
+            out[live] = np.clip(np.where(np.isfinite(vals), vals, 0.0), 0.0, 1.0)
+        else:
+            out[live] = families._bisect_inverse(g, xs[live])
+    return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
 
 def ref_boundary(formula, dimension):
@@ -103,7 +123,7 @@ def ref_formula(desc):
         def archimedean(pts):
             with np.errstate(divide="ignore", over="ignore"):
                 total = np.asarray(g.phi(pts), dtype=float).sum(axis=1)
-            return np.asarray(families.generalized_inverse(g, total), dtype=float)
+            return np.asarray(ref_generalized_inverse(g, total), dtype=float)
 
         return archimedean
     if fam == "marshall_olkin":
@@ -118,9 +138,9 @@ def ref_formula(desc):
         if r == 0.0:
             return lambda pts: pts.prod(axis=1)
 
-        def gaussian(pts):
-            q = ndtri(np.clip(pts, 1e-300, 1.0 - 1e-16))
-            return np.asarray(ref_normal_cdf(q[:, 0], q[:, 1], r), dtype=float)
+        def gaussian(pts):  # Phi(a)Phi(b) is u1*u2 at a = Phi^-1(u1), b = Phi^-1(u2)
+            q = ndtri(pts)
+            return pts[:, 0] * pts[:, 1] + ref_normal_integral(q[:, 0], q[:, 1], r)
 
         return gaussian
     if fam in ("extreme_value", "lower_extreme_value"):
@@ -328,3 +348,35 @@ class TestBlockedNormalCdf:
         got = bivariate_normal_cdf(a, b, 0.6)
         want = ref_normal_cdf(a, b, 0.6)
         assert got.shape == np.broadcast_shapes(a.shape, b.shape) and np.array_equal(got, want)
+
+
+class TestGeneralizedInverse:
+    GENERATORS = {
+        "clayton": families.clayton_generator(2.0),
+        "gumbel": families.gumbel_generator(2.0),
+        "joe": families.joe_generator(2.0),
+        "nonstrict-linear": families.nonstrict_linear_generator(),
+        # phi(0) = 1 and no closed form, so the bisection path sees saturated rows too
+        "bisected": families.Generator(phi=lambda t: (1.0 - t) ** 2, inverse=None, strict=False, rv_index_at_0=0.0),
+    }
+
+    def rows(self, g):
+        return np.concatenate([[0.0, 1e-300, g.phi_at_zero(), np.inf, np.nan], np.geomspace(1e-12, 1e3, 40)])
+
+    @pytest.mark.parametrize("name", GENERATORS)
+    def test_rows_match_the_masked_reference(self, name):
+        g = self.GENERATORS[name]
+        x = self.rows(g)
+        assert np.array_equal(families.generalized_inverse(g, x), ref_generalized_inverse(g, x))
+        x2 = x.reshape(5, 9)
+        got = families.generalized_inverse(g, x2)
+        assert got.shape == (5, 9) and np.array_equal(got, ref_generalized_inverse(g, x2))
+
+    @pytest.mark.parametrize("name", GENERATORS)
+    def test_scalars_and_zero_dimensional_arrays_give_floats(self, name):
+        g = self.GENERATORS[name]
+        for v in self.rows(g)[:8]:
+            want = ref_generalized_inverse(g, v)
+            for x in (float(v), np.asarray(v)):
+                got = families.generalized_inverse(g, x)
+                assert type(got) is float and got == want, (name, v)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 import tailorder as to
 from tailorder.families import bivariate_normal_cdf
@@ -85,6 +85,22 @@ class TestGaussianCopula:
     def test_valid_copula(self):
         assert to.validate_copula(to.gaussian(0.5), to.GridConfig(resolution=64)).passed
         assert to.validate_copula(to.gaussian(-0.7), to.GridConfig(resolution=48)).passed
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9, -0.5])
+    def test_subnormal_coordinates_stay_below_the_upper_frechet_bound(self, rho):
+        for u in ((1e-320, 0.5), (5e-324, 0.9)):
+            assert to.gaussian(rho).cdf(u) <= min(u), u
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9, 0.999, -0.3, -0.7, -0.999])
+    def test_copula_agrees_with_the_normal_cdf_at_the_normal_quantiles(self, rho):
+        # the copula takes u1*u2 for Phi(a)Phi(b); the two must agree within the copula's pair
+        rng = np.random.default_rng(2210)
+        tail = np.exp(rng.uniform(np.log(1e-300), np.log(1e-1), size=(500, 2)))
+        u = np.concatenate([rng.random((500, 2)), tail, np.asarray(TAIL_POINTS)])
+        c = to.gaussian(rho)
+        rel, abs_ = c.accuracy
+        want = bivariate_normal_cdf(ndtri(u[:, 0]), ndtri(u[:, 1]), rho)
+        assert np.all(np.abs(c.cdf(u) - want) <= rel * want + abs_)
 
 
 def copula_reference(u, v, rho, tol, dps=40):
