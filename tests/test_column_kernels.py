@@ -356,6 +356,10 @@ class TestGeneralizedInverse:
         "gumbel": families.gumbel_generator(2.0),
         "joe": families.joe_generator(2.0),
         "nonstrict-linear": families.nonstrict_linear_generator(),
+        # a closed form that folds back up beyond phi(0) = 1 and is infinite at x = 0: those rows get 0 only
+        # from the masks, x < phi(0) and a finite value
+        "folded": families.Generator(phi=lambda t: 1.0 - t, inverse=lambda x: np.abs(1.0 - x) / (x > 0.0),
+                                     strict=False, rv_index_at_0=0.0),
         # phi(0) = 1 and no closed form, so the bisection path sees saturated rows too
         "bisected": families.Generator(phi=lambda t: (1.0 - t) ** 2, inverse=None, strict=False, rv_index_at_0=0.0),
     }
