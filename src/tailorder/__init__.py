@@ -22,7 +22,6 @@ from .core import (
     ValidityReport,
     comonotone,
     copula_from_callable,
-    copula_from_formula,
     countermonotone,
     glue,
     h_volume,
@@ -85,7 +84,6 @@ from .taildep import (
     estimate_tdfs,
     estimated_tdf,
     lift,
-    min_section,
     parabola_section,
     regular_variation_index,
     simplex_directions,

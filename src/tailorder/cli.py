@@ -188,6 +188,8 @@ def cmd_order(args) -> int:
     g, sched = _grid(args), _parse_schedule(args.schedule)
     if g is not None and (args.loc or args.too):
         raise DescriptorError("--grid does not apply to --loc and --too, which sample fixed sets")
+    if args.eps is not None and (args.tdo or args.too or args.diagonal):
+        raise DescriptorError("--eps applies only to --loc and --cone, which check a ball or cone radius")
 
     if args.too:
         results = orders.check_too(c1, c2, schedule=sched)
@@ -229,7 +231,8 @@ def _repro_mo_clayton(args, schedule):
 
 def _repro_fig1(args, schedule):
     t = np.linspace(0.0, 1.0, 201)
-    sections = (taildep.parabola_section(), taildep.capped_slope_section(), taildep.min_section())
+    envelope = taildep.simplex_restriction(taildep.min_tdf())
+    sections = (taildep.parabola_section(), taildep.capped_slope_section(), envelope)
     return ("t", "parabola", "piecewise", "envelope"), np.column_stack([t, *(f(t) for f in sections)]).tolist()
 
 
@@ -285,8 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tdf", help="estimate the tail dependence function")
     p.add_argument("descriptor", help=descriptor_help)
-    p.add_argument("--w", default=None, help="direction as w1,w2[,w3] (default: all ones)")
-    p.add_argument("--simplex-grid", type=int, default=None, help="estimate on an n-point simplex grid")
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--w", default=None, help="direction as w1,w2[,w3] (default: all ones)")
+    where.add_argument("--simplex-grid", type=int, default=None, help="estimate on an n-point simplex grid")
     _add_common(p, "schedule", "out", "format")
     p.set_defaults(func=cmd_tdf, format="csv")
 

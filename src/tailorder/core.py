@@ -7,9 +7,9 @@ set like the accuracy pair below, or None where no closed form is known and
 Lambda can only be estimated (see ``taildep``).  The builder picks how a
 copula evaluates: :class:`Copula` itself keeps the boundary axioms
 (groundedness and uniform margins) exact at coordinates that are exactly 0
-or 1 around a formula from :func:`copula_from_formula`, as every family's
-is, while :func:`copula_from_callable` takes a function verbatim so that it
-can be audited honestly by :func:`validate_copula`.  The combinators here
+or 1 around the raw formula it is built from, as every family's is, while
+:func:`copula_from_callable` takes a function verbatim so that it can be
+audited honestly by :func:`validate_copula`.  The combinators here
 evaluate each part its own way.  Every validity audit, here and in
 ``families`` and ``taildep``, builds its checks with one rule,
 :meth:`CheckResult.worst_of`.
@@ -50,7 +50,6 @@ __all__ = [
     "zero_tdf",
     "min_tdf",
     "Copula",
-    "copula_from_formula",
     "copula_from_callable",
     "independence",
     "comonotone",
@@ -184,16 +183,14 @@ class TailDepFunction:
     """Positively homogeneous tail dependence function on [0, inf)^d.
 
     ``fn`` maps an (n, d) array of nonnegative directions to (n,) values;
-    ``provenance`` records whether the function is a closed form or a
-    numerical estimate.  ``breakpoints`` lists the known kinks t of the
-    unit-simplex section t -> Lambda(t, 1-t) (d = 2 only), where the
-    quadrature functional splits its panels.  ``accuracy`` is the
-    evaluator's accuracy pair (see the module docstring).
+    a numerical estimate is named ``"estimated"``.  ``breakpoints`` lists
+    the known kinks t of the unit-simplex section t -> Lambda(t, 1-t)
+    (d = 2 only), where the quadrature functional splits its panels.
+    ``accuracy`` is the evaluator's accuracy pair (see the module docstring).
     """
 
     fn: Callable
     dimension: int
-    provenance: str = "analytic"
     name: str = "custom"
     params: dict = field(default_factory=dict)
     breakpoints: tuple[float, ...] = ()
@@ -215,6 +212,9 @@ class TailDepFunction:
 
 class Copula:
     """A d-dimensional copula evaluated from a vectorized formula.
+
+    Every builder constructs its copula from a raw CDF formula with this
+    class, which keeps the boundary axioms exact around the formula.
 
     Parameters
     ----------
@@ -358,12 +358,6 @@ def _row_reduce(ufunc: np.ufunc, pts: np.ndarray, dtype=None) -> np.ndarray:
     return out
 
 
-def copula_from_formula(dimension: int, formula: Callable, descriptor: dict, accuracy: tuple = CUSTOM,
-                        tdf: TailDepFunction | None = None) -> Copula:
-    """Build a copula from a raw CDF formula; :class:`Copula` keeps the boundary axioms exact around it."""
-    return Copula(dimension, formula, descriptor, accuracy, tdf)
-
-
 def copula_from_callable(fn: Callable, dimension: int, descriptor: dict | None = None) -> Copula:
     """Build a copula from an arbitrary ``(n, d) -> (n,)`` function without the boundary rule.
 
@@ -399,20 +393,19 @@ def min_tdf(dimension: int = 2) -> TailDepFunction:
 
 def independence(dimension: int = 2) -> Copula:
     """Product copula: C(u) = u_1 * ... * u_d."""
-    return copula_from_formula(dimension, _product, {"family": "independence", "params": {"d": dimension}},
-                               PRODUCT, zero_tdf(dimension))
+    return Copula(dimension, _product, {"family": "independence", "params": {"d": dimension}},
+                  PRODUCT, zero_tdf(dimension))
 
 
 def comonotone(dimension: int = 2) -> Copula:
     """Upper Frechet-Hoeffding bound: C(u) = min_k u_k."""
-    return copula_from_formula(dimension, _upper_frechet, {"family": "comonotone", "params": {"d": dimension}},
-                               EXACT, min_tdf(dimension))
+    return Copula(dimension, _upper_frechet, {"family": "comonotone", "params": {"d": dimension}},
+                  EXACT, min_tdf(dimension))
 
 
 def countermonotone() -> Copula:
     """Lower Frechet-Hoeffding bound max(u_1 + u_2 - 1, 0); a copula only for d = 2."""
-    return copula_from_formula(2, _lower_frechet, {"family": "countermonotone", "params": {}}, LOWER_BOUND,
-                               zero_tdf())
+    return Copula(2, _lower_frechet, {"family": "countermonotone", "params": {}}, LOWER_BOUND, zero_tdf())
 
 
 def h_volume(c: Copula, lower, upper) -> float:
@@ -520,7 +513,7 @@ def glue(left: Copula, right: Copula, axis: int, split: float) -> Copula:
                               breakpoints=tuple(float(w[0] / w.sum()) for w in kinks),
                               accuracy=(lam.accuracy[0] + ULP, lam.accuracy[1]))
     # the worse of the parts' pairs in each term; a region is dropped, so its abs term counts everywhere
-    return copula_from_formula(2, formula, desc, tuple(map(max, left.accuracy[:2], right.accuracy[:2])), tdf)
+    return Copula(2, formula, desc, tuple(map(max, left.accuracy[:2], right.accuracy[:2])), tdf)
 
 
 def survival(c: Copula) -> Copula:
@@ -537,7 +530,7 @@ def survival(c: Copula) -> Copula:
         return pts[:, 0] + pts[:, 1] - 1.0 + c._values(1.0 - pts)
 
     rel, abs_ = c.accuracy[:2]
-    return copula_from_formula(2, formula, {"family": "survival", "inner": c.descriptor}, (0.0, 2 * ULP + rel + abs_))
+    return Copula(2, formula, {"family": "survival", "inner": c.descriptor}, (0.0, 2 * ULP + rel + abs_))
 
 
 def hierarchical(outer: Copula, inner: Copula) -> Copula:
@@ -562,7 +555,7 @@ def hierarchical(outer: Copula, inner: Copula) -> Copula:
         lambda pts: outer.tdf.fn(np.stack([pts[:, 0], inner.tdf.fn(pts[:, 1:])], axis=1)), 3,
         accuracy=tuple(map(sum, zip(outer.tdf.accuracy, inner.tdf.accuracy))))
     desc = {"family": "hierarchical", "outer": outer.descriptor, "inner": inner.descriptor}
-    c = copula_from_formula(3, formula, desc, tuple(map(sum, zip(outer.accuracy, inner.accuracy))), tdf)
+    c = Copula(3, formula, desc, tuple(map(sum, zip(outer.accuracy, inner.accuracy))), tdf)
 
     og, ig = (node.descriptor["params"]["generator"] for node in (outer, inner))
     if og.get("name") != "clayton" or ig.get("name") != "clayton":

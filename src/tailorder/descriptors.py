@@ -218,8 +218,8 @@ def load_descriptor(source: str) -> dict:
     return parse_shorthand(source)
 
 
-def descriptor_to_json(desc: dict, indent: int | None = None) -> str:
-    return json.dumps(desc, indent=indent, sort_keys=True)
+def descriptor_to_json(desc: dict) -> str:
+    return json.dumps(desc, sort_keys=True)
 
 
 def descriptor_from_json(text: str) -> dict:

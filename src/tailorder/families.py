@@ -34,7 +34,6 @@ from .core import (
     _product,
     _row_reduce,
     _upper_frechet,
-    copula_from_formula,
     hierarchical,
     min_tdf,
     zero_tdf,
@@ -182,7 +181,7 @@ def generalized_inverse(g: Generator, x) -> np.ndarray | float:
         out = np.clip(np.where(np.isfinite(vals) & (x_arr < phi0), vals, 0.0), 0.0, 1.0)
     else:
         out = np.zeros(x_arr.shape)
-        live = ~(x_arr >= phi0)
+        live = x_arr < phi0
         if live.any():
             out[live] = _bisect_inverse(g, x_arr[live])
     return float(out) if x_arr.ndim == 0 else out
@@ -247,7 +246,7 @@ def archimedean(g: Generator, dimension: int = 2) -> Copula:
     }
     rel, abs_, *region = g.accuracy
     tdf = None if g.rv_index_at_0 is None else archimedean_tdf(g.rv_index_at_0, dimension)
-    return copula_from_formula(dimension, formula, desc, (rel, abs_ + floor, *region), tdf)
+    return Copula(dimension, formula, desc, (rel, abs_ + floor, *region), tdf)
 
 
 def marshall_olkin(alpha: float) -> Copula:
@@ -259,7 +258,7 @@ def marshall_olkin(alpha: float) -> Copula:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"Marshall-Olkin alpha must lie in (0, 1), got {alpha}")
     a = float(alpha)
-    return copula_from_formula(
+    return Copula(
         2,
         lambda pts: np.minimum(pts[:, 0] ** (1.0 - a) * pts[:, 1], pts[:, 0]),
         {"family": "marshall_olkin", "params": {"alpha": a}},
@@ -302,11 +301,11 @@ def _power(t, p: float):
     return t ** p
 
 
-def power_diagonal(p: float, dimension: int = 2) -> DiagonalSection:
-    """Power diagonal t^p, valid for a 2-copula when 1 <= p <= 2."""
-    if not 1.0 <= p <= float(dimension):
-        raise DomainError(f"power diagonal needs 1 <= p <= d = {dimension}, got {p}")
-    return DiagonalSection(partial(_power, p=float(p)), dimension, name="power", params={"p": float(p)},
+def power_diagonal(p: float) -> DiagonalSection:
+    """Power diagonal t^p of a 2-copula, valid when 1 <= p <= 2."""
+    if not 1.0 <= p <= 2.0:
+        raise DomainError(f"power diagonal needs 1 <= p <= 2, got {p}")
+    return DiagonalSection(partial(_power, p=float(p)), 2, name="power", params={"p": float(p)},
                            convex=True, accuracy=(5e-16, 0.0))
 
 
@@ -379,7 +378,7 @@ def fredricks_nelsen(delta: DiagonalSection) -> Copula:
 
     desc = {"family": "fredricks_nelsen", "params": {"diagonal": {"name": delta.name, **delta.params}}}
     rel, *rest = delta.accuracy  # the diagonal's pair plus a rounding
-    return copula_from_formula(2, formula, desc, (rel + ULP, *rest), _power_diagonal_tdf(delta))
+    return Copula(2, formula, desc, (rel + ULP, *rest), _power_diagonal_tdf(delta))
 
 
 def bertino(delta: DiagonalSection) -> Copula:
@@ -412,7 +411,7 @@ def bertino(delta: DiagonalSection) -> Copula:
     tdf = _power_diagonal_tdf(delta)
     region = ("max(u) > 1/e",) if tdf is not None else ()  # a power diagonal
     desc = {"family": "bertino", "params": {"diagonal": {"name": delta.name, **delta.params}}}
-    return copula_from_formula(2, formula, desc, (rel, abs_ + rel + ULP, *region), tdf)
+    return Copula(2, formula, desc, (rel, abs_ + rel + ULP, *region), tdf)
 
 
 _BERTINO_SCAN = 1024
@@ -480,7 +479,7 @@ def semilinear(delta: DiagonalSection) -> Copula:
 
     desc = {"family": "semilinear", "params": {"diagonal": {"name": delta.name, **delta.params}}}
     rel, *rest = delta.accuracy  # the diagonal's pair plus a rounding
-    return copula_from_formula(2, formula, desc, (rel + ULP, *rest), _power_diagonal_tdf(delta))
+    return Copula(2, formula, desc, (rel + ULP, *rest), _power_diagonal_tdf(delta))
 
 
 # beyond |rho| = GAUSS_RHO_CUTOFF gaussian() builds the comonotone or countermonotone copula
@@ -489,16 +488,19 @@ GAUSS_RHO_CUTOFF = 0.999
 
 # rows of the quadrature evaluated at once: a (block, nodes) buffer of 512 KB stays in cache
 _NORMAL_BLOCK = 1024
+# Gauss-Legendre nodes of the quadrature, fixed: with 16, 24 or 32 the tail loses the relative accuracy of
+# the copula's pair, and order gaussian:0.9 gaussian:0.99 --loc fails
+_NORMAL_NODES = 64
 
 
-def _normal_integral(a: np.ndarray, b: np.ndarray, rho: float, nodes: int = 64) -> np.ndarray:
+def _normal_integral(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
     """The integral I of :func:`bivariate_normal_cdf` at each row of the flat arrays a and b, for rho != 0."""
-    x, w = _gauss_legendre_01(nodes)
+    x, w = _gauss_legendre_01(_NORMAL_NODES)
     t, wt = np.arcsin(rho) * x, np.arcsin(rho) * w
     sin_t = np.sin(t)
     node_rows = -1.0 / np.stack([2.0 * np.cos(t) ** 2, 1.0 + sin_t, 1.0 - sin_t])
     n, rows = a.size, min(a.size, _NORMAL_BLOCK + 1)
-    sums, cols, buf = np.empty(n), np.empty((rows, 3)), np.empty((rows, nodes))
+    sums, cols, buf = np.empty(n), np.empty((rows, 3)), np.empty((rows, _NORMAL_NODES))
     with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 on rows with an infinite argument
         # BLAS rounds a one-row product by another path than a row of a larger one, so a last block of one
         # row joins the block before it, and every row rounds as it would in one product over all rows
@@ -517,7 +519,7 @@ def _normal_integral(a: np.ndarray, b: np.ndarray, rho: float, nodes: int = 64) 
     return sums
 
 
-def bivariate_normal_cdf(a, b, rho: float, nodes: int = 64) -> np.ndarray | float:
+def bivariate_normal_cdf(a, b, rho: float) -> np.ndarray | float:
     """Standard bivariate normal CDF by deterministic Gauss-Legendre quadrature.
 
     Uses the angular form of the single-integral reduction, Phi2(a, b; rho) = Phi(a)Phi(b) + I with
@@ -527,14 +529,14 @@ def bivariate_normal_cdf(a, b, rho: float, nodes: int = 64) -> np.ndarray | floa
     are never positive, so nothing cancels in it.  Per ``_NORMAL_BLOCK`` rows, I fills the columns
     ((|a| - |b|)^2, max(ab, 0), max(-ab, 0)) into a block-sized buffer and takes one matrix product with
     three node rows, one exp and one product with the weights.  The Gaussian copula adds the same I to
-    u1*u2, which is Phi(a)Phi(b) at a = Phi^-1(u1), b = Phi^-1(u2).  Accuracy at 64 nodes, measured on the
-    Gaussian copula against mpmath with the interval cut near asin(rho): for rho > 0 both terms are
-    positive and the error is relative, at most 1.8e-14 at s*w for s down to 1e-14 and rho in
-    [0.3, 0.999].  For rho < 0 the two terms cancel where a and b are both far below 0, so the error is
-    only absolute, at most 5.6e-17 on the same points: the Gaussian(-0.7) copula gives 1.9e-30 at
-    (1e-8, 1e-8), where the value is 1.6e-49.  An infinite argument gives the limit Phi(a)Phi(b).
-    ``scipy.special`` is imported on the first call, so code that never evaluates a normal CDF does not
-    load scipy.
+    u1*u2, which is Phi(a)Phi(b) at a = Phi^-1(u1), b = Phi^-1(u2).  The rule has a fixed 64 nodes
+    (``_NORMAL_NODES``).  Accuracy, measured on the Gaussian copula against mpmath with the interval cut
+    near asin(rho): for rho > 0 both terms are positive and the error is relative, at most 1.8e-14 at s*w
+    for s down to 1e-14 and rho in [0.3, 0.999].  For rho < 0 the two terms cancel
+    where a and b are both far below 0, so the error is only absolute, at most 5.6e-17 on the same
+    points: the Gaussian(-0.7) copula gives 1.9e-30 at (1e-8, 1e-8), where the value is 1.6e-49.  An
+    infinite argument gives the limit Phi(a)Phi(b).  ``scipy.special`` is imported on the first call, so
+    code that never evaluates a normal CDF does not load scipy.
     """
     from scipy.special import ndtr
 
@@ -543,7 +545,7 @@ def bivariate_normal_cdf(a, b, rho: float, nodes: int = 64) -> np.ndarray | floa
     a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     out = ndtr(a_arr) * ndtr(b_arr)
     if rho != 0.0:
-        out = out + _normal_integral(a_arr.reshape(-1), b_arr.reshape(-1), rho, nodes).reshape(out.shape)
+        out = out + _normal_integral(a_arr.reshape(-1), b_arr.reshape(-1), rho).reshape(out.shape)
     out = np.clip(out, 0.0, 1.0)
     return float(out) if np.isscalar(a) and np.isscalar(b) else out
 
@@ -570,9 +572,9 @@ def gaussian(rho: float) -> Copula:
                 stacklevel=2,
             )
         bound, pair, tdf = (_upper_frechet, EXACT, min_tdf()) if r > 0 else (_lower_frechet, LOWER_BOUND, zero_tdf())
-        return copula_from_formula(2, bound, desc, pair, tdf)
+        return Copula(2, bound, desc, pair, tdf)
     if r == 0.0:
-        return copula_from_formula(2, _product, desc, PRODUCT, zero_tdf())
+        return Copula(2, _product, desc, PRODUCT, zero_tdf())
 
     def formula(pts: np.ndarray) -> np.ndarray:
         from scipy.special import ndtri
@@ -582,28 +584,28 @@ def gaussian(rho: float) -> Copula:
 
     # C(u) = Phi2(a, b; rho) = u1*u2 + I (bivariate_normal_cdf): the two terms add for rho > 0 and cancel in the
     # tail for rho < 0; the tail limit vanishes for |rho| < 1, though too slowly to estimate
-    return copula_from_formula(2, formula, desc, (1e-13, 0.0) if r > 0 else (0.0, 4e-16), zero_tdf())
+    return Copula(2, formula, desc, (1e-13, 0.0) if r > 0 else (0.0, 4e-16), zero_tdf())
 
 
-def ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
+def ev_copula(lam: TailDepFunction) -> Copula:
     """Extreme value copula exp(log u1 + log u2 + Lambda(-log u1, -log u2)).
 
-    ``lam`` must be a valid bivariate tail dependence function (audited
-    unless ``validate=False``); the boundary value 0 at u_k = 0 is taken as
-    the limit.  C(s*w) is of order s^(2 - Lambda(1, 1)), so the copula's tail
-    dependence function is zero unless Lambda(1, 1) = 1, where Lambda and it are min.
+    ``lam`` must be a valid bivariate tail dependence function, and is
+    audited; the boundary value 0 at u_k = 0 is taken as the limit.  C(s*w)
+    is of order s^(2 - Lambda(1, 1)), so the copula's tail dependence
+    function is zero unless Lambda(1, 1) = 1, where Lambda and it are min.
     """
-    _require_valid_ev_tdf(lam, validate)
+    _require_valid_ev_tdf(lam)
 
     def formula(pts: np.ndarray) -> np.ndarray:
         logs = np.log(pts)
         return np.exp(_row_reduce(np.add, logs) + lam(-logs))
 
     desc = {"family": "extreme_value", "params": {"tdf": {"name": lam.name, **lam.params}}}
-    return copula_from_formula(2, formula, desc, (5e-14, 0.0), min_tdf() if lam((1.0, 1.0)) == 1.0 else zero_tdf())
+    return Copula(2, formula, desc, (5e-14, 0.0), min_tdf() if lam((1.0, 1.0)) == 1.0 else zero_tdf())
 
 
-def lower_ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
+def lower_ev_copula(lam: TailDepFunction) -> Copula:
     """Survival copula of the extreme value copula; its tail dependence function is Lambda.
 
     The survival form u + v - 1 + C(1-u, 1-v) cancels near the origin, so
@@ -611,7 +613,7 @@ def lower_ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
     uv + (1-u)(1-v) expm1(Lambda(-log1p(-u), -log1p(-v))), which keeps full
     relative precision in the tail.
     """
-    _require_valid_ev_tdf(lam, validate)
+    _require_valid_ev_tdf(lam)
 
     def formula(pts: np.ndarray) -> np.ndarray:
         comp = 1.0 - pts
@@ -620,11 +622,10 @@ def lower_ev_copula(lam: TailDepFunction, validate: bool = True) -> Copula:
     # uv + (1-u)(1-v) expm1(Lambda(x, y)), with x > y where u > v: Lambda's pair and region, plus a rounding
     rel, *rest = lam.accuracy
     desc = {"family": "lower_extreme_value", "params": {"tdf": {"name": lam.name, **lam.params}}}
-    return copula_from_formula(2, formula, desc, (rel + 1e-15, *rest), lam)
+    return Copula(2, formula, desc, (rel + 1e-15, *rest), lam)
 
 
-def _require_valid_ev_tdf(lam: TailDepFunction, validate: bool):
+def _require_valid_ev_tdf(lam: TailDepFunction):
     if lam.dimension != 2:
         raise DimensionError("extreme value construction is bivariate")
-    if validate:
-        validate_tdf(lam, GridConfig(resolution=16)).require("invalid tail dependence function")
+    validate_tdf(lam, GridConfig(resolution=16)).require("invalid tail dependence function")

@@ -46,7 +46,6 @@ __all__ = [
     "tdc_from_simplex",
     "parabola_section",
     "capped_slope_section",
-    "min_section",
     "validate_tdf",
     "tail_expansion_residual",
     "RVIndexEstimate",
@@ -190,8 +189,8 @@ def estimated_tdf(c: "Copula", schedule: LimitSchedule | None = None) -> TailDep
         return out
 
     # an unmeasured stand-in pair until each estimate carries its error bar
-    return TailDepFunction(fn, c.dimension, provenance="estimated", name="estimated",
-                           params={"family": c.descriptor.get("family", "?")}, accuracy=(0.0, 1e-6))
+    return TailDepFunction(fn, c.dimension, name="estimated", params={"family": c.descriptor.get("family", "?")},
+                           accuracy=(0.0, 1e-6))
 
 
 def archimedean_tdf(alpha: float, dimension: int = 2) -> TailDepFunction:
@@ -265,11 +264,6 @@ def capped_slope_section() -> SimplexTDF:
     """Piecewise-linear section min(t/2, 1 - t) with a kink at t = 2/3."""
     return SimplexTDF(lambda t: np.minimum(0.5 * t, 1.0 - t), breakpoints=(2.0 / 3.0,), name="fig1-piecewise",
                       accuracy=_FIG1)
-
-
-def min_section() -> SimplexTDF:
-    """Maximal section min(t, 1 - t), the restriction of min."""
-    return SimplexTDF(lambda t: np.minimum(t, 1.0 - t), breakpoints=(0.5,), name="min")
 
 
 def simplex_directions(n: int, dimension: int = 2) -> np.ndarray:
@@ -363,27 +357,25 @@ class RVIndexEstimate:
     trace: tuple[tuple[float, float], ...] = ()
 
 
-def regular_variation_index(g: "Generator", probe: LimitSchedule | None = None) -> RVIndexEstimate:
+def regular_variation_index(g: "Generator") -> RVIndexEstimate:
     """Estimate the regular-variation index of a generator at 0.
 
-    Uses the ratio test phi(2s)/phi(s) -> 2^(-alpha) along the probe
-    schedule.  Slowly varying corrections decay like 1/log(1/s), which no
-    feasible schedule outruns in double precision, so the index sequence is
-    extrapolated quadratically in the variable 1/log(1/s) through the last
-    three scales.  Ratios diverging past 1e6 report alpha = inf.
+    Uses the ratio test phi(2s)/phi(s) -> 2^(-alpha) along the default
+    :class:`LimitSchedule`, 24 halvings from s = 1e-2.  Slowly varying
+    corrections decay like 1/log(1/s), which no feasible schedule outruns in
+    double precision, so the index sequence is extrapolated quadratically in
+    the variable 1/log(1/s) through the last three scales.  Ratios diverging
+    past 1e6 report alpha = inf.
     """
     if not g.strict:
         return RVIndexEstimate(value=0.0, converged=True, degenerate=True)
-    sched = probe or LimitSchedule()
-    if 2.0 * sched.s0 > 1.0:
-        raise DomainError("probe s0 must satisfy 2 * s0 <= 1")
-    s = sched.scales()
+    s = LimitSchedule().scales()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ratios = np.asarray(g.phi(2.0 * s), dtype=float) / np.asarray(g.phi(s), dtype=float)
     ok = np.isfinite(ratios) & (ratios > 0.0)
     s, ratios = s[ok], ratios[ok]
     if len(s) < 3:
-        raise DomainError("probe schedule left fewer than 3 usable scales")
+        raise DomainError("the ratio test left fewer than 3 usable scales")
     alpha_hat = -np.log2(ratios)
     trace = tuple(zip(s.tolist(), alpha_hat.tolist()))
     if ratios[-1] < 1e-6:

@@ -359,6 +359,12 @@ class TestContract:
         ("order", "clayton:1", "clayton:2", "--loc", "--grid", "64"),  # the default resolution, given
         ("eval", "clayton:inf", "-u", "0.3,0.4"),
         ("order", "ev:clayton:nan", "ev:min", "--tdo"),
+        # --eps is the radius of --loc and --cone; the other relations would ignore it
+        ("order", "clayton:1", "clayton:2", "--tdo", "--eps", "0.1"),
+        ("order", "clayton:1", "clayton:2", "--too", "--eps", "0.1"),
+        ("order", "clayton:1", "clayton:2", "--diagonal", "--eps", "0.1"),
+        # one direction or a simplex grid, not both
+        ("tdf", "clayton:2", "--w", "1,0.5", "--simplex-grid", "3"),
     ])
     def test_input_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)

@@ -48,16 +48,16 @@ def ref_generalized_inverse(g, x):
     """The generalized inverse with its saturated rows masked out and its live rows gathered and scattered."""
     x_arr = np.asarray(x, dtype=float)
     xs = np.atleast_1d(x_arr).astype(float)
-    out = np.empty_like(xs)
-    saturated = xs >= g.phi_at_zero()
-    out[saturated] = 0.0
-    live = ~saturated
-    if live.any():
-        if g.inverse is not None:
+    out = np.zeros_like(xs)
+    if g.inverse is not None:
+        live = ~(xs >= g.phi_at_zero())  # NaN rows too: their value is not finite, so they get 0
+        if live.any():
             with np.errstate(over="ignore", divide="ignore"):
                 vals = np.asarray(g.inverse(xs[live]), dtype=float)
             out[live] = np.clip(np.where(np.isfinite(vals), vals, 0.0), 0.0, 1.0)
-        else:
+    else:
+        live = xs < g.phi_at_zero()  # no t has phi(t) <= NaN, so a NaN row is not bisected and gets 0
+        if live.any():
             out[live] = families._bisect_inverse(g, xs[live])
     return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
@@ -375,6 +375,12 @@ class TestGeneralizedInverse:
         x2 = x.reshape(5, 9)
         got = families.generalized_inverse(g, x2)
         assert got.shape == (5, 9) and np.array_equal(got, ref_generalized_inverse(g, x2))
+
+    @pytest.mark.parametrize("name", ["folded", "bisected"])
+    def test_nan_gives_zero_with_and_without_a_closed_form(self, name):
+        g = self.GENERATORS[name]
+        assert families.generalized_inverse(g, np.nan) == 0.0
+        assert families.generalized_inverse(g, np.array([0.25, np.nan]))[1] == 0.0
 
     @pytest.mark.parametrize("name", GENERATORS)
     def test_scalars_and_zero_dimensional_arrays_give_floats(self, name):

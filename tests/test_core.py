@@ -142,7 +142,7 @@ class TestGuard:
             seen.append(pts)
             return pts[:, 0] * pts[:, 1] * pts[:, 2]
 
-        c = to.copula_from_formula(3, formula, {"family": "custom", "params": {}})
+        c = to.Copula(3, formula, {"family": "custom", "params": {}})
         batch = np.random.default_rng(3).uniform(0.1, 0.9, size=(16, 3))
         batch[5, 1] = 1.0
         np.testing.assert_array_equal(c.cdf(batch), batch.prod(axis=1))

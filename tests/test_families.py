@@ -302,7 +302,6 @@ class TestExtremeValue:
         broken = to.TailDepFunction(lambda pts: pts.min(axis=1) ** 2, 2, name="broken")
         with pytest.raises(to.DomainError):
             to.lower_ev_copula(broken)
-        to.lower_ev_copula(broken, validate=False)
         with pytest.raises(to.DimensionError):
             to.lower_ev_copula(to.archimedean_tdf(2.0, dimension=3))
 

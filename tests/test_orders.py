@@ -197,7 +197,7 @@ class TestLocalSampler:
     def test_margin_leaves_out_points_where_both_sides_vanish(self):
         # both sides are 0 on the simplex corner ||u||_1 < 0.1 and ordered elsewhere
         def scaled_min(k):
-            return to.copula_from_formula(
+            return to.Copula(
                 2, lambda p: np.where(p.sum(axis=1) < 0.1, 0.0, k * p.min(axis=1)), {"family": "test"})
 
         v = to.check_loc(scaled_min(0.5), scaled_min(1.0), 0.5)

@@ -120,7 +120,7 @@ class TestSimplexOps:
         assert np.abs(lifted(w) - lam(w)).max() < 1e-12
 
     def test_tdc_from_simplex(self):
-        assert to.tdc_from_simplex(to.min_section()) == pytest.approx(1.0)
+        assert to.tdc_from_simplex(to.simplex_restriction(to.min_tdf())) == pytest.approx(1.0)
         assert to.tdc_from_simplex(to.parabola_section()) == pytest.approx(0.5)
         assert to.tdc_from_simplex(to.capped_slope_section()) == pytest.approx(0.5)
 
@@ -158,7 +158,7 @@ class TestValidateTDF:
 
     def test_estimated_tdf_passes_up_to_estimator_error(self):
         lam = to.estimated_tdf(to.archimedean(to.clayton_generator(2.0)))
-        assert lam.provenance == "estimated"
+        assert lam.name == "estimated"
         assert to.validate_tdf(lam, to.GridConfig(resolution=16), tol=1e-2).passed
 
 
