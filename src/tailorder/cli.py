@@ -117,7 +117,9 @@ _OPTIONS = {
                       "accuracy pair [rel, abs], or [rel, abs, region] with abs only at points in the named "
                       "region: a point violates when C2 - C1 < -(rel1 |C1| + rel2 |C2| + abs1 + abs2)"),
     "schedule": dict(default=None, help="limit schedule as s0,ratio,steps; order --too reads only ratio and steps, "
-                                        "since each ray starts where s*w meets a face of the cube"),
+                                        "since each ray starts where s*w meets a face of the cube, --tdo reads it "
+                                        "only to estimate a tail dependence function with no closed form, and "
+                                        "--loc, --cone and --diagonal reject it"),
     "out": dict(default=None, help="output file (default: stdout)"),
     "format": dict(choices=("json", "csv"), help="output format (default: %(default)s)"),
 }
@@ -190,6 +192,9 @@ def cmd_order(args) -> int:
         raise DescriptorError("--grid does not apply to --loc and --too, which sample fixed sets")
     if args.eps is not None and (args.tdo or args.too or args.diagonal):
         raise DescriptorError("--eps applies only to --loc and --cone, which check a ball or cone radius")
+    if args.schedule is not None and not (args.too or args.tdo and (c1.tdf is None or c2.tdf is None)):
+        raise DescriptorError("--schedule applies only to --too and to --tdo with a copula that has no closed-form "
+                              "tail dependence function, which estimate limits")
 
     if args.too:
         results = orders.check_too(c1, c2, schedule=sched)

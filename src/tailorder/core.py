@@ -187,6 +187,9 @@ class TailDepFunction:
     the known kinks t of the unit-simplex section t -> Lambda(t, 1-t)
     (d = 2 only), where the quadrature functional splits its panels.
     ``accuracy`` is the evaluator's accuracy pair (see the module docstring).
+    ``fn`` must not write into its input: the order checks and quadratures
+    build their grids once and pass them read-only, so numpy raises an
+    error where a write would have corrupted later verdicts.
     """
 
     fn: Callable

@@ -193,13 +193,26 @@ def _verdict(points: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, tolerance: tu
                         "; ".join(filter(None, (note, undecidable))), samples)
 
 
+@lru_cache(maxsize=8)
+def _tdo_grid(n: int, d: int) -> np.ndarray:
+    """The simplex grid of :func:`check_tdo`, read-only."""
+    dirs = simplex_directions(n, d)
+    dirs.flags.writeable = False
+    return dirs
+
+
 def check_tdo(lam1: TailDepFunction, lam2: TailDepFunction, grid: GridConfig | None = None) -> OrderVerdict:
     """Tail dependence order: pointwise comparison on the unit simplex, which
-    suffices by positive homogeneity."""
+    suffices by positive homogeneity.
+
+    The simplex grid is built once per (resolution, dimension) and handed to
+    both functions read-only, so a Lambda function must not write into its
+    input: numpy raises instead of letting the write corrupt later verdicts.
+    """
     if lam1.dimension != lam2.dimension:
         raise DimensionError("tail dependence functions have different dimensions")
     g = _order_grid(grid)
-    dirs = simplex_directions(g.resolution + 1, lam1.dimension)
+    dirs = _tdo_grid(g.resolution + 1, lam1.dimension)
     return _verdict(dirs, lam1(dirs), lam2(dirs), (lam1.accuracy, lam2.accuracy), g.resolution, strict=True)
 
 
@@ -215,22 +228,32 @@ def _local_directions(d: int) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=8)  # top and cone are user floats; a d = 4 entry holds about 1.9 MB
+def _local_sample(d: int, top: float, cone: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The local points min(r * w, 1), each point's radius r = top * 2^(-j/2), and the number of
+    directions w in the cone, as read-only arrays."""
+    dirs = _local_directions(d)
+    dirs = dirs[dirs.min(axis=1) >= cone * dirs.sum(axis=1)]
+    if dirs.size == 0:
+        raise DomainError(f"cone with c = {cone} contains no sampled directions")
+    radii = top * 2.0 ** (-0.5 * np.arange(_RADII))
+    points = np.minimum(radii[:, None, None] * dirs[None, :, :], 1.0).reshape(-1, d)
+    scale = np.repeat(radii, len(dirs))
+    points.flags.writeable = scale.flags.writeable = False
+    return points, scale, len(dirs)
+
+
 def _local_verdict(c1: Copula, c2: Copula, epsilon: float | None, cone: float = 0.0) -> OrderVerdict:
     if c1.dimension != c2.dimension:
         raise DimensionError("copulas have different dimensions")
     d = c1.dimension
     if epsilon is not None and not 0.0 < (epsilon := float(epsilon)) <= float(np.sqrt(d)):
         raise DomainError(f"epsilon must lie in (0, sqrt(d)], got {epsilon}")
-    dirs = _local_directions(d)
-    dirs = dirs[dirs.min(axis=1) >= cone * dirs.sum(axis=1)]
-    if dirs.size == 0:
-        raise DomainError(f"cone with c = {cone} contains no sampled directions")
-    radii = (1.0 if epsilon is None else epsilon) * 2.0 ** (-0.5 * np.arange(_RADII))
-    points = np.minimum(radii[:, None, None] * dirs[None, :, :], 1.0).reshape(-1, d)
+    points, scale, n_dirs = _local_sample(d, 1.0 if epsilon is None else epsilon, cone)
     lhs, rhs = np.asarray(c1.cdf(points)), np.asarray(c2.cdf(points))
-    return _verdict(points, lhs, rhs, (c1.accuracy, c2.accuracy), scale=np.repeat(radii, len(dirs)),
+    return _verdict(points, lhs, rhs, (c1.accuracy, c2.accuracy), scale=scale,
                     candidates=_HALVINGS if epsilon is None else np.array([epsilon]),
-                    epsilon=epsilon, note=f"{_RADII} radii x {len(dirs)} directions")
+                    epsilon=epsilon, note=f"{_RADII} radii x {n_dirs} directions")
 
 
 def check_loc(c1: Copula, c2: Copula, epsilon: float | None = None) -> OrderVerdict:
@@ -240,7 +263,12 @@ def check_loc(c1: Copula, c2: Copula, epsilon: float | None = None) -> OrderVerd
     2^(-j/2), j = 0..43, and w positive with one coordinate 1 and the others
     from geometric nodes 1e-18 ... 1e-2 (thin regions along the faces, such
     as Marshall-Olkin's) and linear nodes on (0, 1].  With ``epsilon=None``
-    the radii start at 1 and the candidate radii are 2^-k, k <= 20.
+    the radii start at 1 and the candidate radii are 2^-k, k <= 20.  The
+    sample is built once per (dimension, first radius) and handed to both
+    copulas read-only, so a formula must not write into its input: where
+    the sample reaches it uncopied, numpy raises instead of letting the
+    write corrupt later verdicts.  The verdict's ``samples.points`` and
+    ``scale`` are that shared read-only sample.
     """
     return _local_verdict(c1, c2, epsilon)
 
@@ -283,7 +311,10 @@ def check_cone_order(c1: Copula, c2: Copula, cone: ConeSpec, epsilon: float | No
     when both copulas carry a closed-form tail dependence function (their
     ``tdf``), that precondition is checked on ``grid`` and a warning is
     emitted when it is not strict.  The copulas are sampled as in
-    :func:`check_loc` on the directions in the cone.
+    :func:`check_loc` on the directions in the cone: the sample is built
+    once per (dimension, first radius, c) and handed to both copulas
+    read-only, so a formula must not write into its input (see
+    :func:`check_loc`).
     """
     if c1.dimension != c2.dimension:  # before the precondition, which would name the tail dependence functions
         raise DimensionError("copulas have different dimensions")

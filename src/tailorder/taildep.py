@@ -76,10 +76,17 @@ class LimitSchedule:
             raise DomainError(f"steps must be >= 3, got {self.steps}")
 
     def scales(self) -> np.ndarray:
-        s = self.s0 * self.ratio ** np.arange(self.steps)
-        if s[-1] < 1e-300:
-            raise DomainError("schedule underflow: scales drop below 1e-300")
-        return s
+        """The scales s0 * ratio^k, k < steps, built once per (s0, ratio, steps) and shared read-only."""
+        return _scales(self.s0, self.ratio, self.steps)
+
+
+@lru_cache(maxsize=32)  # s0 and ratio are user floats; an entry holds steps * 8 bytes
+def _scales(s0: float, ratio: float, steps: int) -> np.ndarray:
+    s = s0 * ratio ** np.arange(steps)
+    if s[-1] < 1e-300:
+        raise DomainError("schedule underflow: scales drop below 1e-300")
+    s.flags.writeable = False
+    return s
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,9 @@ def estimate_tdfs(c: "Copula", directions, schedule: LimitSchedule | None = None
     s0 * max(w) <= 1.  A row's estimate is its last iterate; ``converged``
     requires its last 5 successive absolute differences to be nonincreasing
     and the final one below 1e-4 (slow limits, e.g. Gaussian, are reported
-    as non-converged rather than wrong).
+    as non-converged rather than wrong).  The returned ``scales`` are the
+    schedule's read-only :meth:`LimitSchedule.scales`, shared by every
+    estimate on that schedule.
     """
     sched = schedule or LimitSchedule()
     dirs = np.asarray(directions, dtype=float)
@@ -154,7 +163,7 @@ def estimate_tdfs(c: "Copula", directions, schedule: LimitSchedule | None = None
         raise DomainError(f"s0 * max(w) = {sched.s0 * peak} exceeds 1; rescale the direction")
     s = sched.scales()
     ratios = np.asarray(c.cdf(s[:, None] * dirs[:, None, :])) / s
-    diffs = np.abs(np.diff(ratios, axis=1))
+    diffs = np.abs(ratios[:, 1:] - ratios[:, :-1])
     tail = diffs[:, -_WINDOW:]
     converged = (tail[:, 1:] <= tail[:, :-1] + 1e-15).all(axis=1) & (diffs[:, -1] < _GAP_TOL)
     return TDFEstimates(ratios[:, -1], diffs[:, -1], converged, s, ratios)
@@ -393,7 +402,9 @@ def regular_variation_index(g: "Generator") -> RVIndexEstimate:
 @lru_cache(maxsize=None)
 def _gauss_legendre_01(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False  # shared by every quadrature
+    return x, w
 
 
 def _integrate_panels(f: Callable, cuts: tuple[float, ...], n: int) -> float:
@@ -417,6 +428,27 @@ def _section_cuts(lam: TailDepFunction, slot: int) -> tuple[float, ...]:
     return tuple(cuts)
 
 
+@lru_cache(maxsize=None)
+def _spearman_faces(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d = 3 rule's points on the six face triangles, stacked slot by slot, and their common weights."""
+    # each face w_slot = 1 splits along t1 = t2, the kink of min, into two triangles, each integrated by
+    # the collapsed (Duffy) rule t_hi = x, t_lo = x*y with weight x on m nodes per axis
+    x, w = _gauss_legendre_01(m)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    hi, lo = X.reshape(-1), (X * Y).reshape(-1)
+    W = np.outer(w * x, w).reshape(-1)
+    pts = np.empty((3, 2, m * m, 3))
+    for slot in range(3):
+        rest = [k for k in range(3) if k != slot]
+        for face, (a, b) in zip(pts[slot], ((hi, lo), (lo, hi))):
+            face[:, slot] = 1.0
+            face[:, rest[0]] = a
+            face[:, rest[1]] = b
+    pts = pts.reshape(-1, 3)
+    pts.flags.writeable = W.flags.writeable = False
+    return pts, W
+
+
 def _spearman_value(lam: TailDepFunction, d: int, n: int) -> float:
     # homogeneity reduction: (d+1) * int_[0,1]^d Lambda
     #   = sum_k int_[0,1]^(d-1) Lambda(w with w_k = 1)
@@ -431,22 +463,10 @@ def _spearman_value(lam: TailDepFunction, d: int, n: int) -> float:
 
             total += _integrate_panels(f, _section_cuts(lam, slot), n)
         return total
-    # each face splits along t1 = t2, the kink of min, into two triangles, each integrated by
-    # the collapsed (Duffy) rule t_hi = x, t_lo = x*y with weight x on m = round(n/sqrt 2)
-    # nodes per axis, so a face costs about the n^2 points of a square rule
-    m = round(n / 2**0.5)
-    x, w = _gauss_legendre_01(m)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    hi, lo = X.reshape(-1), (X * Y).reshape(-1)
-    W = np.outer(w * x, w).reshape(-1)
-    for slot in range(3):
-        rest = [k for k in range(3) if k != slot]
-        for a, b in ((hi, lo), (lo, hi)):
-            pts = np.empty((m * m, 3))
-            pts[:, slot] = 1.0
-            pts[:, rest[0]] = a
-            pts[:, rest[1]] = b
-            total += float(np.dot(W, lam(pts)))
+    # m = round(n/sqrt 2) nodes per axis, so a face costs about the n^2 points of a square rule
+    pts, W = _spearman_faces(round(n / 2**0.5))
+    for face in lam(pts).reshape(6, -1):  # one call per rule, the faces summed in the order of the slots
+        total += float(np.dot(W, face))
     return total
 
 
@@ -463,7 +483,8 @@ def spearman_tdf_limit(lam: TailDepFunction) -> float:
     d = 3 each face split along its diagonal t1 = t2).  The value
     is only reported when the 64- and 96-node rules agree within 1e-6; the
     functional dominates the tail dependence coefficient of any matching
-    copula.
+    copula.  In d = 3 each rule's six face grids are built once per node
+    count and passed to ``lam`` in one read-only batch.
     """
     d = lam.dimension
     if d not in (2, 3):

@@ -371,6 +371,23 @@ class TestContract:
         assert code == cli.EXIT_INPUT_ERROR
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("relation", [("--loc",), ("--cone", "0.2"), ("--diagonal",), ("--tdo",)])
+    def test_schedule_a_relation_would_ignore_is_an_input_error(self, capsys, relation):
+        # Clayton copulas carry a closed-form tail dependence function, so --tdo estimates nothing
+        code, out, err = run(capsys, "order", "clayton:1", "clayton:2", *relation, "--schedule", "0.01,0.5,5")
+        assert (code, out) == (cli.EXIT_INPUT_ERROR, "")
+        assert err.startswith("error: --schedule applies only to --too and to --tdo") and err.count("\n") == 1
+
+    def test_schedule_is_read_where_limits_are_estimated(self, capsys, tmp_path):
+        # survival copulas carry no closed form, so --tdo estimates the survival side's tail on the schedule
+        path = tmp_path / "survival.json"
+        path.write_text(json.dumps({"family": "survival", "inner": descriptors.parse_shorthand("gumbel:2")}))
+        for argv in (("clayton:1", "clayton:2", "--too"), ("clayton:1", str(path), "--tdo")):
+            default = run(capsys, "order", *argv)
+            given = run(capsys, "order", *argv, "--schedule", "0.01,0.5,5")
+            assert default[0] == given[0] == cli.EXIT_OK
+            assert given[1] != default[1] and given[2] == ""
+
     def test_bad_dimension_parameter_is_an_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(

@@ -211,6 +211,105 @@ class TestLocalSampler:
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0) and (dirs > 0).all()
 
 
+def _local_check(d, epsilon, cone):
+    c1, c2 = clayton(1.0, d), clayton(2.0, d)
+    if cone is None:
+        return lambda: to.check_loc(c1, c2, epsilon)
+    return lambda: to.check_cone_order(c1, c2, to.ConeSpec(cone), epsilon)
+
+
+class TestSampleCaches:
+    """The fixed samples are built once per key and shared read-only, with every verdict unchanged."""
+
+    @pytest.mark.parametrize("cone", [None, 0.05, 0.2], ids=["loc", "cone0.05", "cone0.2"])
+    @pytest.mark.parametrize("epsilon", [None, 0.3], ids=["searched", "eps0.3"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_warm_verdict_equals_cold(self, d, epsilon, cone):
+        check = _local_check(d, epsilon, cone)
+        check()
+        warm = check()
+        orders._local_sample.cache_clear()
+        cold = check()
+        assert cold.samples.points is not warm.samples.points
+        assert warm.as_dict() == cold.as_dict()
+        for name in ("points", "scale", "lhs", "rhs"):
+            assert getattr(warm.samples, name).tobytes() == getattr(cold.samples, name).tobytes(), name
+
+    def test_sample_is_the_inline_expression(self):
+        # the points and radii the local verdicts built inline before the cache
+        for d, top, cone in ((2, 1.0, 0.0), (3, 0.3, 0.05), (4, 1.0, 0.2)):
+            points, scale, n_dirs = orders._local_sample(d, top, cone)
+            dirs = orders._local_directions(d)
+            dirs = dirs[dirs.min(axis=1) >= cone * dirs.sum(axis=1)]
+            radii = top * 2.0 ** (-0.5 * np.arange(44))
+            assert n_dirs == len(dirs)
+            assert points.tobytes() == np.minimum(radii[:, None, None] * dirs[None, :, :], 1.0).tobytes()
+            assert scale.tobytes() == np.repeat(radii, len(dirs)).tobytes()
+
+    def test_repeated_key_is_a_cache_hit(self):
+        orders._local_sample.cache_clear()
+        first = to.check_loc(clayton(1.0), clayton(2.0), 0.5)
+        again = to.check_loc(to.marshall_olkin(0.5), to.independence(), 0.5)
+        assert orders._local_sample.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert again.samples.points is first.samples.points and again.samples.scale is first.samples.scale
+        orders._tdo_grid.cache_clear()
+        to.check_tdo(to.zero_tdf(), to.min_tdf())
+        to.check_tdo(to.archimedean_tdf(1.0), to.archimedean_tdf(2.0))
+        assert orders._tdo_grid.cache_info()[:2] == (1, 1)
+
+    @pytest.mark.parametrize("check", [
+        lambda c1, c2: to.check_loc(c1, c2),
+        lambda c1, c2: to.check_loc(c1, c2, 0.3),
+        lambda c1, c2: to.check_cone_order(c1, c2, to.ConeSpec(0.05)),
+        lambda c1, c2: to.check_too(c1, c2, schedule=to.LimitSchedule(0.01, 0.5, 10)),
+    ], ids=["loc-searched", "loc-eps", "cone", "too"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_cdf_batch_per_copula_cold_and_warm(self, monkeypatch, d, check):
+        orders._local_sample.cache_clear()
+        for _ in range(2):
+            calls = []
+            original = to.Copula.cdf
+
+            def counting(self, u, calls=calls):
+                calls.append(id(self))
+                return original(self, u)
+
+            monkeypatch.setattr(to.Copula, "cdf", counting)
+            c1, c2 = clayton(1.0, d), clayton(2.0, d)
+            check(c1, c2)
+            monkeypatch.undo()
+            assert sorted(calls) == sorted([id(c1), id(c2)])
+
+    def test_every_cached_array_is_read_only(self):
+        from tailorder import taildep
+
+        arrays = {
+            "local directions": [orders._local_directions(2)],
+            "local sample": orders._local_sample(2, 1.0, 0.0)[:2],
+            "tdo grid": [orders._tdo_grid(65, 3)],
+            "schedule scales": [to.LimitSchedule().scales()],
+            "spearman faces": taildep._spearman_faces(45),
+            "gauss-legendre": taildep._gauss_legendre_01(64),
+        }
+        for name, arrs in arrays.items():
+            for a in arrs:
+                assert a.flags.writeable is False, name
+                with pytest.raises(ValueError):
+                    a[...] = 0.0
+
+    def test_a_writing_evaluator_raises_instead_of_corrupting(self):
+        def writing_copula(p):
+            p *= 1.0
+            return p.min(axis=1)
+
+        with pytest.raises(ValueError):  # inside the unit ball every point is interior, so the formula gets the sample
+            to.check_loc(to.Copula(2, writing_copula, {"family": "test"}), clayton(1.0), 0.5)
+        lam = to.TailDepFunction(lambda p: np.multiply(p[:, 0], 0.0, out=p[:, 0]), 2)
+        with pytest.raises(ValueError):
+            to.check_tdo(lam, to.min_tdf())
+        assert to.check_loc(to.independence(), to.comonotone()).status == to.HOLDS
+
+
 class TestCheckToo:
     def test_product_below_comonotone(self):
         results = to.check_too(to.independence(), to.comonotone(), directions=[(1.0, 1.0)])

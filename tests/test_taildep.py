@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tailorder as to
+from tailorder import taildep
 from tailorder.taildep import LimitSchedule
 
 
@@ -279,3 +280,68 @@ class TestSimplexLattice:
     def test_dimension_below_two_rejected(self):
         with pytest.raises(to.DimensionError):
             to.simplex_directions(3, 1)
+
+
+def _spearman_per_face(lam, n):
+    """The d = 3 collapsed rule with one call of lam per face triangle, in the order of the slots."""
+    m = round(n / 2**0.5)
+    x, w = taildep._gauss_legendre_01(m)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    hi, lo = X.reshape(-1), (X * Y).reshape(-1)
+    W = np.outer(w * x, w).reshape(-1)
+    total = 0.0
+    for slot in range(3):
+        rest = [k for k in range(3) if k != slot]
+        for a, b in ((hi, lo), (lo, hi)):
+            pts = np.empty((m * m, 3))
+            pts[:, slot], pts[:, rest[0]], pts[:, rest[1]] = 1.0, a, b
+            total += float(np.dot(W, lam(pts)))
+    return total
+
+
+class TestCachedGrids:
+    """Schedules and quadrature grids are built once per key and shared read-only, with every value unchanged."""
+
+    def test_schedule_scales_are_cached_per_key(self):
+        scales = LimitSchedule().scales()
+        assert LimitSchedule(1e-2, 0.5, 24).scales() is scales and not scales.flags.writeable
+        assert scales.tobytes() == (1e-2 * 0.5 ** np.arange(24)).tobytes()
+        assert LimitSchedule(1e-2, 0.5, 25).scales() is not scales
+
+    def test_underflow_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(to.DomainError):
+                LimitSchedule(s0=1e-2, ratio=0.01, steps=200).scales()
+
+    def test_warm_estimates_equal_cold(self):
+        c, dirs = to.archimedean(to.clayton_generator(2.0)), to.simplex_directions(11)[1:-1]
+        warm = to.estimate_tdfs(c, dirs)
+        taildep._scales.cache_clear()
+        cold = to.estimate_tdfs(c, dirs)
+        assert cold.scales is not warm.scales
+        for a, b in zip(warm, cold):
+            assert a.tobytes() == b.tobytes()
+        # the last successive difference, taken by slicing, is np.diff's
+        assert cold.error_estimate.tobytes() == np.abs(np.diff(cold.ratios, axis=1))[:, -1].tobytes()
+
+    @pytest.mark.parametrize("lam", [
+        to.archimedean_tdf(0.5, 3), to.archimedean_tdf(2.0, 3), to.archimedean_tdf(10.0, 3), to.min_tdf(3),
+        to.estimated_tdf(to.archimedean(to.clayton_generator(2.0), 3), LimitSchedule(1e-2, 0.5, 8)),
+    ], ids=["clayton-alpha0.5", "clayton-alpha2", "clayton-alpha10", "min", "estimated"])
+    def test_d3_faces_in_one_call_match_one_call_per_face(self, lam):
+        for n in (64, 96):
+            assert taildep._spearman_value(lam, 3, n) == _spearman_per_face(lam, n)
+
+    def test_d3_one_lam_call_per_rule(self):
+        calls = []
+        lam = to.archimedean_tdf(2.0, 3)
+        counted = to.TailDepFunction(lambda p: calls.append(p.shape) or lam.fn(p), 3)
+        assert to.spearman_tdf_limit(counted) == to.spearman_tdf_limit(lam)
+        assert calls == [(6 * 45**2, 3), (6 * 68**2, 3)]
+
+    def test_spearman_faces_are_cached(self):
+        pts, W = taildep._spearman_faces(45)
+        assert taildep._spearman_faces(45)[0] is pts and not pts.flags.writeable and not W.flags.writeable
+        warm = to.spearman_tdf_limit(to.archimedean_tdf(2.0, 3))
+        taildep._spearman_faces.cache_clear()
+        assert to.spearman_tdf_limit(to.archimedean_tdf(2.0, 3)) == warm
