@@ -6,7 +6,8 @@ JSON payload and one CSV table and hands both to ``_write``, the one writer
 that picks the format; the default is csv for tdf, verify and repro and json
 for order and validate.  Exit codes: 0 success/order holds, 1 order fails,
 2 input or usage error, 3 dimension error, 4 indistinguishable at tolerance,
-5 internal error (any other exception); every error is one ``error:`` line on stderr.
+5 internal error (any other exception); every error is one ``error:`` line on stderr, and
+every warning one ``warning:`` line.
 Output is deterministic: CSV uses 17 significant digits, '.' decimals and LF
 line endings, and files are assembled in memory and written atomically through
 a symlink to its target, keeping an existing file's mode and giving a new one
@@ -24,6 +25,7 @@ import re
 import stat
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -230,8 +232,9 @@ def cmd_verify(args) -> int:
 def _repro_mo_clayton(args, schedule):
     mo = families.marshall_olkin(args.alpha)
     cl = families.archimedean(families.clayton_generator(args.theta))
-    t = np.linspace(0.0, 1.0, 201)[1:-1]
-    return ("t", "M", "C"), [(ti, mo.eval((ti, ti**args.alpha)), cl.eval((ti, ti**args.alpha))) for ti in t.tolist()]
+    t = np.linspace(0.0, 1.0, 201)[1:-1].tolist()
+    pts = np.array([(ti, ti**args.alpha) for ti in t])
+    return ("t", "M", "C"), list(zip(t, mo.cdf(pts).tolist(), cl.cdf(pts).tolist()))
 
 
 def _repro_fig1(args, schedule):
@@ -333,7 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
+    # a warning keeps its filters and category, and prints as one line without a source path
+    previous, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -343,6 +352,8 @@ def main(argv=None) -> int:
         code, message = EXIT_INPUT_ERROR, str(exc)
     except Exception as exc:  # exit 1 means "order fails", so no failure may escape with it
         code, message = EXIT_INTERNAL_ERROR, f"internal error: {type(exc).__name__}: {exc}"
+    finally:
+        warnings.formatwarning = previous
     sys.stderr.write(f"error: {message}\n")
     return code
 

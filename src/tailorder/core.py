@@ -25,6 +25,7 @@ measures the pairs; the orders set every threshold from them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -75,10 +76,11 @@ EXACT = (0.0, 0.0)
 PRODUCT = (5e-16, 0.0)  # a product of d <= 4 coordinates
 LOWER_BOUND = (0.0, ULP)  # max(u + v - 1, 0)
 CUSTOM = (1e-12, 0.0)  # an evaluator built from a bare function, which no builder measured
+_INV_E = float(np.exp(-1.0))
 # where an abs term counts, when not everywhere: a predicate on the sampled points, named by a pair's third entry
 REGIONS = {
     # Bertino's cancelling branch, which a power diagonal reaches only there: t - t^p increases on [0, 1/e]
-    "max(u) > 1/e": lambda p: p.max(axis=1) > np.exp(-1.0),
+    "max(u) > 1/e": lambda p: _row_reduce(np.maximum, p) > _INV_E,
     # a lifted section forms 1 - t for t = u1 / (u1 + u2), which cancels as t nears 1 (a diagonal's
     # single column is never in it: C(t, t) takes t = 1/2)
     "u1 > u2": lambda p: p[:, 0] > p[:, -1],
@@ -269,7 +271,7 @@ class Copula:
         within ``BOUNDARY_TOL`` outside [0, 1] are clipped onto it; a batch
         already inside reaches the formula uncopied, often as a view of the
         caller's array, so formulas must not write into their input.  The
-        same pass gives :meth:`_values` its interior verdict.
+        same pass gives :meth:`_values` its bounds.
         """
         arr = np.asarray(u, dtype=float)
         scalar = arr.ndim == 1
@@ -277,11 +279,11 @@ class Copula:
             raise DimensionError(
                 f"points have {arr.shape[-1]} coordinates, copula has dimension {self.dimension}"
             )
-        pts = np.atleast_2d(arr).reshape(-1, self.dimension)
+        pts = arr.reshape(-1, self.dimension)
         if pts.shape[0] == 0:
             return np.empty(arr.shape[:-1])
-        low, high = pts.min(), pts.max()
-        if not (np.isfinite(low) and np.isfinite(high)):
+        low, high = float(pts.min()), float(pts.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise DomainError("coordinates must be finite")
         if low < -BOUNDARY_TOL or high > 1.0 + BOUNDARY_TOL:
             raise DomainError(
@@ -289,33 +291,43 @@ class Copula:
             )
         if low < 0.0 or high > 1.0:  # np.clip keeps -0.0, so skipping it inside [0, 1] changes nothing
             pts = np.clip(pts, 0.0, 1.0)
-        vals = np.asarray(self._values(pts, 0.0 < low and high < 1.0), dtype=float)
+        vals = np.asarray(self._values(pts, (low, high)), dtype=float)
         return float(vals[0]) if scalar else vals.reshape(arr.shape[:-1])
 
-    def _values(self, pts: np.ndarray, interior: bool | None = None) -> np.ndarray:
+    def _values(self, pts: np.ndarray, bounds: tuple[float, float] | None = None) -> np.ndarray:
         """C at the rows of an (n, d) array in [0, 1]^d, by the boundary rule.
 
         Rows with any coordinate exactly 0 return 0; rows with at least d-1
         coordinates exactly 1 return the remaining coordinate; the formula's
-        values at the other rows are clipped into [0, 1].  ``interior``, the
-        verdict of the caller's range pass, says that no coordinate is 0 or 1
-        (the pass is made here when it is not given): the batch then goes to
-        the formula whole, as does one whose row masks find no boundary row.
-        Otherwise the inner rows are taken by index into a new array; a
-        formula that treats each row on its own gives the same values either
-        way.  Like every family formula, the masks and the margin value
-        combine a row's d columns with :func:`_row_reduce`.
+        values at the other rows are clipped into [0, 1].  ``bounds`` is the
+        (min, max) of the caller's range pass, taken before any clip (the
+        pass is made here when it is not given).  With no coordinate 0 or 1
+        the batch goes to the formula whole, as does one whose row masks find
+        no boundary row; with min > 0 no row is a zero row, so only the
+        margin mask is built.  Otherwise the inner rows are taken by index
+        into a new array; a formula that treats each row on its own gives the
+        same values either way.  Like every family formula, the masks and the
+        margin value combine a row's d columns with :func:`_row_reduce`.
         """
-        if interior is None:
-            interior = pts.size > 0 and pts.min() > 0.0 and pts.max() < 1.0
-        if not interior:
+        if bounds is None:
+            if pts.size == 0:
+                return np.empty(pts.shape[0])
+            bounds = pts.min(), pts.max()
+        low, high = bounds
+        if 0.0 < low and high < 1.0:
+            return np.clip(self._formula(pts), 0.0, 1.0)
+        margin = _row_reduce(np.add, pts == 1.0, dtype=np.intp) >= self.dimension - 1
+        if low > 0.0:
+            zero, inner = None, np.flatnonzero(~margin)
+        else:
             zero = _row_reduce(np.logical_or, pts == 0.0)
-            margin = (_row_reduce(np.add, pts == 1.0, dtype=np.intp) >= self.dimension - 1) & ~zero
+            margin &= ~zero
             inner = np.flatnonzero(~(zero | margin))
-        if interior or 0 < inner.size == pts.shape[0]:
+        if 0 < inner.size == pts.shape[0]:
             return np.clip(self._formula(pts), 0.0, 1.0)
         out = np.empty(pts.shape[0], dtype=float)
-        out[zero] = 0.0
+        if zero is not None:
+            out[zero] = 0.0
         out[margin] = _row_reduce(np.minimum, pts[margin])
         if inner.size:
             out[inner] = np.clip(self._formula(pts.take(inner, axis=0)), 0.0, 1.0)
@@ -339,7 +351,7 @@ class _Verbatim(Copula):
     """A copula whose function is trusted verbatim, boundary included (see :func:`copula_from_callable`)."""
     __slots__ = ()
 
-    def _values(self, pts: np.ndarray, interior: bool | None = None) -> np.ndarray:
+    def _values(self, pts: np.ndarray, bounds: tuple[float, float] | None = None) -> np.ndarray:
         return np.asarray(self._formula(pts), dtype=float)
 
 

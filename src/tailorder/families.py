@@ -231,8 +231,18 @@ def archimedean(g: Generator, dimension: int = 2) -> Copula:
         with np.errstate(divide="ignore", over="ignore"):
             return _row_reduce(np.add, np.asarray(g.phi(pts), dtype=float))
 
+    phi0, inverse = g.phi_at_zero(), g.inverse
+
     def formula(pts: np.ndarray) -> np.ndarray:
-        return np.asarray(generalized_inverse(g, phi_sum(pts)), dtype=float)
+        x = phi_sum(pts)
+        if inverse is None:
+            return generalized_inverse(g, x)
+        # generalized_inverse's closed-form rule, without its clip: Copula._values clips next
+        if (x < 0).any():
+            raise DomainError("generalized inverse requires x >= 0")
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            vals = np.asarray(inverse(x), dtype=float)
+        return np.where(np.isfinite(vals) & (x < phi0), vals, 0.0)
 
     def first_positive(ts: np.ndarray) -> float:  # the first of ascending t where C(t, ..., t) comes out positive
         return float(ts[np.argmax(formula(np.repeat(ts[:, None], dimension, axis=1)) > 0.0)])

@@ -156,20 +156,23 @@ def _verdict(points: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, tolerance: tu
     ``candidates`` ascend; ``epsilon`` is reported when none fits.  A ``note`` is prefixed with
     the verified or smallest violating radius; undecidable points are counted after it."""
     samples, gap, size1, size2 = Samples(points, lhs, rhs, scale), rhs - lhs, np.abs(lhs), np.abs(rhs)
-    bound = sum(pair[0] * size + abs_at(pair, points) for pair, size in zip(tolerance, (size1, size2)))
+    pair1, pair2 = tolerance
+    bound = (pair1[0] * size1 + abs_at(pair1, points)) + (pair2[0] * size2 + abs_at(pair2, points))
     decidable = bound < np.maximum(size1, size2)
     bad = decidable & (gap < -bound)
-    undecidable = "" if decidable.all() else f"{(~decidable).sum()} of {gap.size} points undecidable" + (
-        f", smallest decidable scale {scale[decidable].min():.6g}" if scale is not None and decidable.any() else "")
-    verified = slice(None)
+    n_decidable = np.count_nonzero(decidable)
+    undecidable = "" if n_decidable == gap.size else f"{gap.size - n_decidable} of {gap.size} points undecidable" + (
+        f", smallest decidable scale {scale[decidable].min():.6g}" if scale is not None and n_decidable else "")
+    counted, fails = decidable, bad.any()
     if candidates is not None:
-        low = scale[bad].min() if bad.any() else np.inf
+        low = scale[bad].min() if fails else np.inf
         fits = candidates[candidates < low]
-        if fits.size:
+        if fits.size:  # the verified radius lies below every violating scale
             epsilon = float(fits[-1])
-            verified = scale <= epsilon
-        bad &= scale == low  # the witness comes from the smallest violating scale
-    if bad[verified].any():
+            counted, fails = decidable & (scale <= epsilon), False
+        else:
+            bad &= scale == low  # the witness comes from the smallest violating scale
+    if fails:
         idx = np.flatnonzero(bad)
         with np.errstate(divide="ignore"):  # exact sides have bound 0: their violations rank first
             ratio = gap[idx] / bound[idx]
@@ -181,8 +184,7 @@ def _verdict(points: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, tolerance: tu
             note = f"smallest violating radius {low:.6g}: {why}; {note}"
         return OrderVerdict(FAILS, float(gap[i]), _witness(points, lhs, rhs, i), epsilon, resolution, tolerance,
                             "; ".join(filter(None, (note, undecidable))), samples)
-    counted = decidable[verified]
-    gap, bound = gap[verified][counted], bound[verified][counted]
+    gap, bound = gap[counted], bound[counted]
     status, margin = HOLDS, float(gap.min()) if gap.size else 0.0
     if (np.abs(gap) <= bound).all():
         status = INDISTINGUISHABLE
@@ -228,7 +230,10 @@ def _local_directions(d: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=8)  # top and cone are user floats; a d = 4 entry holds about 1.9 MB
+_CACHED_DIMENSIONS = 4  # an entry holds 44 * n * (d + 1) doubles: 1.9 MB at d = 4, 8.3 MB at d = 6, 40 MB at d = 7
+
+
+@lru_cache(maxsize=8)  # top and cone are user floats; samples above _CACHED_DIMENSIONS are built per verdict
 def _local_sample(d: int, top: float, cone: float) -> tuple[np.ndarray, np.ndarray, int]:
     """The local points min(r * w, 1), each point's radius r = top * 2^(-j/2), and the number of
     directions w in the cone, as read-only arrays."""
@@ -249,7 +254,8 @@ def _local_verdict(c1: Copula, c2: Copula, epsilon: float | None, cone: float = 
     d = c1.dimension
     if epsilon is not None and not 0.0 < (epsilon := float(epsilon)) <= float(np.sqrt(d)):
         raise DomainError(f"epsilon must lie in (0, sqrt(d)], got {epsilon}")
-    points, scale, n_dirs = _local_sample(d, 1.0 if epsilon is None else epsilon, cone)
+    build = _local_sample if d <= _CACHED_DIMENSIONS else _local_sample.__wrapped__
+    points, scale, n_dirs = build(d, 1.0 if epsilon is None else epsilon, cone)
     lhs, rhs = np.asarray(c1.cdf(points)), np.asarray(c2.cdf(points))
     return _verdict(points, lhs, rhs, (c1.accuracy, c2.accuracy), scale=scale,
                     candidates=_HALVINGS if epsilon is None else np.array([epsilon]),
@@ -264,10 +270,10 @@ def check_loc(c1: Copula, c2: Copula, epsilon: float | None = None) -> OrderVerd
     from geometric nodes 1e-18 ... 1e-2 (thin regions along the faces, such
     as Marshall-Olkin's) and linear nodes on (0, 1].  With ``epsilon=None``
     the radii start at 1 and the candidate radii are 2^-k, k <= 20.  The
-    sample is built once per (dimension, first radius) and handed to both
-    copulas read-only, so a formula must not write into its input: where
-    the sample reaches it uncopied, numpy raises instead of letting the
-    write corrupt later verdicts.  The verdict's ``samples.points`` and
+    sample is built once per (dimension, first radius), or per verdict above
+    d = 4, and handed to both copulas read-only, so a formula must not write
+    into its input: where the sample reaches it uncopied, numpy raises
+    instead of letting the write corrupt later verdicts.  The verdict's ``samples.points`` and
     ``scale`` are that shared read-only sample.
     """
     return _local_verdict(c1, c2, epsilon)
@@ -279,8 +285,10 @@ def check_too(c1: Copula, c2: Copula, directions: Sequence | None = None,
 
     For each direction w the scan starts at the largest scale s with
     s*w in [0,1]^d and descends geometrically by the schedule's ratio for
-    the schedule's step count; the schedule's s0 is not read.  All rays go
-    to ``cdf`` in one batch per copula.  Returns one verdict per direction.
+    the schedule's step count; the schedule's s0 is not read.  A schedule
+    whose scales drop below 1e-300 on some ray is refused before the rays
+    are built.  All rays go to ``cdf`` in one batch per copula.  Returns one
+    verdict per direction.
     """
     if c1.dimension != c2.dimension:
         raise DimensionError("copulas have different dimensions")
@@ -296,7 +304,10 @@ def check_too(c1: Copula, c2: Copula, directions: Sequence | None = None,
             raise DomainError("directions must be nonnegative and nonzero")
     # anchor each ray at the largest s keeping s*w inside the cube, then descend
     W = np.array(dir_list, dtype=float).reshape(-1, d)
-    S = (1.0 / W.max(axis=1))[:, None] * sched.ratio ** np.arange(n)
+    anchors = 1.0 / W.max(axis=1)
+    if anchors.size:
+        sched.check_underflow(float(anchors.min()))
+    S = anchors[:, None] * sched.ratio ** np.arange(n)
     P = S[:, :, None] * W[:, None, :]
     lhs, rhs = (np.asarray(c.cdf(P.reshape(-1, d))).reshape(S.shape) for c in (c1, c2))
     sides = c1.accuracy, c2.accuracy
@@ -312,8 +323,8 @@ def check_cone_order(c1: Copula, c2: Copula, cone: ConeSpec, epsilon: float | No
     ``tdf``), that precondition is checked on ``grid`` and a warning is
     emitted when it is not strict.  The copulas are sampled as in
     :func:`check_loc` on the directions in the cone: the sample is built
-    once per (dimension, first radius, c) and handed to both copulas
-    read-only, so a formula must not write into its input (see
+    once per (dimension, first radius, c), or per verdict above d = 4, and
+    handed to both copulas read-only, so a formula must not write into its input (see
     :func:`check_loc`).
     """
     if c1.dimension != c2.dimension:  # before the precondition, which would name the tail dependence functions

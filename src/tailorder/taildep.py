@@ -77,14 +77,22 @@ class LimitSchedule:
 
     def scales(self) -> np.ndarray:
         """The scales s0 * ratio^k, k < steps, built once per (s0, ratio, steps) and shared read-only."""
+        self.check_underflow(self.s0)
         return _scales(self.s0, self.ratio, self.steps)
+
+    def check_underflow(self, anchor: float):
+        """Raise DomainError when the scales anchor * ratio^k, k < steps, drop below 1e-300.
+
+        The last scale is computed alone, so a step count too large to
+        build is refused before anything is allocated.
+        """
+        if anchor * self.ratio ** (self.steps - 1) < 1e-300:
+            raise DomainError("schedule underflow: scales drop below 1e-300")
 
 
 @lru_cache(maxsize=32)  # s0 and ratio are user floats; an entry holds steps * 8 bytes
 def _scales(s0: float, ratio: float, steps: int) -> np.ndarray:
     s = s0 * ratio ** np.arange(steps)
-    if s[-1] < 1e-300:
-        raise DomainError("schedule underflow: scales drop below 1e-300")
     s.flags.writeable = False
     return s
 

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,19 @@ class TestSubcommands:
         assert run(capsys, "repro", "glued-joe")[1] == _ray_csv(c1, c2, published, sched)
         sched = taildep.LimitSchedule(0.01, 0.3, 5)
         assert run(capsys, "repro", "glued-joe", "--schedule", "0.01,0.3,5")[1] == _ray_csv(c1, c2, published, sched)
+
+    @pytest.mark.parametrize("alpha, theta", [(0.5, 1.0), (0.3, 2.0), (0.7, 5.0), (0.5, 0.5)])
+    def test_mo_clayton_table_matches_point_by_point_evaluation(self, capsys, alpha, theta):
+        # the 199 points go to each copula in one batch; the CSV and JSON must equal evaluating each point alone
+        mo = descriptors.build_copula(descriptors.parse_shorthand(f"marshall-olkin:{alpha}"))
+        cl = descriptors.build_copula(descriptors.parse_shorthand(f"clayton:{theta}"))
+        t = np.linspace(0.0, 1.0, 201)[1:-1].tolist()
+        table = [(ti, mo.eval((ti, ti**alpha)), cl.eval((ti, ti**alpha))) for ti in t]
+        want_csv = "t,M,C\n" + "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in table)
+        want_json = json.dumps([dict(zip("tMC", row)) for row in table], indent=2) + "\n"
+        params = ("--alpha", str(alpha), "--theta", str(theta))
+        assert run(capsys, "repro", "mo-clayton", *params) == (cli.EXIT_OK, want_csv, "")
+        assert run(capsys, "repro", "mo-clayton", *params, "--format", "json") == (cli.EXIT_OK, want_json, "")
 
     def test_validate(self, capsys):
         code, out, _ = run(capsys, "validate", "bertino:1.5")
@@ -458,6 +472,23 @@ def test_scipy_is_loaded_only_by_a_gaussian_evaluation():
     assert record["before"] is False
     assert record["after"] is True
     assert record["gaussian"] == [cli.EXIT_OK, "0.19189068682491817\n"]
+
+
+def test_a_warning_is_one_line_on_stderr(capsys):
+    # Gumbel copulas have tail dependence function 0, so the cone order's precondition is not strict
+    argv = ["order", "gumbel:2", "gumbel:3", "--cone", "0.2"]
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "tailorder.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == cli.EXIT_OK
+    assert proc.stderr.splitlines() == ["warning: cone ordering expects a strictly ordered pair; "
+                                        "tail dependence check says indistinguishable"]
+    assert ".py:" not in proc.stderr
+    with pytest.warns(RuntimeWarning, match="strictly ordered pair"):  # a warning in-process, as before
+        assert run(capsys, *argv)[:2] == (cli.EXIT_OK, proc.stdout)
+    assert warnings.formatwarning is not cli._format_warning
 
 
 def package_imports(module):

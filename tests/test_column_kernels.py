@@ -314,6 +314,14 @@ def test_row_reduce_matches_the_axis_reduction(ufunc, d):
     assert np.array_equal(core._row_reduce(ufunc, pts), ufunc.reduce(pts, axis=1))
 
 
+@pytest.mark.parametrize("d", range(1, 5))
+def test_bertino_region_is_the_axis_max(d):
+    pts = interior_batch(4, d, 512)
+    e = np.exp(-1.0)
+    pts[::7, 0], pts[1::7, -1], pts[2::7, 0] = e, np.nextafter(e, 1.0), np.nextafter(e, 0.0)
+    assert np.array_equal(core.REGIONS["max(u) > 1/e"](pts), pts.max(axis=1) > e)
+
+
 def test_row_reduce_counts_boolean_columns():
     pts = boundary_batch(2, 3) == 1.0
     assert np.array_equal(core._row_reduce(np.add, pts, dtype=np.intp), pts.sum(axis=1))
@@ -375,6 +383,20 @@ class TestGeneralizedInverse:
         x2 = x.reshape(5, 9)
         got = families.generalized_inverse(g, x2)
         assert got.shape == (5, 9) and np.array_equal(got, ref_generalized_inverse(g, x2))
+
+    @pytest.mark.parametrize("name", ["clayton", "gumbel", "joe", "nonstrict-linear"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_archimedean_formula_is_the_clipped_inverse(self, name, d):
+        # the formula leaves generalized_inverse's clip to Copula._values: its bits are still those of the
+        # clipped inverse of the summed generator, Joe's -0.0 where that sum exceeds 37 included
+        g = self.GENERATORS[name]
+        tail = np.geomspace(1e-12, 1e-6, 7 * d).reshape(7, d)
+        pts = np.concatenate([interior_batch(9, d), boundary_batch(9, d), tail])
+        with np.errstate(divide="ignore", over="ignore"):
+            x = np.asarray(g.phi(pts), dtype=float).sum(axis=1)
+        want = np.clip(families.generalized_inverse(g, x), 0.0, 1.0)
+        assert np.array_equal(families.archimedean(g, d)._formula(pts).view(np.int64), want.view(np.int64))
+        assert np.signbit(want).any() == (name == "joe")
 
     @pytest.mark.parametrize("name", ["folded", "bisected"])
     def test_nan_gives_zero_with_and_without_a_closed_form(self, name):

@@ -103,6 +103,25 @@ class TestEval:
             assert masked[-1] == 0.0
             np.testing.assert_array_equal(np.asarray(c.cdf(pts)), masked[:-1], err_msg=repr(c))
 
+    def test_positive_batch_builds_only_the_margin_mask(self):
+        # with min > 0 no row is a zero row; a min of 0 in the bounds makes _values build the zero mask too,
+        # and both must give the same bits on batches with 1.0 coordinates, with and without margin rows
+        rng = np.random.default_rng(22)
+        for c in every_family():
+            d = c.dimension
+            ones = rng.uniform(1e-3, 1.0, size=(256, d))
+            ones[rng.uniform(size=ones.shape) < 0.3] = 1.0
+            ones[::5] = 1.0
+            ones[::5, -1] = rng.uniform(1e-3, 1.0, size=len(ones[::5]))  # margin rows
+            single = rng.uniform(1e-3, 1.0, size=(64, d))
+            single[::2, 0] = 1.0  # one 1.0 per row: a margin row only for d = 2
+            for pts in (ones, single):
+                low, high = float(pts.min()), float(pts.max())
+                assert low > 0.0 and high == 1.0
+                fast, full = c._values(pts, (low, high)), c._values(pts, (0.0, high))
+                assert np.array_equal(fast.view(np.int64), full.view(np.int64)), repr(c)
+                assert np.array_equal(np.asarray(c.cdf(pts)).view(np.int64), fast.view(np.int64)), repr(c)
+
 
 class TestGuard:
     """The contract of Copula.cdf's range check and of the boundary wrapper."""

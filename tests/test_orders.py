@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,17 @@ class TestSampleCaches:
         to.check_tdo(to.archimedean_tdf(1.0), to.archimedean_tdf(2.0))
         assert orders._tdo_grid.cache_info()[:2] == (1, 1)
 
+    @pytest.mark.parametrize("check", [
+        lambda c1, c2: to.check_loc(c1, c2),
+        lambda c1, c2: to.check_cone_order(c1, c2, to.ConeSpec(0.1), 0.5),
+    ], ids=["loc", "cone"])
+    def test_samples_above_d4_are_built_per_verdict(self, check):
+        # a d = 6 entry would hold 8.3 MB: the sample is built read-only for the verdict and not kept
+        orders._local_sample.cache_clear()
+        v = check(clayton(1.0, 6), clayton(2.0, 6))
+        assert orders._local_sample.cache_info().currsize == 0
+        assert not v.samples.points.flags.writeable and not v.samples.scale.flags.writeable
+
     def test_every_cached_array_is_read_only(self):
         arrays = {
             "local directions": [orders._local_directions(2)],
@@ -342,6 +354,22 @@ class TestCheckToo:
 
     def test_no_directions(self):
         assert to.check_too(clayton(1.0), clayton(2.0), directions=[]) == []
+
+    @pytest.mark.parametrize("call", [
+        lambda sched: sched.scales(),
+        lambda sched: to.check_too(clayton(1.0), clayton(2.0), schedule=sched),
+    ], ids=["scales", "check_too"])
+    def test_underflow_is_refused_before_anything_is_allocated(self, call):
+        # 0.5^99999 is below 1e-300; the scales alone would take 800 kB, and 18 MB on the 23 default rays
+        sched = to.LimitSchedule(0.01, 0.5, 100_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(to.DomainError, match="schedule underflow"):
+                call(sched)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestConeOrder:
@@ -575,8 +603,51 @@ def verdict_inputs(draw):
     return lhs, rhs, scale, candidates, (draw(pair), draw(pair)), draw(st.booleans())
 
 
+def chained_verdict(points, lhs, rhs, tolerance, resolution=0, *, scale=None, candidates=None, epsilon=None,
+                    strict=False, note=""):
+    """``orders._verdict`` with its earlier selection: the bound summed from 0 over a generator, and gap and
+    bound taken at the verified points and then at the decidable ones among them."""
+    samples, gap, size1, size2 = orders.Samples(points, lhs, rhs, scale), rhs - lhs, np.abs(lhs), np.abs(rhs)
+    bound = sum(pair[0] * size + orders.abs_at(pair, points) for pair, size in zip(tolerance, (size1, size2)))
+    decidable = bound < np.maximum(size1, size2)
+    bad = decidable & (gap < -bound)
+    undecidable = "" if decidable.all() else f"{(~decidable).sum()} of {gap.size} points undecidable" + (
+        f", smallest decidable scale {scale[decidable].min():.6g}" if scale is not None and decidable.any() else "")
+    verified = slice(None)
+    if candidates is not None:
+        low = scale[bad].min() if bad.any() else np.inf
+        fits = candidates[candidates < low]
+        if fits.size:
+            epsilon = float(fits[-1])
+            verified = scale <= epsilon
+        bad &= scale == low
+    if bad[verified].any():
+        idx = np.flatnonzero(bad)
+        with np.errstate(divide="ignore"):
+            ratio = gap[idx] / bound[idx]
+        idx = idx[ratio <= ratio.min() * (1.0 - 1e-9)]
+        i = int(idx[np.argmin(gap[idx])])
+        if note:
+            why = (f"no epsilon 2^-k, k <= {orders._MAX_HALVINGS}, lies below it" if epsilon is None
+                   else "witness at that radius")
+            note = f"smallest violating radius {low:.6g}: {why}; {note}"
+        return orders.OrderVerdict(to.FAILS, float(gap[i]), orders._witness(points, lhs, rhs, i), epsilon,
+                                   resolution, tolerance, "; ".join(filter(None, (note, undecidable))), samples)
+    counted = decidable[verified]
+    gap, bound = gap[verified][counted], bound[verified][counted]
+    status, margin = to.HOLDS, float(gap.min()) if gap.size else 0.0
+    if (np.abs(gap) <= bound).all():
+        status = to.INDISTINGUISHABLE
+    elif strict and (gap > bound).all():
+        status = to.HOLDS_STRICTLY
+    note = f"verified radius {epsilon:.6g}; {note}" if note else note
+    return orders.OrderVerdict(status, margin, None, epsilon, resolution, tolerance,
+                               "; ".join(filter(None, (note, undecidable))), samples)
+
+
 class TestVerdictRule:
-    """``orders._verdict`` against a brute-force loop over the points and candidate radii."""
+    """``orders._verdict`` against a brute-force loop over the points and candidate radii, and against its
+    earlier chained selection, bit for bit (``repr`` tells -0.0 from 0.0 and round-trips every float)."""
 
     @settings(max_examples=400, deadline=None)
     @given(verdict_inputs())
@@ -617,6 +688,42 @@ class TestVerdictRule:
         else:
             assert v.status == to.HOLDS
         assert v.margin == (min(gap[i] for i in verified) if verified else 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(verdict_inputs())
+    def test_matches_the_chained_selection(self, inputs):
+        lhs, rhs, scale, candidates, tolerance, strict = inputs
+        points = np.column_stack([np.arange(lhs.size), np.arange(lhs.size)[::-1]]) / 8.0
+        args = points, lhs, rhs, tolerance, 8
+        kwargs = dict(scale=scale, candidates=candidates, strict=strict, note="n" if candidates is not None else "")
+        assert repr(orders._verdict(*args, **kwargs)) == repr(chained_verdict(*args, **kwargs))
+
+    @pytest.mark.parametrize("check", [
+        lambda: to.check_loc(to.archimedean(to.gumbel_generator(2.0)), clayton(1.0)),
+        lambda: to.check_loc(to.marshall_olkin(0.5), clayton(1.0)),
+        lambda: to.check_loc(shorthand("bertino:1.5"), shorthand("fn:1.5"), 0.5),
+        lambda: to.check_loc(to.marshall_olkin(0.5), clayton(1.0), 0.2),
+        lambda: to.check_loc(to.independence(), to.survival(clayton(1.0))),
+        lambda: to.check_cone_order(to.marshall_olkin(0.5), clayton(1.0), to.ConeSpec(0.2)),
+        lambda: to.check_too(to.glue(to.archimedean(to.joe_generator(2.0)), to.comonotone(), 1, 0.5),
+                             to.glue(to.archimedean(to.joe_generator(2.0)), to.comonotone(), 2, 0.5)),
+        lambda: to.check_tdo(to.archimedean_tdf(1.0), to.archimedean_tdf(2.0)),
+        lambda: to.check_diagonal_order(to.diagonal_of(clayton(1.0)), to.diagonal_of(clayton(2.0))),
+    ], ids=["loc-searched-holds", "loc-searched-fails", "loc-eps-region", "loc-eps-fails", "loc-undecidable",
+            "cone-searched", "too-whole-sample", "tdo-strict", "diagonal"])
+    def test_real_samples_match_the_chained_selection(self, monkeypatch, check):
+        compared = []
+
+        def both(*args, **kwargs):
+            v = verdict(*args, **kwargs)
+            assert repr(v) == repr(chained_verdict(*args, **kwargs))
+            compared.append(v.status)
+            return v
+
+        verdict = orders._verdict
+        monkeypatch.setattr(orders, "_verdict", both)
+        check()
+        assert compared
 
 
 class TestClaytonIndexOrder:
