@@ -77,6 +77,9 @@ PRODUCT = (5e-16, 0.0)  # a product of d <= 4 coordinates
 LOWER_BOUND = (0.0, ULP)  # max(u + v - 1, 0)
 CUSTOM = (1e-12, 0.0)  # an evaluator built from a bare function, which no builder measured
 _INV_E = float(np.exp(-1.0))
+# rows a formula sees at once (see Copula._values): at d = 2 a block's temporaries stay under 200 KB, in cache and on
+# pages the heap already holds; a multiple of every formula's internal block (families._NORMAL_BLOCK, _BERTINO_BLOCK)
+_ROW_BLOCK = 8192
 # where an abs term counts, when not everywhere: a predicate on the sampled points, named by a pair's third entry
 REGIONS = {
     # Bertino's cancelling branch, which a power diagonal reaches only there: t - t^p increases on [0, 1/e]
@@ -227,7 +230,9 @@ class Copula:
         Number of coordinates, at least 2.
     evaluator : callable
         The raw formula: maps an ``(n, d)`` float array with entries in
-        [0, 1] to an ``(n,)`` array of copula values.
+        [0, 1] to an ``(n,)`` array of copula values.  It sees at most
+        ``_ROW_BLOCK + 1`` rows at a time, so it must treat each row on its
+        own or align any internal blocking to ``_ROW_BLOCK`` rows.
     descriptor : dict
         JSON-able description (``{"family": ..., "params": ...}`` plus
         nested descriptors for combinators).
@@ -271,7 +276,8 @@ class Copula:
         within ``BOUNDARY_TOL`` outside [0, 1] are clipped onto it; a batch
         already inside reaches the formula uncopied, often as a view of the
         caller's array, so formulas must not write into their input.  The
-        same pass gives :meth:`_values` its bounds.
+        same pass gives :meth:`_values` its bounds, and :meth:`_values`
+        hands the formula at most ``_ROW_BLOCK + 1`` rows at a time.
         """
         arr = np.asarray(u, dtype=float)
         scalar = arr.ndim == 1
@@ -306,8 +312,11 @@ class Copula:
         no boundary row; with min > 0 no row is a zero row, so only the
         margin mask is built.  Otherwise the inner rows are taken by index
         into a new array; a formula that treats each row on its own gives the
-        same values either way.  Like every family formula, the masks and the
-        margin value combine a row's d columns with :func:`_row_reduce`.
+        same values either way.  Either way the formula sees at most
+        ``_ROW_BLOCK + 1`` rows at a time (:meth:`_clipped`), so it must treat
+        rows independently or align any internal blocking to ``_ROW_BLOCK``.
+        Like every family formula, the masks and the margin value combine a
+        row's d columns with :func:`_row_reduce`.
         """
         if bounds is None:
             if pts.size == 0:
@@ -315,7 +324,7 @@ class Copula:
             bounds = pts.min(), pts.max()
         low, high = bounds
         if 0.0 < low and high < 1.0:
-            return np.clip(self._formula(pts), 0.0, 1.0)
+            return self._clipped(pts)
         margin = _row_reduce(np.add, pts == 1.0, dtype=np.intp) >= self.dimension - 1
         if low > 0.0:
             zero, inner = None, np.flatnonzero(~margin)
@@ -324,13 +333,31 @@ class Copula:
             margin &= ~zero
             inner = np.flatnonzero(~(zero | margin))
         if 0 < inner.size == pts.shape[0]:
-            return np.clip(self._formula(pts), 0.0, 1.0)
+            return self._clipped(pts)
         out = np.empty(pts.shape[0], dtype=float)
         if zero is not None:
             out[zero] = 0.0
         out[margin] = _row_reduce(np.minimum, pts[margin])
         if inner.size:
-            out[inner] = np.clip(self._formula(pts.take(inner, axis=0)), 0.0, 1.0)
+            out[inner] = self._clipped(pts, inner)
+        return out
+
+    def _clipped(self, pts: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """The formula's values at the rows of pts (all, or those indexed by ``rows``), clipped into [0, 1].
+
+        Up to ``_ROW_BLOCK + 1`` rows go to the formula in one call, uncopied
+        when ``rows`` is None.  A larger batch goes in blocks of
+        ``_ROW_BLOCK`` rows, each clipped into one output array; a last block
+        of one row joins the block before it.
+        """
+        n = pts.shape[0] if rows is None else rows.size
+        if n <= _ROW_BLOCK + 1:
+            return np.clip(self._formula(pts if rows is None else pts.take(rows, axis=0)), 0.0, 1.0)
+        out = np.empty(n)
+        for start in range(0, n - 1, _ROW_BLOCK):
+            stop = n if n - start <= _ROW_BLOCK + 1 else start + _ROW_BLOCK
+            block = pts[start:stop] if rows is None else pts.take(rows[start:stop], axis=0)
+            np.clip(self._formula(block), 0.0, 1.0, out=out[start:stop])
         return out
 
     def eval(self, u) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -425,14 +425,17 @@ def bertino(delta: DiagonalSection) -> Copula:
 
 
 _BERTINO_SCAN = 1024
+# rows scanned at once by _interval_min_gap, whose golden-section loop stops on a whole block; core._ROW_BLOCK is a
+# multiple, so a blocked batch is scanned in the same blocks as a whole one
+_BERTINO_BLOCK = 4096
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def _interval_min_gap(delta: DiagonalSection, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Vectorized min of t - delta(t) over [lo_i, hi_i], to about 1e-12."""
     out = np.empty_like(lo)
-    for start in range(0, lo.size, 4096):
-        sl = slice(start, min(start + 4096, lo.size))
+    for start in range(0, lo.size, _BERTINO_BLOCK):
+        sl = slice(start, min(start + _BERTINO_BLOCK, lo.size))
         out[sl] = _interval_min_gap_block(delta, lo[sl], hi[sl])
     return out
 
@@ -503,26 +506,34 @@ _NORMAL_BLOCK = 1024
 _NORMAL_NODES = 64
 
 
-def _normal_integral(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
-    """The integral I of :func:`bivariate_normal_cdf` at each row of the flat arrays a and b, for rho != 0."""
+@lru_cache(maxsize=32)  # rho is a user float; an entry holds 4 * _NORMAL_NODES doubles
+def _normal_nodes(rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """The node rows -1/(2 cos^2 t), -1/(1 + sin t), -1/(1 - sin t) and the weights of I for rho, read-only."""
     x, w = _gauss_legendre_01(_NORMAL_NODES)
     t, wt = np.arcsin(rho) * x, np.arcsin(rho) * w
     sin_t = np.sin(t)
     node_rows = -1.0 / np.stack([2.0 * np.cos(t) ** 2, 1.0 + sin_t, 1.0 - sin_t])
-    n, rows = a.size, min(a.size, _NORMAL_BLOCK + 1)
-    sums, cols, buf = np.empty(n), np.empty((rows, 3)), np.empty((rows, _NORMAL_NODES))
+    node_rows.flags.writeable = wt.flags.writeable = False
+    return node_rows, wt
+
+
+def _normal_integral(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
+    """The integral I of :func:`bivariate_normal_cdf` at each row of the flat arrays a and b, for rho != 0."""
+    node_rows, wt = _normal_nodes(float(rho))
+    n = a.size
+    sums, cols, buf = np.empty(n), np.empty((n, 3)), np.empty((min(n, _NORMAL_BLOCK + 1), _NORMAL_NODES))
     with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 on rows with an infinite argument
+        np.abs(a, out=cols[:, 0])
+        np.abs(b, out=cols[:, 2])
+        np.square(np.subtract(cols[:, 0], cols[:, 2], out=cols[:, 0]), out=cols[:, 0])
+        np.negative(np.multiply(a, b, out=cols[:, 1]), out=cols[:, 2])
+        np.maximum(cols[:, 1:], 0.0, out=cols[:, 1:])
         # BLAS rounds a one-row product by another path than a row of a larger one, so a last block of one
         # row joins the block before it, and every row rounds as it would in one product over all rows
         for start in range(0, max(n - 1, 1), _NORMAL_BLOCK):
             stop = n if n - start <= _NORMAL_BLOCK + 1 else start + _NORMAL_BLOCK
-            c, blk = cols[: stop - start], buf[: stop - start]
-            np.abs(a[start:stop], out=c[:, 0])
-            np.abs(b[start:stop], out=c[:, 2])
-            np.square(np.subtract(c[:, 0], c[:, 2], out=c[:, 0]), out=c[:, 0])
-            np.negative(np.multiply(a[start:stop], b[start:stop], out=c[:, 1]), out=c[:, 2])
-            np.maximum(c[:, 1:], 0.0, out=c[:, 1:])
-            np.exp(np.matmul(c, node_rows, out=blk), out=blk)
+            blk = buf[: stop - start]
+            np.exp(np.matmul(cols[start:stop], node_rows, out=blk), out=blk)
             np.matmul(blk, wt, out=sums[start:stop])
     sums[np.isnan(sums)] = 0.0  # only from an infinite argument (integral 0) or a NaN one (Phi(a)Phi(b) keeps it)
     sums /= 2.0 * np.pi
@@ -536,9 +547,10 @@ def bivariate_normal_cdf(a, b, rho: float) -> np.ndarray | float:
     I = (1/2pi) * int_0^asin(rho) exp(-(a^2 - 2ab sin t + b^2)/(2 cos^2 t)) dt,
     whose integrand is analytic up to |rho| = 1.  As 2 cos^2 t = 2(1 - sin t)(1 + sin t), the exponent is
     -(|a| - |b|)^2/(2 cos^2 t) - |ab|/(1 +- sin t), with + where ab >= 0 and - where ab < 0: two terms that
-    are never positive, so nothing cancels in it.  Per ``_NORMAL_BLOCK`` rows, I fills the columns
-    ((|a| - |b|)^2, max(ab, 0), max(-ab, 0)) into a block-sized buffer and takes one matrix product with
-    three node rows, one exp and one product with the weights.  The Gaussian copula adds the same I to
+    are never positive, so nothing cancels in it.  I fills the columns ((|a| - |b|)^2, max(ab, 0),
+    max(-ab, 0)) of one (n, 3) array and, per ``_NORMAL_BLOCK`` rows, takes one matrix product with three
+    node rows, one exp and one product with the weights.  The node rows and weights are built once per rho
+    and shared read-only.  The Gaussian copula adds the same I to
     u1*u2, which is Phi(a)Phi(b) at a = Phi^-1(u1), b = Phi^-1(u2).  The rule has a fixed 64 nodes
     (``_NORMAL_NODES``).  Accuracy, measured on the Gaussian copula against mpmath with the interval cut
     near asin(rho): for rho > 0 both terms are positive and the error is relative, at most 1.8e-14 at s*w

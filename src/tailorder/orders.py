@@ -286,7 +286,8 @@ def check_too(c1: Copula, c2: Copula, directions: Sequence | None = None,
     For each direction w the scan starts at the largest scale s with
     s*w in [0,1]^d and descends geometrically by the schedule's ratio for
     the schedule's step count; the schedule's s0 is not read.  A schedule
-    whose scales drop below 1e-300 on some ray is refused before the rays
+    whose scales drop below 1e-300 on some ray, or whose rays hold more than
+    ``MAX_SCHEDULE_POINTS`` (10^6) points in all, is refused before the rays
     are built.  All rays go to ``cdf`` in one batch per copula.  Returns one
     verdict per direction.
     """
@@ -306,7 +307,7 @@ def check_too(c1: Copula, c2: Copula, directions: Sequence | None = None,
     W = np.array(dir_list, dtype=float).reshape(-1, d)
     anchors = 1.0 / W.max(axis=1)
     if anchors.size:
-        sched.check_underflow(float(anchors.min()))
+        sched.check(float(anchors.min()), anchors.size)
     S = anchors[:, None] * sched.ratio ** np.arange(n)
     P = S[:, :, None] * W[:, None, :]
     lhs, rhs = (np.asarray(c.cdf(P.reshape(-1, d))).reshape(S.shape) for c in (c1, c2))

@@ -29,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "LimitSchedule",
+    "MAX_SCHEDULE_POINTS",
     "TDFEstimate",
     "TDFEstimates",
     "TailDepFunction",
@@ -59,9 +60,18 @@ class QuadratureError(CopulaError):
     """Two-resolution quadrature values failed to agree."""
 
 
+# the most points a schedule may put in one batch: steps in scales(), steps times rays in orders.check_too
+MAX_SCHEDULE_POINTS = 10**6
+
+
 @dataclass(frozen=True)
 class LimitSchedule:
-    """Geometric scale schedule s0 * ratio^k discretizing the limit s -> 0."""
+    """Geometric scale schedule s0 * ratio^k discretizing the limit s -> 0.
+
+    A schedule is built only when its scales stay above 1e-300 and its
+    points number at most ``MAX_SCHEDULE_POINTS`` (10^6): ``steps`` for
+    :meth:`scales`, ``steps`` times the rays for ``orders.check_too``.
+    """
 
     s0: float = 1e-2
     ratio: float = 0.5
@@ -77,17 +87,21 @@ class LimitSchedule:
 
     def scales(self) -> np.ndarray:
         """The scales s0 * ratio^k, k < steps, built once per (s0, ratio, steps) and shared read-only."""
-        self.check_underflow(self.s0)
+        self.check(self.s0)
         return _scales(self.s0, self.ratio, self.steps)
 
-    def check_underflow(self, anchor: float):
-        """Raise DomainError when the scales anchor * ratio^k, k < steps, drop below 1e-300.
+    def check(self, anchor: float, rays: int = 1):
+        """Raise DomainError when the scales anchor * ratio^k, k < steps, drop below 1e-300, or when
+        ``rays * steps`` points exceed ``MAX_SCHEDULE_POINTS``.
 
         The last scale is computed alone, so a step count too large to
         build is refused before anything is allocated.
         """
         if anchor * self.ratio ** (self.steps - 1) < 1e-300:
             raise DomainError("schedule underflow: scales drop below 1e-300")
+        if rays * self.steps > MAX_SCHEDULE_POINTS:
+            raise DomainError(f"schedule too long: {rays} rays of {self.steps} steps exceed "
+                              f"{MAX_SCHEDULE_POINTS} points")
 
 
 @lru_cache(maxsize=32)  # s0 and ratio are user floats; an entry holds steps * 8 bytes

@@ -371,6 +371,30 @@ class TestCheckToo:
             tracemalloc.stop()
         assert peak < 100_000
 
+    @pytest.mark.parametrize("steps, call", [
+        (taildep.MAX_SCHEDULE_POINTS + 1, lambda sched: sched.scales()),
+        # 23 default rays: scales() would build these 50,000 steps, check_too refuses their 1.15 million points
+        (50_000, lambda sched: to.check_too(clayton(1.0), clayton(2.0), schedule=sched)),
+    ], ids=["scales", "check_too"])
+    def test_a_schedule_too_long_is_refused_before_anything_is_allocated(self, steps, call):
+        # a ratio near 1 keeps every scale far from underflow; a refusal that came late would build 8 MB or 18 MB
+        sched = to.LimitSchedule(0.01, 0.9999999, steps)
+        assert sched.ratio ** steps > 0.9
+        tracemalloc.start()
+        try:
+            with pytest.raises(to.DomainError, match="schedule too long"):
+                call(sched)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_the_cap_counts_points_not_steps(self):
+        sched = to.LimitSchedule(0.01, 0.9999999, 1000)
+        sched.check(1.0, rays=taildep.MAX_SCHEDULE_POINTS // 1000)
+        with pytest.raises(to.DomainError, match="schedule too long"):
+            sched.check(1.0, rays=taildep.MAX_SCHEDULE_POINTS // 1000 + 1)
+
 
 class TestConeOrder:
     def test_mo_clayton_discovers_epsilon(self):
