@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailorder as to
+from tailorder import core, families
 
 
 def grid_points(n=32):
@@ -195,6 +196,95 @@ class TestGuard:
         batch = np.random.default_rng(5).uniform(0.05, 0.95, size=(64, 2))
         np.testing.assert_allclose(to.glue(part, part, 1, 0.4).cdf(batch), batch.prod(axis=1), rtol=1e-15)
         np.testing.assert_allclose(to.survival(part).cdf(batch), batch.prod(axis=1), rtol=0.0, atol=1e-15)
+
+
+def surface_copulas():
+    """The 15 copulas of the benchmark's surface batches, a Gaussian with rho < 0 and a non-convex Bertino."""
+    def sh(text):
+        return to.build_copula(to.parse_shorthand(text))
+
+    clayton, joe = to.clayton_generator, to.joe_generator
+    return [sh(text) for text in ("independence", "clayton:2", "gumbel:2", "joe:2", "nonstrict-linear",
+                                  "marshall-olkin:0.5", "gaussian:0.5", "fn:1.5", "bertino:1.5", "semilinear:1.5",
+                                  "lev:clayton:2", "ev:fig1-parabola")] + [
+        to.glue(to.archimedean(joe(2.0)), to.comonotone(), 1, 0.5),
+        to.archimedean(clayton(2.0), 3),
+        to.hierarchical(to.archimedean(clayton(1.0)), to.archimedean(clayton(2.0))),
+        to.gaussian(-0.5),
+        # not marked convex, so the inner minimum is scanned in blocks of families._BERTINO_BLOCK rows
+        to.bertino(to.DiagonalSection(lambda t: t**1.5)),
+    ]
+
+
+def surface_batch(seed, d, n):
+    """Half uniform on (0, 1)^d, half log-uniform on [1e-10, 1e-1]^d."""
+    rng = np.random.default_rng([seed, d, n])
+    uniform = rng.integers(1, 2**53, size=(n // 2, d)) / float(2**53)
+    return np.concatenate([uniform, np.exp(rng.uniform(np.log(1e-10), np.log(1e-1), size=(n - n // 2, d)))])
+
+
+def spy_copula(sizes, seen=None):
+    """A product copula whose formula records the row count, and optionally the array, of every call."""
+    def formula(pts):
+        sizes.append(pts.shape[0])
+        if seen is not None:
+            seen.append(pts)
+        return pts[:, 0] * pts[:, 1]
+
+    return to.Copula(2, formula, {"family": "spy", "params": {}})
+
+
+class TestRowBlocks:
+    """Copula._values hands a formula at most _ROW_BLOCK + 1 rows at a time, with the values of one whole batch."""
+
+    B = core._ROW_BLOCK
+
+    def test_block_is_a_multiple_of_every_internal_block(self):
+        assert self.B % families._NORMAL_BLOCK == 0 and self.B % families._BERTINO_BLOCK == 0
+
+    @pytest.mark.parametrize("n", [B, B + 1, B + 2, 2 * B + 1, 3 * B + 1, 8 * B])
+    @pytest.mark.parametrize("boundary", [False, True], ids=["interior", "boundary"])
+    def test_blocks_give_the_whole_batch_values(self, monkeypatch, n, boundary):
+        rng = np.random.default_rng(n)
+        copulas = surface_copulas()
+        if n > 3 * self.B + 1:
+            copulas.pop()  # the scanned Bertino costs about 1 s per 32,768 rows; 24,577 rows cross three blocks
+        for c in copulas:
+            d = c.dimension
+            pts = surface_batch(23, d, n)
+            if boundary:
+                flat = pts.reshape(-1)
+                flat[rng.choice(flat.size, n // 20, replace=False)] = 0.0
+                flat[rng.choice(flat.size, n // 20, replace=False)] = 1.0
+                pts[rng.choice(n, n // 50, replace=False), 1:] = 1.0  # margin rows
+            blocked = np.asarray(c.cdf(pts))
+            with monkeypatch.context() as m:
+                m.setattr(core, "_ROW_BLOCK", 10**9)  # the whole batch in one formula call
+                whole = np.asarray(c.cdf(pts))
+            assert np.array_equal(blocked.view(np.int64), whole.view(np.int64)), repr(c)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, B - 1, B, B + 1, B + 2, B + 3, 2 * B, 2 * B + 1, 2 * B + 2, 5 * B + 1])
+    @pytest.mark.parametrize("boundary", [False, True], ids=["interior", "boundary"])
+    def test_formula_sees_at_most_one_block_and_never_one_row(self, n, boundary):
+        sizes = []
+        c = spy_copula(sizes)
+        pts = surface_batch(5, 2, n)
+        if boundary and n > 1:
+            pts[::7, 0] = 0.0  # zero rows: the inner rows are taken by index
+            pts[1::11, 1] = 1.0  # margin rows
+        c.cdf(pts)
+        inner = int(((pts > 0.0) & (pts < 1.0)).all(axis=1).sum())  # d = 2: a margin row has one 1.0
+        assert sum(sizes) == inner and max(sizes, default=0) <= self.B + 1
+        assert 1 not in sizes or sizes == [1]
+
+    @pytest.mark.parametrize("n", [1, 3476, B, B + 1])
+    def test_one_block_reaches_the_formula_uncopied(self, n):
+        sizes, seen = [], []
+        c = spy_copula(sizes, seen)
+        pts = surface_batch(6, 2, n)
+        pts.flags.writeable = False
+        c.cdf(pts)
+        assert sizes == [n] and np.shares_memory(seen[0], pts) and not seen[0].flags.writeable
 
 
 class TestHVolume:

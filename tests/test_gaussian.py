@@ -6,6 +6,7 @@ from scipy.integrate import dblquad
 from scipy.special import ndtr, ndtri
 
 import tailorder as to
+from tailorder import core
 from tailorder.families import bivariate_normal_cdf
 
 
@@ -163,3 +164,32 @@ class TestTailAccuracy:
         assert c.accuracy == (0.0, 4e-16)
         for u in TAIL_POINTS:
             assert abs(c.cdf(u) - copula_reference(*u, rho, 4e-16)) <= 4e-16, u
+
+
+class TestGluedGaussianBlocks:
+    """``glue`` hands its parts the rows of one block at a time, so above core._ROW_BLOCK rows a glued Gaussian
+    part sees other row subsets than in one whole batch, and a value may move in its last bits (ROADMAP, "Small
+    findings"); it must stay within the Gaussian's pair of the whole-batch value and of the mpmath reference."""
+
+    def test_values_stay_within_the_pair(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        n = 4 * core._ROW_BLOCK + 3
+        logs = rng.uniform(np.log(1e-10), np.log(1e-1), (n - n // 2, 2))
+        pts = np.concatenate([rng.random((n // 2, 2)), np.exp(logs)])
+        g = to.glue(to.gaussian(0.5), to.comonotone(), 1, 0.4)
+        rel, abs_ = g.accuracy
+        assert (rel, abs_) == (1e-13, 0.0)
+        blocked = np.asarray(g.cdf(pts))
+        with monkeypatch.context() as m:
+            m.setattr(core, "_ROW_BLOCK", 10**9)
+            whole = np.asarray(g.cdf(pts))
+        assert np.all(np.abs(blocked - whole) <= rel * whole + abs_)
+        # the reference on rows of the Gaussian part: the moved ones, five tail rows and five others
+        left = np.flatnonzero(pts[:, 0] <= 0.4)
+        moved = left[blocked[left] != whole[left]]
+        tail = left[pts[left].max(axis=1) < 0.1]
+        picks = np.concatenate([moved[:6], rng.choice(tail, 5, replace=False), rng.choice(left, 5, replace=False)])
+        for i in picks:
+            u, v = pts[i]
+            want = 0.4 * copula_reference(u / 0.4, v, 0.5, rel * blocked[i])
+            assert abs(blocked[i] - want) <= rel * want + abs_, (u, v)
