@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import stat
@@ -152,6 +153,8 @@ def cmd_tdf(args) -> int:
     c = build_copula(load_descriptor(args.descriptor))
     sched = _parse_schedule(args.schedule)
     if args.simplex_grid is not None:
+        # the grid's comb(n + d - 2, d - 1) directions meet the cap before any is built (n < 2 fails below)
+        sched.check(sched.s0, math.comb(max(args.simplex_grid, 1) + c.dimension - 2, c.dimension - 1))
         dirs = taildep.simplex_directions(args.simplex_grid, c.dimension)
         est = taildep.estimate_tdfs(c, dirs, sched)
         cols = list(zip(dirs.tolist(), est.value.tolist(), est.error_estimate.tolist(), est.converged.tolist()))

@@ -276,8 +276,7 @@ class Copula:
         within ``BOUNDARY_TOL`` outside [0, 1] are clipped onto it; a batch
         already inside reaches the formula uncopied, often as a view of the
         caller's array, so formulas must not write into their input.  The
-        same pass gives :meth:`_values` its bounds, and :meth:`_values`
-        hands the formula at most ``_ROW_BLOCK + 1`` rows at a time.
+        same pass gives :meth:`_values` its bounds.
         """
         arr = np.asarray(u, dtype=float)
         scalar = arr.ndim == 1
@@ -310,11 +309,10 @@ class Copula:
         pass is made here when it is not given).  With no coordinate 0 or 1
         the batch goes to the formula whole, as does one whose row masks find
         no boundary row; with min > 0 no row is a zero row, so only the
-        margin mask is built.  Otherwise the inner rows are taken by index
-        into a new array; a formula that treats each row on its own gives the
-        same values either way.  Either way the formula sees at most
-        ``_ROW_BLOCK + 1`` rows at a time (:meth:`_clipped`), so it must treat
-        rows independently or align any internal blocking to ``_ROW_BLOCK``.
+        margin mask is built.  Otherwise the inner rows are taken once, by
+        index, into a new array; a formula that treats each row on its own
+        gives the same values either way.  Either way :meth:`_clipped` hands
+        the formula the rows by the one block rule of :func:`_row_blocks`.
         Like every family formula, the masks and the margin value combine a
         row's d columns with :func:`_row_reduce`.
         """
@@ -327,37 +325,27 @@ class Copula:
             return self._clipped(pts)
         margin = _row_reduce(np.add, pts == 1.0, dtype=np.intp) >= self.dimension - 1
         if low > 0.0:
-            zero, inner = None, np.flatnonzero(~margin)
+            inner = np.flatnonzero(~margin)
         else:
             zero = _row_reduce(np.logical_or, pts == 0.0)
             margin &= ~zero
             inner = np.flatnonzero(~(zero | margin))
         if 0 < inner.size == pts.shape[0]:
             return self._clipped(pts)
-        out = np.empty(pts.shape[0], dtype=float)
-        if zero is not None:
-            out[zero] = 0.0
+        out = np.zeros(pts.shape[0])
         out[margin] = _row_reduce(np.minimum, pts[margin])
         if inner.size:
-            out[inner] = self._clipped(pts, inner)
+            out[inner] = self._clipped(pts.take(inner, axis=0))
         return out
 
-    def _clipped(self, pts: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """The formula's values at the rows of pts (all, or those indexed by ``rows``), clipped into [0, 1].
+    def _clipped(self, pts: np.ndarray) -> np.ndarray:
+        """The formula's values at the rows of pts, clipped into [0, 1], one block of :func:`_row_blocks` at a time.
 
-        Up to ``_ROW_BLOCK + 1`` rows go to the formula in one call, uncopied
-        when ``rows`` is None.  A larger batch goes in blocks of
-        ``_ROW_BLOCK`` rows, each clipped into one output array; a last block
-        of one row joins the block before it.
+        A batch of at most ``_ROW_BLOCK + 1`` rows is one block and reaches the formula as one uncopied view.
         """
-        n = pts.shape[0] if rows is None else rows.size
-        if n <= _ROW_BLOCK + 1:
-            return np.clip(self._formula(pts if rows is None else pts.take(rows, axis=0)), 0.0, 1.0)
-        out = np.empty(n)
-        for start in range(0, n - 1, _ROW_BLOCK):
-            stop = n if n - start <= _ROW_BLOCK + 1 else start + _ROW_BLOCK
-            block = pts[start:stop] if rows is None else pts.take(rows[start:stop], axis=0)
-            np.clip(self._formula(block), 0.0, 1.0, out=out[start:stop])
+        out = np.empty(pts.shape[0])
+        for start, stop in _row_blocks(pts.shape[0], _ROW_BLOCK):
+            np.clip(self._formula(pts[start:stop]), 0.0, 1.0, out=out[start:stop])
         return out
 
     def eval(self, u) -> float:
@@ -380,6 +368,16 @@ class _Verbatim(Copula):
 
     def _values(self, pts: np.ndarray, bounds: tuple[float, float] | None = None) -> np.ndarray:
         return np.asarray(self._formula(pts), dtype=float)
+
+
+def _row_blocks(n: int, size: int):
+    """The (start, stop) ranges of n rows in blocks of ``size``, a last block of one row joined to the one before.
+
+    The block rule of every row loop here and in ``families``: BLAS rounds a one-row matrix product by another
+    path than a row of a larger one, so every row rounds as it would in one product over all rows.
+    """
+    for start in range(0, max(n - 1, 1), size):
+        yield start, n if n - start <= size + 1 else start + size
 
 
 def _row_reduce(ufunc: np.ufunc, pts: np.ndarray, dtype=None) -> np.ndarray:

@@ -32,6 +32,7 @@ from .core import (
     ValidityReport,
     _lower_frechet,
     _product,
+    _row_blocks,
     _row_reduce,
     _upper_frechet,
     hierarchical,
@@ -110,7 +111,7 @@ def clayton_generator(theta: float) -> Generator:
         rv_index_at_0=th,
         name="clayton",
         params={"theta": th},
-        accuracy=(1e-14, 0.0),  # measured for theta in [0.5, 6]
+        accuracy=(max(1e-14, 2 * ULP / th), 0.0),  # measured on [0.5, 6]; t^-theta - 1 cancels as theta -> 0
     )
 
 
@@ -163,28 +164,35 @@ def generalized_inverse(g: Generator, x) -> np.ndarray | float:
     """Generalized inverse inf{t in [0,1] : phi(t) <= x}.
 
     Coincides with the exact inverse for strict generators; for nonstrict
-    ones it returns 0 whenever x >= phi(0).  A closed-form inverse is
-    evaluated on every row, x >= phi(0) and NaN included, so it must accept
-    any x >= 0; a row keeps its value only where x < phi(0) and the value is
-    finite, and gets 0 otherwise.  Without a closed form the inverse is the
-    smallest double t in [0, 1] with phi(t) <= x, found by bisection (safe
-    because phi is monotone), so it is accurate relative to t down to the
-    smallest doubles.
+    ones it returns 0 whenever x >= phi(0).  The value is :func:`_inverse`'s
+    rule, clipped into [0, 1].
     """
     x_arr = np.asarray(x, dtype=float)
-    if (x_arr < 0).any():
-        raise DomainError("generalized inverse requires x >= 0")
-    phi0 = g.phi_at_zero()
-    if g.inverse is not None:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            vals = np.asarray(g.inverse(x_arr), dtype=float)
-        out = np.clip(np.where(np.isfinite(vals) & (x_arr < phi0), vals, 0.0), 0.0, 1.0)
-    else:
-        out = np.zeros(x_arr.shape)
-        live = x_arr < phi0
-        if live.any():
-            out[live] = _bisect_inverse(g, x_arr[live])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = np.clip(_inverse(g, x_arr, g.phi_at_zero()), 0.0, 1.0)
     return float(out) if x_arr.ndim == 0 else out
+
+
+def _inverse(g: Generator, x: np.ndarray, phi0: float) -> np.ndarray:
+    """The one inverse rule of :func:`generalized_inverse` and :func:`archimedean`, without a clip.
+
+    A closed-form inverse is evaluated on every row, x >= phi(0) and NaN
+    included, so it must accept any x >= 0; a row keeps its value only where
+    x < phi(0) and the value is finite, and gets 0 otherwise.  Without a
+    closed form the inverse is the smallest double t in [0, 1] with
+    phi(t) <= x, found by bisection (safe because phi is monotone), so it is
+    accurate relative to t down to the smallest doubles.  The caller sets
+    ``np.errstate`` for the rows it drops.
+    """
+    if (x < 0).any():
+        raise DomainError("generalized inverse requires x >= 0")
+    if g.inverse is not None:
+        vals = np.asarray(g.inverse(x), dtype=float)
+        return np.where(np.isfinite(vals) & (x < phi0), vals, 0.0)
+    out = np.zeros(x.shape)
+    live = x < phi0
+    out[live] = _bisect_inverse(g, x[live])
+    return out
 
 
 _ONE_BITS = np.float64(1.0).view(np.int64)
@@ -223,32 +231,23 @@ def archimedean(g: Generator, dimension: int = 2) -> Copula:
     C(t, ..., t) comes out positive, found to a tenth of a decade, and
     C(u) <= min(u).  Its tail dependence function is the closed form of
     the generator's regular-variation index, or None when that is unknown.
+    The formula sums phi and inverts the sum by :func:`_inverse`'s rule
+    inside one ``np.errstate``, leaving the clip into [0, 1] to ``Copula``.
     """
     if dimension < 2:
         raise DimensionError(f"dimension must be >= 2, got {dimension}")
 
-    def phi_sum(pts: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", over="ignore"):
-            return _row_reduce(np.add, np.asarray(g.phi(pts), dtype=float))
-
-    phi0, inverse = g.phi_at_zero(), g.inverse
+    phi0 = g.phi_at_zero()
 
     def formula(pts: np.ndarray) -> np.ndarray:
-        x = phi_sum(pts)
-        if inverse is None:
-            return generalized_inverse(g, x)
-        # generalized_inverse's closed-form rule, without its clip: Copula._values clips next
-        if (x < 0).any():
-            raise DomainError("generalized inverse requires x >= 0")
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            vals = np.asarray(inverse(x), dtype=float)
-        return np.where(np.isfinite(vals) & (x < phi0), vals, 0.0)
+            return _inverse(g, _row_reduce(np.add, np.asarray(g.phi(pts), dtype=float)), phi0)
 
     def first_positive(ts: np.ndarray) -> float:  # the first of ascending t where C(t, ..., t) comes out positive
         return float(ts[np.argmax(formula(np.repeat(ts[:, None], dimension, axis=1)) > 0.0)])
 
     floor = 0.0
-    if g.strict and not np.isfinite(phi_sum(np.full((1, dimension), 1e-300)))[0]:
+    if g.strict and not np.isfinite(g(np.full(dimension, 1e-300)).sum()):
         floor = first_positive(first_positive(_DECADES) * _TENTHS)
     desc = {
         "family": "archimedean",
@@ -426,7 +425,7 @@ def bertino(delta: DiagonalSection) -> Copula:
 
 _BERTINO_SCAN = 1024
 # rows scanned at once by _interval_min_gap, whose golden-section loop stops on a whole block; core._ROW_BLOCK is a
-# multiple, so a blocked batch is scanned in the same blocks as a whole one
+# multiple, so under core._row_blocks a blocked batch is scanned in the same blocks as a whole one
 _BERTINO_BLOCK = 4096
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -434,9 +433,8 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 def _interval_min_gap(delta: DiagonalSection, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Vectorized min of t - delta(t) over [lo_i, hi_i], to about 1e-12."""
     out = np.empty_like(lo)
-    for start in range(0, lo.size, _BERTINO_BLOCK):
-        sl = slice(start, min(start + _BERTINO_BLOCK, lo.size))
-        out[sl] = _interval_min_gap_block(delta, lo[sl], hi[sl])
+    for start, stop in _row_blocks(lo.size, _BERTINO_BLOCK):
+        out[start:stop] = _interval_min_gap_block(delta, lo[start:stop], hi[start:stop])
     return out
 
 
@@ -528,10 +526,7 @@ def _normal_integral(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
         np.square(np.subtract(cols[:, 0], cols[:, 2], out=cols[:, 0]), out=cols[:, 0])
         np.negative(np.multiply(a, b, out=cols[:, 1]), out=cols[:, 2])
         np.maximum(cols[:, 1:], 0.0, out=cols[:, 1:])
-        # BLAS rounds a one-row product by another path than a row of a larger one, so a last block of one
-        # row joins the block before it, and every row rounds as it would in one product over all rows
-        for start in range(0, max(n - 1, 1), _NORMAL_BLOCK):
-            stop = n if n - start <= _NORMAL_BLOCK + 1 else start + _NORMAL_BLOCK
+        for start, stop in _row_blocks(n, _NORMAL_BLOCK):
             blk = buf[: stop - start]
             np.exp(np.matmul(cols[start:stop], node_rows, out=blk), out=blk)
             np.matmul(blk, wt, out=sums[start:stop])

@@ -60,7 +60,7 @@ class QuadratureError(CopulaError):
     """Two-resolution quadrature values failed to agree."""
 
 
-# the most points a schedule may put in one batch: steps in scales(), steps times rays in orders.check_too
+# the most points a schedule may put in one batch: steps times the directions or rays it runs on
 MAX_SCHEDULE_POINTS = 10**6
 
 
@@ -70,7 +70,8 @@ class LimitSchedule:
 
     A schedule is built only when its scales stay above 1e-300 and its
     points number at most ``MAX_SCHEDULE_POINTS`` (10^6): ``steps`` for
-    :meth:`scales`, ``steps`` times the rays for ``orders.check_too``.
+    :meth:`scales`, ``steps`` times the directions or rays of
+    :func:`estimate_tdfs` and ``orders.check_too``.
     """
 
     s0: float = 1e-2
@@ -183,6 +184,7 @@ def estimate_tdfs(c: "Copula", directions, schedule: LimitSchedule | None = None
         raise DomainError("direction must be nonnegative and nonzero")
     if sched.s0 * (peak := float(wmax.max(initial=0.0))) > 1.0 + 1e-12:
         raise DomainError(f"s0 * max(w) = {sched.s0 * peak} exceeds 1; rescale the direction")
+    sched.check(sched.s0, dirs.shape[0])  # n * steps points, refused before the batch is built
     s = sched.scales()
     ratios = np.asarray(c.cdf(s[:, None] * dirs[:, None, :])) / s
     diffs = np.abs(ratios[:, 1:] - ratios[:, :-1])
@@ -244,11 +246,11 @@ def archimedean_tdf(alpha: float, dimension: int = 2) -> TailDepFunction:
                 out = _row_reduce(np.add, pts ** -a) ** (-1.0 / a)
             return np.where(np.isfinite(out), out, 0.0)
 
-        base = TailDepFunction(fn, dimension)
-    # measured for alpha <= 5, and up to 15 on the grid of the tail dependence order (beyond, w^-alpha
-    # overflows near a face)
+        base = TailDepFunction(fn, dimension, accuracy=(2 * ULP / a, 0.0))  # the power -1/alpha: about ulp/alpha
+    # at least 1e-14: measured for alpha <= 5, and up to 15 on the grid of the tail dependence order (beyond,
+    # w^-alpha overflows near a face)
     return TailDepFunction(base.fn, dimension, name="clayton", params={"alpha": float(alpha)},
-                           breakpoints=base.breakpoints, accuracy=(1e-14, 0.0))
+                           breakpoints=base.breakpoints, accuracy=(max(1e-14, base.accuracy[0]), 0.0))
 
 
 def simplex_restriction(lam: TailDepFunction) -> SimplexTDF:

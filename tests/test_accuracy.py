@@ -118,9 +118,10 @@ def copula_cases():
                   (f"comonotone-d{d}", to.comonotone(d), min)]
     cases += [("countermonotone", to.countermonotone(), lambda u: max(u[0] + u[1] - 1, 0)),
               ("nonstrict-linear", shorthand("nonstrict-linear"), lambda u: max(u[0] + u[1] - 1, 0))]
-    # Clayton(20) and Gumbel(200): phi overflows near 0, and the copula's pair covers the 0s it makes
-    for name, thetas in (("clayton", (0.5, 1.0, 2.0, 3.0, 4.5, 6.0, 20.0)), ("gumbel", (1.5, 2.0, 3.0, 200.0)),
-                         ("joe", (1.5, 2.0, 3.0))):
+    # Clayton(20) and Gumbel(200): phi overflows near 0, and the copula's pair covers the 0s it makes;
+    # Clayton near theta = 0: t^-theta - 1 cancels, and the pair's rel grows like ulp/theta
+    for name, thetas in (("clayton", (1e-12, 1e-3, 0.03, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0, 20.0)),
+                         ("gumbel", (1.5, 2.0, 3.0, 200.0)), ("joe", (1.5, 2.0, 3.0))):
         for th in thetas:
             for d in (2, 3):
                 gen = descriptors.generator_from_spec({"name": name, "theta": th})
@@ -198,7 +199,8 @@ def test_every_family_is_measured():
 
 TDFS = [(f"{name}-d{d}", lam, ref, near) for d in (2, 3, 4) for name, lam, ref, near in (
     ("zero", to.zero_tdf(d), tdf_ref("zero"), True), ("min", to.min_tdf(d), tdf_ref("min"), True),
-    *((f"clayton-{a:g}", to.archimedean_tdf(a, d), tdf_ref("clayton", a), a <= 5.0) for a in (0.25, 1.0, 5.0, 15.0)),
+    *((f"clayton-{a:g}", to.archimedean_tdf(a, d), tdf_ref("clayton", a), a <= 5.0)
+      for a in (0.002, 0.01, 0.25, 1.0, 5.0, 15.0)),
 )] + [(name, descriptors.tdf_from_spec({"name": name}), tdf_ref(name), True)
       for name in ("fig1-parabola", "fig1-piecewise")]
 TDFS += [(f"glue-clayton-{a:g}-axis{axis}", to.glue(shorthand(f"clayton:{a:g}"), to.independence(), axis, 0.3).tdf,

@@ -74,6 +74,22 @@ class TestSubcommands:
         payload = json.loads(out)
         assert [p["w"] for p in payload] == [[0.0, 1.0], [0.25, 0.75], [0.5, 0.5], [0.75, 0.25], [1.0, 0.0]]
 
+    @pytest.mark.parametrize("descriptor, n, schedule, refused", [
+        ("clayton:2", 50_000, "0.01,0.5,24", True),  # 50,000 directions of 24 steps: 1.2 million points
+        ("independence:3", 45, "0.01,0.99,1000", True),  # comb(46, 2) = 1,035 directions of 1,000 steps
+        ("independence:3", 44, "0.01,0.99,1000", False),  # comb(45, 2) = 990 directions: within the cap
+    ])
+    def test_tdf_simplex_grid_is_counted_against_the_cap_before_it_is_built(self, capsys, monkeypatch, descriptor,
+                                                                              n, schedule, refused):
+        built, real = [], taildep.simplex_directions
+        monkeypatch.setattr(taildep, "simplex_directions", lambda *a: built.append(a) or real(*a))
+        code, out, err = run(capsys, "tdf", descriptor, "--simplex-grid", str(n), "--schedule", schedule)
+        if refused:
+            assert (code, out, built) == (cli.EXIT_INPUT_ERROR, "", [])
+            assert err.startswith("error: schedule too long") and err.count("\n") == 1
+        else:
+            assert (code, err, len(built)) == (cli.EXIT_OK, "", 1) and len(rows(out)) == 991
+
     @pytest.mark.parametrize("argv, expected", [
         (("clayton:1", "clayton:2", "--tdo"), cli.EXIT_OK),
         (("clayton:2", "clayton:1", "--tdo"), cli.EXIT_ORDER_FAILS),

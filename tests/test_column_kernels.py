@@ -384,7 +384,7 @@ class TestGeneralizedInverse:
         got = families.generalized_inverse(g, x2)
         assert got.shape == (5, 9) and np.array_equal(got, ref_generalized_inverse(g, x2))
 
-    @pytest.mark.parametrize("name", ["clayton", "gumbel", "joe", "nonstrict-linear"])
+    @pytest.mark.parametrize("name", ["clayton", "gumbel", "joe", "nonstrict-linear", "bisected"])
     @pytest.mark.parametrize("d", [2, 3])
     def test_archimedean_formula_is_the_clipped_inverse(self, name, d):
         # the formula leaves generalized_inverse's clip to Copula._values: its bits are still those of the

@@ -1,0 +1,74 @@
+"""The order axioms over a corpus of shorthands: an oracle-free detector for wrong local verdicts.
+
+Every ordered pair of distinct corpus copulas gets one ``check_loc`` verdict
+(812 for 29 shorthands) and, where both carry a tail dependence function,
+one ``check_tdo`` verdict.  The verdicts must satisfy what any order on
+copulas near the origin satisfies.  Each test names the conflicts the
+program shows today, with the ROADMAP defect behind them: it fails on a new
+conflict and on a named one that has gone, so a fix updates the list.
+"""
+
+import itertools
+
+import pytest
+
+from tailorder import descriptors, orders
+
+CORPUS = ("independence", "comonotone", "countermonotone",
+          *(f"clayton:{t:g}" for t in (0.5, 1, 2, 4, 10, 20)), *(f"gumbel:{t:g}" for t in (1.5, 2, 200)),
+          "joe:2", "joe:5", "nonstrict-linear", "marshall-olkin:0.3", "marshall-olkin:0.5",
+          *(f"gaussian:{r:g}" for r in (-0.5, 0.3, 0.7, 0.9)), "fn:1.5", "bertino:1.5", "semilinear:1.5",
+          "ev:min", "ev:clayton:2", "ev:fig1-parabola", "lev:clayton:2", "lev:fig1-parabola")
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    copulas = {text: descriptors.build_copula(descriptors.parse_shorthand(text)) for text in CORPUS}
+    loc = {(a, b): orders.check_loc(copulas[a], copulas[b]) for a, b in itertools.permutations(CORPUS, 2)}
+    tdo = {(a, b): orders.check_tdo(copulas[a].tdf, copulas[b].tdf) for a, b in loc
+           if copulas[a].tdf is not None and copulas[b].tdf is not None}
+    return loc, tdo, {pair for pair, v in loc.items() if v.holds}
+
+
+def test_the_corpus_covers_every_shorthand_head(sweep):
+    loc, _, _ = sweep
+    assert len(loc) == 812
+    # fredricks-nelsen is another name for fn
+    assert {text.partition(":")[0] for text in CORPUS} == set(descriptors._SHORTHANDS) - {"fredricks-nelsen"}
+
+
+def test_transitivity(sweep):
+    # A <= B and B <= C on balls of radius >= 2^-20 give A <= C on the smaller ball, so A <= C must not fail
+    loc, _, holds = sweep
+    conflicts = {(a, b, c) for a, b in holds for b2, c in holds
+                 if b2 == b and c != a and loc[a, c].status == orders.FAILS}
+    assert conflicts == {
+        # D12: Joe's inverse returns 0 for sums beyond 37, so joe:theta <= bertino:1.5 holds on undecidable points
+        ("independence", "joe:2", "bertino:1.5"),
+        ("independence", "joe:5", "bertino:1.5"),
+    }
+
+
+def test_loc_implies_tdo(sweep):
+    # C1 <= C2 on a ball gives Lambda1 = lim C1(s w)/s <= Lambda2, with no further hypothesis
+    _, tdo, holds = sweep
+    conflicts = {pair for pair in holds if pair in tdo and tdo[pair].status == orders.FAILS}
+    assert conflicts == {
+        # D13: Gumbel(200)'s C(s, s) drops below these copulas only near s = 2^-288, far below the sampled radii
+        *((f"clayton:{t:g}", "gumbel:200") for t in (0.5, 1, 2, 4, 10)),
+        ("lev:clayton:2", "gumbel:200"),
+        ("lev:fig1-parabola", "gumbel:200"),
+    }
+
+
+def test_no_distinct_pair_holds_both_ways(sweep):
+    _, _, holds = sweep
+    assert {(a, b) for a, b in holds if (b, a) in holds} == set()
+
+
+def test_frechet_bounds(sweep):
+    # countermonotone <= C <= comonotone for every bivariate C; W and M themselves end indistinguishable
+    loc, _, _ = sweep
+    bounds = {pair: v.status for pair, v in loc.items() if "countermonotone" == pair[0] or "comonotone" == pair[1]}
+    assert len(bounds) == 2 * len(CORPUS) - 3
+    assert [pair for pair, status in bounds.items() if status == orders.FAILS] == []

@@ -64,6 +64,19 @@ class TestEstimateTDF:
         with pytest.raises(to.DimensionError):
             to.estimate_tdf(c, (1.0, 1.0, 1.0))
 
+    def test_the_cap_counts_directions_times_steps(self):
+        # a product copula that records the rows its formula sees: a refused batch never reaches it
+        seen = []
+        c = to.Copula(2, lambda p: seen.append(p.shape[0]) or p[:, 0] * p[:, 1], {"family": "spy", "params": {}})
+        sched = LimitSchedule(0.01, 0.5, 100)
+        n = taildep.MAX_SCHEDULE_POINTS // sched.steps
+        to.estimate_tdfs(c, np.full((n, 2), 0.5), sched)
+        assert sum(seen) == taildep.MAX_SCHEDULE_POINTS
+        seen.clear()
+        with pytest.raises(to.DomainError, match="schedule too long"):
+            to.estimate_tdfs(c, np.full((n + 1, 2), 0.5), sched)
+        assert seen == []
+
     def test_gaussian_flagged_nonconverged(self):
         est = to.tdc(to.gaussian(0.5))
         assert not est.converged
