@@ -115,14 +115,14 @@ def _parse_schedule(text: str | None) -> LimitSchedule:
 
 _OPTIONS = {
     "grid": dict(type=int, default=None,
-                 help="grid resolution per axis (default: 64); order --loc and --too reject it and --cone uses "
-                      "it only for its tail dependence precondition. A verdict's JSON 'tolerance' holds each side's "
+                 help="grid resolution per axis (default: 64); order --loc, --too and --cone reject it, and a grid "
+                      "of more than 10^6 points is refused. A verdict's JSON 'tolerance' holds each side's "
                       "accuracy pair [rel, abs], or [rel, abs, region] with abs only at points in the named "
                       "region: a point violates when C2 - C1 < -(rel1 |C1| + rel2 |C2| + abs1 + abs2)"),
     "schedule": dict(default=None, help="limit schedule as s0,ratio,steps; order --too reads only ratio and steps, "
                                         "since each ray starts where s*w meets a face of the cube, --tdo reads it "
-                                        "only to estimate a tail dependence function with no closed form, and "
-                                        "--loc, --cone and --diagonal reject it"),
+                                        "only to estimate a tail dependence function with no closed form, "
+                                        "--loc, --cone and --diagonal reject it, and of repro only glued-joe reads it"),
     "out": dict(default=None, help="output file (default: stdout)"),
     "format": dict(choices=("json", "csv"), help="output format (default: %(default)s)"),
 }
@@ -134,8 +134,15 @@ def _add_common(sub, *names):
         sub.add_argument(f"--{name}", **_OPTIONS[name])
 
 
-def _grid(args) -> GridConfig | None:
-    return None if args.grid is None else GridConfig(resolution=args.grid)
+def _grid(args, points) -> GridConfig | None:
+    # ``points(resolution)`` counts the grid's points, which meet the cap on a schedule's before any is built
+    if args.grid is None:
+        return None
+    g = GridConfig(resolution=args.grid)
+    if (n := points(g.resolution)) > taildep.MAX_SCHEDULE_POINTS:
+        raise DescriptorError(f"grid too large: resolution {g.resolution} gives {n} points, more than "
+                              f"{taildep.MAX_SCHEDULE_POINTS}")
+    return g
 
 
 def _write(args, payload, header, rows) -> None:
@@ -192,9 +199,11 @@ def _ray_table(results) -> tuple[tuple, list]:
 def cmd_order(args) -> int:
     c1 = build_copula(load_descriptor(args.descriptor1))
     c2 = build_copula(load_descriptor(args.descriptor2))
-    g, sched = _grid(args), _parse_schedule(args.schedule)
-    if g is not None and (args.loc or args.too):
-        raise DescriptorError("--grid does not apply to --loc and --too, which sample fixed sets")
+    if args.grid is not None and (args.loc or args.too or args.cone is not None):
+        raise DescriptorError("--grid does not apply to --loc, --too and --cone, which sample fixed sets")
+    d, sched = c1.dimension, _parse_schedule(args.schedule)
+    # --diagonal checks resolution points of (0, 1], --tdo the resolution + 1 simplex grid
+    g = _grid(args, (lambda n: n) if args.diagonal else lambda n: math.comb(n + d - 1, d - 1))
     if args.eps is not None and (args.tdo or args.too or args.diagonal):
         raise DescriptorError("--eps applies only to --loc and --cone, which check a ball or cone radius")
     if args.schedule is not None and not (args.too or args.tdo and (c1.tdf is None or c2.tdf is None)):
@@ -207,15 +216,15 @@ def cmd_order(args) -> int:
         _write(args, payload, *_ray_table(results))
         return _exit_code({v.status for _, v in results})
 
-    header = tuple(f"u{k + 1}" for k in range(c1.dimension)) + ("C1", "C2")  # --cone and --loc
+    header = tuple(f"u{k + 1}" for k in range(d)) + ("C1", "C2")  # --cone and --loc
     if args.tdo:
         verdict = orders.check_tdo(*(c.tdf or taildep.estimated_tdf(c, sched) for c in (c1, c2)), g)
-        header = tuple(f"w{k + 1}" for k in range(c1.dimension)) + ("L1", "L2")
+        header = tuple(f"w{k + 1}" for k in range(d)) + ("L1", "L2")
     elif args.diagonal:
         verdict = orders.check_diagonal_order(families.diagonal_of(c1), families.diagonal_of(c2), g)
         header = ("t", "C1", "C2")
     elif args.cone is not None:
-        verdict = orders.check_cone_order(c1, c2, orders.ConeSpec(args.cone), args.eps, g)
+        verdict = orders.check_cone_order(c1, c2, orders.ConeSpec(args.cone), args.eps)
     else:  # --loc
         verdict = orders.check_loc(c1, c2, args.eps)
     s = verdict.samples
@@ -232,42 +241,48 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(o.passed for o in outcomes) else EXIT_ORDER_FAILS
 
 
-def _repro_mo_clayton(args, schedule):
-    mo = families.marshall_olkin(args.alpha)
-    cl = families.archimedean(families.clayton_generator(args.theta))
+def _repro_mo_clayton(args):
+    alpha = 0.5 if args.alpha is None else args.alpha
+    mo = families.marshall_olkin(alpha)
+    cl = families.archimedean(families.clayton_generator(1.0 if args.theta is None else args.theta))
     t = np.linspace(0.0, 1.0, 201)[1:-1].tolist()
-    pts = np.array([(ti, ti**args.alpha) for ti in t])
+    pts = np.array([(ti, ti**alpha) for ti in t])
     return ("t", "M", "C"), list(zip(t, mo.cdf(pts).tolist(), cl.cdf(pts).tolist()))
 
 
-def _repro_fig1(args, schedule):
+def _repro_fig1(args):
     t = np.linspace(0.0, 1.0, 201)
     envelope = taildep.simplex_restriction(taildep.min_tdf())
     sections = (taildep.parabola_section(), taildep.capped_slope_section(), envelope)
     return ("t", "parabola", "piecewise", "envelope"), np.column_stack([t, *(f(t) for f in sections)]).tolist()
 
 
-def _repro_glued_joe(args, schedule):
+def _repro_glued_joe(args):
     joe = families.archimedean(families.joe_generator(2.0))
     cp = core.comonotone()
     results = orders.check_too(core.glue(joe, cp, 1, 0.5), core.glue(joe, cp, 2, 0.5),
-                               directions=[(0.5, 1.0), (1.0, 0.5)], schedule=schedule)
+                               directions=[(0.5, 1.0), (1.0, 0.5)], schedule=_parse_schedule(args.schedule))
     return _ray_table(results)
 
 
-_REPROS = {"mo-clayton": _repro_mo_clayton, "glued-joe": _repro_glued_joe, "fig1-tdfs": _repro_fig1}
+# each counterexample and the options of its own that it reads
+_REPROS = {"mo-clayton": (_repro_mo_clayton, ("alpha", "theta")), "glued-joe": (_repro_glued_joe, ("schedule",)),
+           "fig1-tdfs": (_repro_fig1, ())}
 
 
 def cmd_repro(args) -> int:
-    # every name parses --schedule, so a bad one is an input error whichever counterexample reads it
-    header, rows = _REPROS[args.name](args, _parse_schedule(args.schedule))
+    build, reads = _REPROS[args.name]
+    for name in ("alpha", "theta", "schedule"):
+        if getattr(args, name) is not None and name not in reads:
+            raise DescriptorError(f"repro {args.name} would ignore --{name}")
+    header, rows = build(args)
     _write(args, [dict(zip(header, row)) for row in rows], header, rows)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
     c = build_copula(load_descriptor(args.descriptor))
-    report = core.validate_copula(c, _grid(args))
+    report = core.validate_copula(c, _grid(args, lambda n: (n + 1) ** c.dimension))
     rows = [(chk.name, chk.passed, chk.worst) for chk in report.checks]
     _write(args, report.as_dict(), ("check", "passed", "worst"), rows)
     return EXIT_OK if report.passed else EXIT_ORDER_FAILS
@@ -326,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="reproduce a counterexample")
     p.add_argument("name", choices=_REPROS)
-    p.add_argument("--alpha", type=float, default=0.5, help="Marshall-Olkin parameter")
-    p.add_argument("--theta", type=float, default=1.0, help="Clayton parameter")
+    p.add_argument("--alpha", type=float, default=None, help="Marshall-Olkin parameter of mo-clayton (default: 0.5)")
+    p.add_argument("--theta", type=float, default=None, help="Clayton parameter of mo-clayton (default: 1.0)")
     _add_common(p, "schedule", "out", "format")
     p.set_defaults(func=cmd_repro, format="csv")
 

@@ -398,14 +398,14 @@ def _row_reduce(ufunc: np.ufunc, pts: np.ndarray, dtype=None) -> np.ndarray:
     return out
 
 
-def copula_from_callable(fn: Callable, dimension: int, descriptor: dict | None = None) -> Copula:
+def copula_from_callable(fn: Callable, dimension: int) -> Copula:
     """Build a copula from an arbitrary ``(n, d) -> (n,)`` function without the boundary rule.
 
     Intended for auditing candidate functions with :func:`validate_copula`;
-    the function is trusted verbatim, including on the boundary.
+    the function is trusted verbatim, including on the boundary.  Its
+    descriptor is ``{"family": "custom", "params": {}}``.
     """
-    desc = descriptor if descriptor is not None else {"family": "custom", "params": {}}
-    return _Verbatim(dimension, fn, desc)
+    return _Verbatim(dimension, fn, {"family": "custom", "params": {}})
 
 
 def _product(pts: np.ndarray) -> np.ndarray:

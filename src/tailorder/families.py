@@ -296,7 +296,7 @@ class DiagonalSection:
 
     def __post_init__(self):
         if self.convex:
-            second = np.diff(np.asarray(self.delta(_diagonal_grid()), dtype=float), 2)
+            second = np.diff(np.asarray(self.delta(np.linspace(0.0, 1.0, _DIAGONAL_INTERVALS + 1)), dtype=float), 2)
             if second.min() < -1e-12:
                 raise DomainError(f"diagonal {self.name!r} is marked convex but is not")
 
@@ -325,18 +325,16 @@ def diagonal_of(c: Copula) -> DiagonalSection:
                            accuracy=c.accuracy)
 
 
-def _diagonal_grid(grid: GridConfig | None = None) -> np.ndarray:
-    g = grid or GridConfig()
-    return np.linspace(0.0, 1.0, max(g.resolution**2, 256) + 1)
+_DIAGONAL_INTERVALS = 4096  # subintervals of [0, 1] in the diagonal audits
 
 
-def validate_diagonal(delta: DiagonalSection, grid: GridConfig | None = None) -> ValidityReport:
-    """Audit the four diagonal properties on a dense grid.
+def validate_diagonal(delta: DiagonalSection) -> ValidityReport:
+    """Audit the four diagonal properties on a grid of 4,096 intervals.
 
     Endpoints delta(0) = 0 and delta(1) = 1, domination delta(t) <= t,
     monotonicity, and the d-Lipschitz bound.
     """
-    t = _diagonal_grid(grid)
+    t = np.linspace(0.0, 1.0, _DIAGONAL_INTERVALS + 1)
     v = delta(t)
     left = t[:-1, None]  # a difference's witness is its left point
     worst_of = CheckResult.worst_of
@@ -348,18 +346,16 @@ def validate_diagonal(delta: DiagonalSection, grid: GridConfig | None = None) ->
     ))
 
 
-def validate_semilinear_diagonal(delta: DiagonalSection, grid: GridConfig | None = None) -> ValidityReport:
+def validate_semilinear_diagonal(delta: DiagonalSection) -> ValidityReport:
     """Diagonal audit plus the two semilinear ratio conditions.
 
     Checks (weakly) that delta(t)/t is increasing and delta(t)/t^2 is
-    decreasing on (0, 1], on a grid of its own that starts at 1/n.
+    decreasing on (0, 1], on a grid of its own that starts at 1/4096.
     """
-    g = grid or GridConfig()
-    n = max(g.resolution**2, 256)
-    t = np.linspace(1.0 / n, 1.0, n)
+    t = np.linspace(1.0 / _DIAGONAL_INTERVALS, 1.0, _DIAGONAL_INTERVALS)
     v = delta(t)
     left = t[:-1, None]
-    return ValidityReport(checks=validate_diagonal(delta, grid).checks + (
+    return ValidityReport(checks=validate_diagonal(delta).checks + (
         CheckResult.worst_of("ratio_increasing", -np.diff(v / t), 1e-9, left),
         CheckResult.worst_of("ratio_sq_decreasing", np.diff(v / t**2), 1e-9, left),
     ))

@@ -73,6 +73,7 @@ _HALVINGS = 2.0 ** -np.arange(_MAX_HALVINGS, -1, -1)
 # (geometric, linear) node counts per dimension, giving 79, 397 and 1105
 # directions for d = 2, 3, 4; higher dimensions take four nodes
 _NODE_COUNTS = {2: (17, 23), 3: (5, 7), 4: (3, 4)}
+_GENERATOR_RESOLUTION = 64  # grid subdivisions of the two generator checks
 
 
 class Samples(NamedTuple):
@@ -315,13 +316,12 @@ def check_too(c1: Copula, c2: Copula, directions: Sequence | None = None,
     return [(w, _verdict(P[i], lhs[i], rhs[i], sides, scale=S[i])) for i, w in enumerate(dir_list)]
 
 
-def check_cone_order(c1: Copula, c2: Copula, cone: ConeSpec, epsilon: float | None = None,
-                     grid: GridConfig | None = None) -> OrderVerdict:
+def check_cone_order(c1: Copula, c2: Copula, cone: ConeSpec, epsilon: float | None = None) -> OrderVerdict:
     """Pointwise order on a cone bounded away from the axes, near the origin.
 
     A strict tail dependence ordering guarantees some such radius exists:
     when both copulas carry a closed-form tail dependence function (their
-    ``tdf``), that precondition is checked on ``grid`` and a warning is
+    ``tdf``), that precondition is checked on the default grid and a warning is
     emitted when it is not strict.  The copulas are sampled as in
     :func:`check_loc` on the directions in the cone: the sample is built
     once per (dimension, first radius, c), or per verdict above d = 4, and
@@ -330,9 +330,8 @@ def check_cone_order(c1: Copula, c2: Copula, cone: ConeSpec, epsilon: float | No
     """
     if c1.dimension != c2.dimension:  # before the precondition, which would name the tail dependence functions
         raise DimensionError("copulas have different dimensions")
-    g = _order_grid(grid)
     if c1.tdf is not None and c2.tdf is not None:
-        pre = check_tdo(c1.tdf, c2.tdf, g)
+        pre = check_tdo(c1.tdf, c2.tdf)
         if pre.status != HOLDS_STRICTLY:
             warnings.warn(f"cone ordering expects a strictly ordered pair; tail dependence check says {pre.status}",
                           RuntimeWarning, stacklevel=2)
@@ -361,7 +360,7 @@ def _generator_sides(g1: Generator, g2: Generator, what: str) -> tuple:
     return pair, pair
 
 
-def subadditivity_check(g1: Generator, g2: Generator, M: float, grid: GridConfig | None = None) -> OrderVerdict:
+def subadditivity_check(g1: Generator, g2: Generator, M: float) -> OrderVerdict:
     """Subadditivity of f = phi1 o phi2^[-1] on pairs from [M, 100 M]: f(x + y) <= f(x) + f(y).
 
     Subadditivity of this composition at large arguments forces the local
@@ -370,18 +369,16 @@ def subadditivity_check(g1: Generator, g2: Generator, M: float, grid: GridConfig
     sides = _generator_sides(g1, g2, "subadditivity check")
     if not M > 0:
         raise DomainError(f"M must be positive, got {M}")
-    g = _order_grid(grid)
-    x = np.geomspace(M, 100.0 * M, g.resolution + 1)
+    x = np.geomspace(M, 100.0 * M, _GENERATOR_RESOLUTION + 1)
     with np.errstate(over="ignore", divide="ignore"):
         fx = np.asarray(g1.phi(generalized_inverse(g2, x)), dtype=float)
         X, Y = np.meshgrid(x, x, indexing="ij")
         fsum = np.asarray(g1.phi(generalized_inverse(g2, (X + Y).reshape(-1))), dtype=float)
     pts = np.stack([X.reshape(-1), Y.reshape(-1)], axis=1)
-    return _verdict(pts, fsum, (fx[:, None] + fx[None, :]).reshape(-1), sides, g.resolution)
+    return _verdict(pts, fsum, (fx[:, None] + fx[None, :]).reshape(-1), sides, _GENERATOR_RESOLUTION)
 
 
-def ratio_monotonicity_check(g1: Generator, g2: Generator, epsilon: float,
-                             grid: GridConfig | None = None) -> OrderVerdict:
+def ratio_monotonicity_check(g1: Generator, g2: Generator, epsilon: float) -> OrderVerdict:
     """Monotonicity of psi = phi1/phi2 on (0, epsilon): psi(t_i) <= psi(t_i+1) on a geometric grid.
 
     An increasing ratio near 0 is the practical criterion implying the
@@ -390,11 +387,10 @@ def ratio_monotonicity_check(g1: Generator, g2: Generator, epsilon: float,
     sides = _generator_sides(g1, g2, "ratio monotonicity check")
     if not 0.0 < epsilon <= 1.0:
         raise DomainError(f"epsilon must lie in (0, 1], got {epsilon}")
-    g = _order_grid(grid)
-    t = np.geomspace(epsilon * 1e-9, epsilon, g.resolution + 1)
+    t = np.geomspace(epsilon * 1e-9, epsilon, _GENERATOR_RESOLUTION + 1)
     with np.errstate(over="ignore", divide="ignore"):
         psi = np.asarray(g1.phi(t), dtype=float) / np.asarray(g2.phi(t), dtype=float)
-    return _verdict(np.column_stack([t[:-1], t[1:]]), psi[:-1], psi[1:], sides, g.resolution,
+    return _verdict(np.column_stack([t[:-1], t[1:]]), psi[:-1], psi[1:], sides, _GENERATOR_RESOLUTION,
                     epsilon=float(epsilon))
 
 
@@ -403,7 +399,7 @@ class EquivalenceReport:
     """The three equivalent clauses for regularly varying Archimedean pairs.
 
     strict tail dependence order, ordering of the tail dependence
-    coefficients d^(-1/alpha), and ordering of the regular-variation
+    coefficients 2^(-1/alpha), and ordering of the regular-variation
     indices; for a regularly varying pair the three booleans agree.
     """
 
@@ -419,15 +415,6 @@ class EquivalenceReport:
     def consistent(self) -> bool:
         return self.strict_tdo == self.tdc_ordered == self.index_ordered
 
-    @property
-    def disagreeing(self) -> tuple[str, ...]:
-        if self.consistent:
-            return ()
-        votes = {"strict_tdo": self.strict_tdo, "tdc_ordered": self.tdc_ordered,
-                 "index_ordered": self.index_ordered}
-        majority = sum(votes.values()) >= 2
-        return tuple(name for name, v in votes.items() if v != majority)
-
     def as_dict(self) -> dict:
         return {
             "strict_tdo": self.strict_tdo,
@@ -436,13 +423,11 @@ class EquivalenceReport:
             "alpha": [self.alpha1, self.alpha2],
             "tdc": [self.tdc1, self.tdc2],
             "consistent": self.consistent,
-            "disagreeing": list(self.disagreeing),
         }
 
 
-def archimedean_order_equivalence(g1: Generator, g2: Generator, dimension: int = 2,
-                                  grid: GridConfig | None = None) -> EquivalenceReport:
-    """Evaluate the three-way equivalence for strict regularly varying generators.
+def archimedean_order_equivalence(g1: Generator, g2: Generator) -> EquivalenceReport:
+    """Evaluate the three-way equivalence for strict regularly varying generators, in d = 2.
 
     Uses the analytic regular-variation index when the generator carries
     one, otherwise the ratio-test estimate (raising if that estimate did
@@ -460,8 +445,8 @@ def archimedean_order_equivalence(g1: Generator, g2: Generator, dimension: int =
         return est.value
 
     a1, a2 = index_of(g1), index_of(g2)
-    lam1, lam2 = archimedean_tdf(a1, dimension), archimedean_tdf(a2, dimension)
-    verdict = check_tdo(lam1, lam2, grid)
-    t1, t2 = lam1(np.ones(dimension)), lam2(np.ones(dimension))  # the coefficients Lambda(1, ..., 1)
+    lam1, lam2 = archimedean_tdf(a1), archimedean_tdf(a2)
+    verdict = check_tdo(lam1, lam2)
+    t1, t2 = lam1(np.ones(2)), lam2(np.ones(2))  # the coefficients Lambda(1, 1)
     return EquivalenceReport(strict_tdo=verdict.status == HOLDS_STRICTLY, tdc_ordered=t1 < t2,
                              index_ordered=a1 < a2, alpha1=a1, alpha2=a2, tdc1=t1, tdc2=t2)

@@ -200,9 +200,9 @@ def estimate_tdf(c: "Copula", w, schedule: LimitSchedule | None = None) -> TDFEs
                        tuple(zip(est.scales.tolist(), est.ratios[0].tolist())))
 
 
-def tdc(c: "Copula", schedule: LimitSchedule | None = None) -> TDFEstimate:
-    """Tail dependence coefficient: the limit of C(s, ..., s)/s."""
-    return estimate_tdf(c, np.ones(c.dimension), schedule)
+def tdc(c: "Copula") -> TDFEstimate:
+    """Tail dependence coefficient: the limit of C(s, ..., s)/s, by :func:`estimate_tdf` on its default schedule."""
+    return estimate_tdf(c, np.ones(c.dimension))
 
 
 def estimated_tdf(c: "Copula", schedule: LimitSchedule | None = None) -> TailDepFunction:

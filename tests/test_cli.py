@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -89,6 +90,34 @@ class TestSubcommands:
             assert err.startswith("error: schedule too long") and err.count("\n") == 1
         else:
             assert (code, err, len(built)) == (cli.EXIT_OK, "", 1) and len(rows(out)) == 991
+
+    @pytest.mark.parametrize("argv, points", [
+        (("validate", "clayton:2", "--grid", "1000"), 1_002_001),  # (N + 1)^d: 126 MB if built
+        (("order", "independence:3", "comonotone:3", "--tdo", "--grid", "1413"), 1_000_405),  # comb(N + d - 1, d - 1)
+        (("order", "clayton:1", "clayton:2", "--diagonal", "--grid", "1000001"), 1_000_001),  # N
+    ])
+    def test_a_grid_above_the_cap_is_refused_before_it_is_built(self, capsys, argv, points):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (cli.EXIT_INPUT_ERROR, "")
+        assert err == f"error: grid too large: resolution {argv[-1]} gives {points} points, more than 1000000\n"
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("argv, points", [
+        (("validate", "clayton:2"), 81),
+        (("order", "independence:3", "comonotone:3", "--tdo"), 45),
+        (("order", "clayton:1", "clayton:2", "--diagonal"), 8),
+    ])
+    def test_a_grid_at_the_cap_is_built(self, capsys, monkeypatch, argv, points):
+        # resolution 8 counts these points: a cap of exactly that many admits the grid, one fewer refuses it
+        monkeypatch.setattr(taildep, "MAX_SCHEDULE_POINTS", points)
+        assert run(capsys, *argv, "--grid", "8")[0] == cli.EXIT_OK
+        monkeypatch.setattr(taildep, "MAX_SCHEDULE_POINTS", points - 1)
+        assert run(capsys, *argv, "--grid", "8")[0] == cli.EXIT_INPUT_ERROR
 
     @pytest.mark.parametrize("argv, expected", [
         (("clayton:1", "clayton:2", "--tdo"), cli.EXIT_OK),
@@ -387,6 +416,12 @@ class TestContract:
         ("order", "clayton:1", "clayton:2"),
         ("order", "clayton:1", "clayton:2", "--too", "--grid", "8"),
         ("order", "clayton:1", "clayton:2", "--loc", "--grid", "64"),  # the default resolution, given
+        ("order", "marshall-olkin:0.5", "clayton:1", "--cone", "0.2", "--grid", "16"),
+        # each repro counterexample reads only its own options
+        ("repro", "fig1-tdfs", "--schedule", "0.01,0.5,5"),
+        ("repro", "mo-clayton", "--schedule", "0.01,0.5,5"),
+        ("repro", "glued-joe", "--alpha", "0.3"),
+        ("repro", "fig1-tdfs", "--theta", "3"),
         ("eval", "clayton:inf", "-u", "0.3,0.4"),
         ("order", "ev:clayton:nan", "ev:min", "--tdo"),
         # --eps is the radius of --loc and --cone; the other relations would ignore it
