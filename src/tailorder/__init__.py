@@ -7,6 +7,8 @@ functions, and checking the tail dependence, tail orthant, local lower
 orthant, cone, and diagonal orders that relate them.  scipy supplies the
 normal CDF and quantile; it is loaded on the first Gaussian evaluation, so
 importing the package, and any work without a Gaussian copula, skips it.
+``numpy.random`` is never loaded: the audit of a tail dependence function,
+run by every extreme value build, samples a deterministic Kronecker sequence.
 """
 
 from .core import (

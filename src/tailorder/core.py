@@ -309,10 +309,10 @@ class Copula:
         pass is made here when it is not given).  With no coordinate 0 or 1
         the batch goes to the formula whole, as does one whose row masks find
         no boundary row; with min > 0 no row is a zero row, so only the
-        margin mask is built.  Otherwise the inner rows are taken once, by
-        index, into a new array; a formula that treats each row on its own
-        gives the same values either way.  Either way :meth:`_clipped` hands
-        the formula the rows by the one block rule of :func:`_row_blocks`.
+        margin mask is built.  Otherwise the inner rows are taken by index,
+        one block of :func:`_row_blocks` at a time, into a new array; a
+        formula that treats each row on its own gives the same values either
+        way.  Either way the formula sees the rows by that one block rule.
         Like every family formula, the masks and the margin value combine a
         row's d columns with :func:`_row_reduce`.
         """
@@ -335,7 +335,9 @@ class Copula:
         out = np.zeros(pts.shape[0])
         out[margin] = _row_reduce(np.minimum, pts[margin])
         if inner.size:
-            out[inner] = self._clipped(pts.take(inner, axis=0))
+            for start, stop in _row_blocks(inner.size, _ROW_BLOCK):
+                block = inner[start:stop]
+                out[block] = self._clipped(pts.take(block, axis=0))
         return out
 
     def _clipped(self, pts: np.ndarray) -> np.ndarray:

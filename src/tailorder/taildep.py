@@ -328,21 +328,21 @@ def simplex_directions(n: int, dimension: int = 2) -> np.ndarray:
 def validate_tdf(lam: TailDepFunction, grid: GridConfig | None = None, tol: float = 1e-9) -> ValidityReport:
     """Audit the five characterizing properties of a tail dependence function.
 
-    Checks, on random samples of seed 0: the bounds 0 <= Lambda(w) <= min_k w_k,
-    d-increasingness on boxes, positive homogeneity of order 1, the sum-norm
-    Lipschitz bound, and midpoint concavity.
+    Checks the bounds 0 <= Lambda(w) <= min_k w_k, d-increasingness on boxes, positive homogeneity
+    of order 1, the sum-norm Lipschitz bound and midpoint concavity on resolution^2 points of a
+    deterministic low-discrepancy sample, the Kronecker sequence u_k = frac(1/2 + k*alpha), k >= 1,
+    in m = 4d + 1 coordinates with alpha_j = phi^-j and phi^(m+1) = phi + 1.  Each check reads its
+    own block of coordinates, scaled to [0, 2] (box sides [0, 1], scales [0.05, 2]).
     """
     g = grid or GridConfig()
     d = lam.dimension
-    rng = np.random.default_rng(0)
-    n = g.resolution**2
-
-    # the draw order fixes each check's samples
-    pts = rng.uniform(0.0, 2.0, size=(n, d))
-    lower = rng.uniform(0.0, 2.0, size=(n, d))
-    upper = lower + rng.uniform(0.0, 1.0, size=(n, d))
-    scales = rng.uniform(0.05, 2.0, size=n)
-    other = rng.uniform(0.0, 2.0, size=(n, d))
+    n, m = g.resolution**2, 4 * d + 1
+    phi = 2.0
+    for _ in range(32):  # phi^(m+1) = phi + 1 by a contraction of ratio below 1/(m + 1)
+        phi = (1.0 + phi) ** (1.0 / (m + 1))
+    u = (0.5 + np.arange(1.0, n + 1.0)[:, None] * phi ** -np.arange(1.0, m + 1.0)) % 1.0
+    pts, lower, sides, other = np.split(u[:, :-1] * np.repeat([2.0, 2.0, 1.0, 2.0], d), 4, axis=1)
+    upper, scales = lower + sides, 0.05 + 1.95 * u[:, -1]
 
     vals = lam(pts)
     vols = np.zeros(n)

@@ -525,6 +525,38 @@ def test_scipy_is_loaded_only_by_a_gaussian_evaluation():
     assert record["gaussian"] == [cli.EXIT_OK, "0.19189068682491817\n"]
 
 
+# Run in a fresh interpreter: the package, every extreme value and lower extreme value copula of the
+# registry's tail dependence functions (each build audits its function), verify all and a lower extreme
+# value order must all run without loading numpy.random.
+_RANDOM_PROBE = """
+import contextlib, io, json, sys
+import tailorder
+from tailorder import cli
+loaded = ["numpy.random" in sys.modules]
+for name in ("zero", "min", "clayton:2", "fig1-parabola", "fig1-piecewise"):
+    for head in ("ev", "lev"):
+        tailorder.build_copula(tailorder.parse_shorthand(f"{head}:{name}"))
+loaded.append("numpy.random" in sys.modules)
+codes = []
+for argv in (["verify", "all"], ["order", "lev:clayton:2", "lev:fig1-parabola", "--loc"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+    loaded.append("numpy.random" in sys.modules)
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_numpy_random_is_never_loaded():
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _RANDOM_PROBE], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    record = json.loads(proc.stdout)
+    assert record["codes"] == [cli.EXIT_OK, cli.EXIT_ORDER_FAILS]
+    assert record["loaded"] == [False] * 4
+
+
 def test_a_warning_is_one_line_on_stderr(capsys):
     # Gumbel copulas have tail dependence function 0, so the cone order's precondition is not strict
     argv = ["order", "gumbel:2", "gumbel:3", "--cone", "0.2"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,6 +278,21 @@ class TestRowBlocks:
         inner = int(((pts > 0.0) & (pts < 1.0)).all(axis=1).sum())  # d = 2: a margin row has one 1.0
         assert sum(sizes) == inner and max(sizes, default=0) <= self.B + 1
         assert 1 not in sizes or sizes == [1]
+
+    @pytest.mark.parametrize("text", ["clayton:2", "lev:clayton:2"])
+    def test_boundary_batch_takes_its_inner_rows_one_block_at_a_time(self, text):
+        # 65,536 rows with about 5% zero rows: one copy of all inner rows alone would take 0.95 MiB more
+        c = to.build_copula(to.parse_shorthand(text))
+        pts = surface_batch(9, 2, 8 * self.B)
+        pts[::20, 0] = 0.0
+        c.cdf(pts)
+        tracemalloc.start()
+        try:
+            c.cdf(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * pts.nbytes
 
     @pytest.mark.parametrize("n", [1, 3476, B, B + 1])
     def test_one_block_reaches_the_formula_uncopied(self, n):

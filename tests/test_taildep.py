@@ -154,15 +154,41 @@ class TestSimplexOps:
 
 
 class TestValidateTDF:
-    def test_zero_passes(self):
-        assert to.validate_tdf(to.zero_tdf()).passed
+    REGISTRY = [pytest.param(to.archimedean_tdf(a, d), id=f"clayton-{a}-d{d}")
+                for a in (0.5, 2.0, 10.0) for d in (2, 3)]
+    REGISTRY += [pytest.param(lam, id=lam.name) for lam in (
+        to.min_tdf(), to.zero_tdf(), to.lift(to.parabola_section()), to.lift(to.capped_slope_section()))]
 
-    def test_clayton_type_passes(self):
-        assert to.validate_tdf(to.archimedean_tdf(2.0)).passed
+    # one function per check that breaks it; other checks may fail too
+    BROKEN = {
+        "bounds": lambda p: 2.0 * p.min(axis=1),
+        "d_increasing": lambda p: p.min(axis=1) - p[:, 0] * p[:, 1] / np.maximum(p.sum(axis=1), 1e-300),
+        "homogeneity": lambda p: np.minimum(p.min(axis=1), 1.0),
+        "lipschitz": lambda p: np.minimum(p.min(axis=1), np.maximum(0.0, 3.0 * (p.min(axis=1) - 1.0))),
+        "concavity": lambda p: p.min(axis=1) ** 2 / 4.0,
+    }
 
-    def test_min_and_lifts_pass(self):
-        for lam in (to.min_tdf(), to.lift(to.parabola_section()), to.lift(to.capped_slope_section())):
-            assert to.validate_tdf(lam).passed
+    @pytest.mark.parametrize("resolution", [16, 64])
+    @pytest.mark.parametrize("lam", REGISTRY)
+    def test_registry_passes(self, lam, resolution):
+        assert to.validate_tdf(lam, to.GridConfig(resolution=resolution)).passed
+
+    @pytest.mark.parametrize("resolution", [16, 64])
+    @pytest.mark.parametrize("check", sorted(BROKEN))
+    def test_each_check_catches_a_violation(self, check, resolution):
+        broken = to.TailDepFunction(self.BROKEN[check], 2, name=f"breaks-{check}")
+        report = to.validate_tdf(broken, to.GridConfig(resolution=resolution))
+        assert not report.check(check).passed and report.check(check).worst > 1e-9
+        assert report.check(check).witness is not None
+        with pytest.raises(to.DomainError, match=check):
+            report.require("invalid tail dependence function")
+
+    @pytest.mark.parametrize("check", sorted(BROKEN))
+    def test_builders_reject_each_violation(self, check):
+        broken = to.TailDepFunction(self.BROKEN[check], 2, name=f"breaks-{check}")
+        for build in (to.ev_copula, to.lower_ev_copula):  # each audits at resolution 16
+            with pytest.raises(to.DomainError, match=check):
+                build(broken)
 
     def test_non_homogeneous_fails_with_witness(self):
         broken = to.TailDepFunction(lambda pts: pts.min(axis=1) ** 2, 2, name="broken")
@@ -170,6 +196,10 @@ class TestValidateTDF:
         assert not report.passed
         check = report.check("homogeneity")
         assert not check.passed and check.witness is not None
+
+    def test_sample_is_deterministic(self):
+        for lam in (to.lift(to.capped_slope_section()), to.TailDepFunction(self.BROKEN["lipschitz"], 2)):
+            assert to.validate_tdf(lam) == to.validate_tdf(lam)
 
     def test_estimated_tdf_passes_up_to_estimator_error(self):
         lam = to.estimated_tdf(to.archimedean(to.clayton_generator(2.0)))
