@@ -44,6 +44,8 @@ __all__ = [
     "CopulaError",
     "DimensionError",
     "DomainError",
+    "MAX_POINTS",
+    "check_points",
     "GridConfig",
     "CheckResult",
     "ValidityReport",
@@ -76,6 +78,8 @@ EXACT = (0.0, 0.0)
 PRODUCT = (5e-16, 0.0)  # a product of d <= 4 coordinates
 LOWER_BOUND = (0.0, ULP)  # max(u + v - 1, 0)
 CUSTOM = (1e-12, 0.0)  # an evaluator built from a bare function, which no builder measured
+# the most points any one sample may hold: a grid, a simplex grid, a local sample, or a schedule's rays
+MAX_POINTS = 10**6
 _INV_E = float(np.exp(-1.0))
 # rows a formula sees at once (see Copula._values): at d = 2 a block's temporaries stay under 200 KB, in cache and on
 # pages the heap already holds; a multiple of every formula's internal block (families._NORMAL_BLOCK, _BERTINO_BLOCK)
@@ -105,6 +109,12 @@ class DimensionError(CopulaError):
 
 class DomainError(CopulaError, ValueError):
     """A coordinate or parameter lies outside its admissible domain."""
+
+
+def check_points(n: int, what: str):
+    """Raise DomainError when a sample of ``n`` points exceeds ``MAX_POINTS``; called before it is built."""
+    if n > MAX_POINTS:
+        raise DomainError(f"{what} too large: {n} points, more than {MAX_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -470,6 +480,7 @@ def h_volume(c: Copula, lower, upper) -> float:
 
 
 def _tensor_grid(axes: np.ndarray, d: int) -> np.ndarray:
+    check_points(axes.size**d, "grid")
     mesh = np.meshgrid(*([axes] * d), indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
@@ -477,11 +488,10 @@ def _tensor_grid(axes: np.ndarray, d: int) -> np.ndarray:
 def validate_copula(c: Copula, grid: GridConfig | None = None) -> ValidityReport:
     """Audit the three copula axioms on a tensor grid.
 
-    Evaluates C on the full (resolution+1)^d grid including the boundary,
-    then checks groundedness and uniform margins on the boundary faces and
-    nonnegativity of the H-volume of every grid cell (the cell volumes are
-    the d-fold finite differences of the value tensor; a cell's witness is
-    its lower and upper corner).
+    Evaluates C on the full (resolution+1)^d grid including the boundary, refused above
+    ``MAX_POINTS`` (the default grid at d >= 4), then checks groundedness and uniform margins on the
+    boundary faces and nonnegativity of the H-volume of every grid cell (the cell volumes are the
+    d-fold finite differences of the value tensor; a cell's witness is its lower and upper corner).
     """
     g = grid or GridConfig()
     d = c.dimension

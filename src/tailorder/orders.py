@@ -31,7 +31,7 @@ from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Copula, DimensionError, DomainError, GridConfig, _tensor_grid, abs_at
+from .core import Copula, DimensionError, DomainError, GridConfig, _tensor_grid, abs_at, check_points
 from .families import DiagonalSection, Generator, generalized_inverse
 from .taildep import (
     LimitSchedule,
@@ -208,9 +208,10 @@ def check_tdo(lam1: TailDepFunction, lam2: TailDepFunction, grid: GridConfig | N
     """Tail dependence order: pointwise comparison on the unit simplex, which
     suffices by positive homogeneity.
 
-    The simplex grid is built once per (resolution, dimension) and handed to
-    both functions read-only, so a Lambda function must not write into its
-    input: numpy raises instead of letting the write corrupt later verdicts.
+    The simplex grid is built once per (resolution, dimension), unless its points exceed
+    ``core.MAX_POINTS`` (the default grid at d >= 6), and handed to both functions read-only, so a
+    Lambda function must not write into its input: numpy raises instead of letting the write corrupt
+    later verdicts.
     """
     if lam1.dimension != lam2.dimension:
         raise DimensionError("tail dependence functions have different dimensions")
@@ -223,6 +224,8 @@ def check_tdo(lam1: TailDepFunction, lam2: TailDepFunction, grid: GridConfig | N
 def _local_directions(d: int) -> np.ndarray:
     """Unit vectors w / ||w||_2 of the node vectors w with max w = 1."""
     n_geo, n_lin = _NODE_COUNTS.get(d, (2, 2))
+    # a local sample takes _RADII radii of the n^d - (n - 1)^d vectors with max w = 1, before a cone selects some
+    check_points(_RADII * ((n_geo + n_lin) ** d - (n_geo + n_lin - 1) ** d), "local sample")
     nodes = np.concatenate([np.geomspace(1e-18, 1e-2, n_geo), np.arange(1, n_lin + 1) / n_lin])
     w = _tensor_grid(nodes, d)
     w = w[w.max(axis=1) == 1.0]
@@ -270,10 +273,10 @@ def check_loc(c1: Copula, c2: Copula, epsilon: float | None = None) -> OrderVerd
     2^(-j/2), j = 0..43, and w positive with one coordinate 1 and the others
     from geometric nodes 1e-18 ... 1e-2 (thin regions along the faces, such
     as Marshall-Olkin's) and linear nodes on (0, 1].  With ``epsilon=None``
-    the radii start at 1 and the candidate radii are 2^-k, k <= 20.  The
-    sample is built once per (dimension, first radius), or per verdict above
-    d = 4, and handed to both copulas read-only, so a formula must not write
-    into its input: where the sample reaches it uncopied, numpy raises
+    the radii start at 1 and the candidate radii are 2^-k, k <= 20.  A sample of more than
+    ``core.MAX_POINTS`` points (d >= 8) is refused before it is built.  It is built once per
+    (dimension, first radius), or per verdict above d = 4, and handed to both copulas read-only, so a
+    formula must not write into its input: where the sample reaches it uncopied, numpy raises
     instead of letting the write corrupt later verdicts.  The verdict's ``samples.points`` and
     ``scale`` are that shared read-only sample.
     """
@@ -288,7 +291,7 @@ def check_too(c1: Copula, c2: Copula, directions: Sequence | None = None,
     s*w in [0,1]^d and descends geometrically by the schedule's ratio for
     the schedule's step count; the schedule's s0 is not read.  A schedule
     whose scales drop below 1e-300 on some ray, or whose rays hold more than
-    ``MAX_SCHEDULE_POINTS`` (10^6) points in all, is refused before the rays
+    ``core.MAX_POINTS`` (10^6) points in all, is refused before the rays
     are built.  All rays go to ``cdf`` in one batch per copula.  Returns one
     verdict per direction.
     """
@@ -321,8 +324,8 @@ def check_cone_order(c1: Copula, c2: Copula, cone: ConeSpec, epsilon: float | No
 
     A strict tail dependence ordering guarantees some such radius exists:
     when both copulas carry a closed-form tail dependence function (their
-    ``tdf``), that precondition is checked on the default grid and a warning is
-    emitted when it is not strict.  The copulas are sampled as in
+    ``tdf``), that precondition is checked on the default grid (refused at d >= 6,
+    see :func:`check_tdo`) and a warning is emitted when it is not strict.  The copulas are sampled as in
     :func:`check_loc` on the directions in the cone: the sample is built
     once per (dimension, first radius, c), or per verdict above d = 4, and
     handed to both copulas read-only, so a formula must not write into its input (see
@@ -348,6 +351,7 @@ def check_diagonal_order(d1: DiagonalSection, d2: DiagonalSection,
     if d1.dimension != d2.dimension:
         raise DimensionError("diagonal sections have different dimensions")
     g = _order_grid(grid)
+    check_points(g.resolution, "diagonal grid")
     t = np.linspace(0.0, 1.0, g.resolution + 1)[1:]
     v1, v2 = np.asarray(d1(t), dtype=float), np.asarray(d2(t), dtype=float)
     return _verdict(t[:, None], v1, v2, (d1.accuracy, d2.accuracy), g.resolution, scale=t, candidates=t)

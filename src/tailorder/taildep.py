@@ -14,6 +14,7 @@ tail dependence function over the unit cube.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from .core import CUSTOM, ULP, CopulaError, DimensionError, DomainError, GridConfig, CheckResult, TailDepFunction
-from .core import ValidityReport, _row_reduce, min_tdf, zero_tdf
+from .core import ValidityReport, _row_reduce, check_points, min_tdf, zero_tdf
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Copula
@@ -29,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "LimitSchedule",
-    "MAX_SCHEDULE_POINTS",
     "TDFEstimate",
     "TDFEstimates",
     "TailDepFunction",
@@ -60,16 +60,12 @@ class QuadratureError(CopulaError):
     """Two-resolution quadrature values failed to agree."""
 
 
-# the most points a schedule may put in one batch: steps times the directions or rays it runs on
-MAX_SCHEDULE_POINTS = 10**6
-
-
 @dataclass(frozen=True)
 class LimitSchedule:
     """Geometric scale schedule s0 * ratio^k discretizing the limit s -> 0.
 
     A schedule is built only when its scales stay above 1e-300 and its
-    points number at most ``MAX_SCHEDULE_POINTS`` (10^6): ``steps`` for
+    points number at most ``core.MAX_POINTS`` (10^6): ``steps`` for
     :meth:`scales`, ``steps`` times the directions or rays of
     :func:`estimate_tdfs` and ``orders.check_too``.
     """
@@ -93,16 +89,14 @@ class LimitSchedule:
 
     def check(self, anchor: float, rays: int = 1):
         """Raise DomainError when the scales anchor * ratio^k, k < steps, drop below 1e-300, or when
-        ``rays * steps`` points exceed ``MAX_SCHEDULE_POINTS``.
+        ``rays * steps`` points exceed ``core.MAX_POINTS``.
 
         The last scale is computed alone, so a step count too large to
         build is refused before anything is allocated.
         """
         if anchor * self.ratio ** (self.steps - 1) < 1e-300:
             raise DomainError("schedule underflow: scales drop below 1e-300")
-        if rays * self.steps > MAX_SCHEDULE_POINTS:
-            raise DomainError(f"schedule too long: {rays} rays of {self.steps} steps exceed "
-                              f"{MAX_SCHEDULE_POINTS} points")
+        check_points(rays * self.steps, "schedule")
 
 
 @lru_cache(maxsize=32)  # s0 and ratio are user floats; an entry holds steps * 8 bytes
@@ -305,12 +299,14 @@ def simplex_directions(n: int, dimension: int = 2) -> np.ndarray:
     For d = 2 returns n points (t, 1-t) with t equally spaced on [0, 1];
     for d >= 3 returns the lattice with n points per edge, the points
     (i_1, ..., i_d) / (n - 1) in lexicographic order of (i_1, ..., i_d-1).
-    A grid needs both ends of an edge, so n < 2 raises DomainError.
+    A grid needs both ends of an edge, so n < 2 raises DomainError, and
+    its comb(n + d - 2, d - 1) points meet ``core.MAX_POINTS`` before any is built.
     """
     if n < 2:
         raise DomainError(f"a simplex grid needs n >= 2 points per edge, got {n}")
     if dimension < 2:
         raise DimensionError(f"simplex grids need dimension >= 2, got {dimension}")
+    check_points(math.comb(n + dimension - 2, dimension - 1), "simplex grid")
     if dimension == 2:
         t = np.linspace(0.0, 1.0, n)
         return np.stack([t, 1.0 - t], axis=1)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailorder import cli, core, descriptors, taildep, verify
+from tailorder import cli, core, descriptors, orders, taildep, verify
 
 
 def run(capsys, *argv):
@@ -80,23 +80,28 @@ class TestSubcommands:
         ("independence:3", 45, "0.01,0.99,1000", True),  # comb(46, 2) = 1,035 directions of 1,000 steps
         ("independence:3", 44, "0.01,0.99,1000", False),  # comb(45, 2) = 990 directions: within the cap
     ])
-    def test_tdf_simplex_grid_is_counted_against_the_cap_before_it_is_built(self, capsys, monkeypatch, descriptor,
-                                                                              n, schedule, refused):
-        built, real = [], taildep.simplex_directions
-        monkeypatch.setattr(taildep, "simplex_directions", lambda *a: built.append(a) or real(*a))
-        code, out, err = run(capsys, "tdf", descriptor, "--simplex-grid", str(n), "--schedule", schedule)
+    def test_tdf_simplex_grid_is_counted_against_the_cap_before_it_is_built(self, capsys, descriptor, n, schedule,
+                                                                              refused):
+        # the directions are built (0.8 MB for 50,000), the schedule's batch over them is not (19 MB more)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "tdf", descriptor, "--simplex-grid", str(n), "--schedule", schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         if refused:
-            assert (code, out, built) == (cli.EXIT_INPUT_ERROR, "", [])
-            assert err.startswith("error: schedule too long") and err.count("\n") == 1
+            assert (code, out) == (cli.EXIT_INPUT_ERROR, "") and peak < 4_000_000
+            assert err.startswith("error: schedule too large") and err.count("\n") == 1
         else:
-            assert (code, err, len(built)) == (cli.EXIT_OK, "", 1) and len(rows(out)) == 991
+            assert (code, err) == (cli.EXIT_OK, "") and len(rows(out)) == 991
 
-    @pytest.mark.parametrize("argv, points", [
-        (("validate", "clayton:2", "--grid", "1000"), 1_002_001),  # (N + 1)^d: 126 MB if built
-        (("order", "independence:3", "comonotone:3", "--tdo", "--grid", "1413"), 1_000_405),  # comb(N + d - 1, d - 1)
-        (("order", "clayton:1", "clayton:2", "--diagonal", "--grid", "1000001"), 1_000_001),  # N
+    @pytest.mark.parametrize("argv, what, points", [
+        (("validate", "clayton:2", "--grid", "1000"), "grid", 1_002_001),  # (N + 1)^d: 126 MB if built
+        # comb(N + d - 1, d - 1)
+        (("order", "independence:3", "comonotone:3", "--tdo", "--grid", "1413"), "simplex grid", 1_000_405),
+        (("order", "clayton:1", "clayton:2", "--diagonal", "--grid", "1000001"), "diagonal grid", 1_000_001),  # N
     ])
-    def test_a_grid_above_the_cap_is_refused_before_it_is_built(self, capsys, argv, points):
+    def test_a_grid_above_the_cap_is_refused_before_it_is_built(self, capsys, argv, what, points):
         tracemalloc.start()
         try:
             code, out, err = run(capsys, *argv)
@@ -104,20 +109,42 @@ class TestSubcommands:
         finally:
             tracemalloc.stop()
         assert (code, out) == (cli.EXIT_INPUT_ERROR, "")
-        assert err == f"error: grid too large: resolution {argv[-1]} gives {points} points, more than 1000000\n"
+        assert err == f"error: {what} too large: {points} points, more than 1000000\n"
         assert peak < 1_000_000
 
     @pytest.mark.parametrize("argv, points", [
-        (("validate", "clayton:2"), 81),
-        (("order", "independence:3", "comonotone:3", "--tdo"), 45),
-        (("order", "clayton:1", "clayton:2", "--diagonal"), 8),
+        (("validate", "clayton:2", "--grid", "8"), 81),
+        (("order", "independence:3", "comonotone:3", "--tdo", "--grid", "8"), 45),
+        (("order", "clayton:1", "clayton:2", "--diagonal", "--grid", "8"), 8),
+        (("order", "clayton:1", "clayton:2", "--loc"), 3_476),  # 44 radii x 79 directions
     ])
     def test_a_grid_at_the_cap_is_built(self, capsys, monkeypatch, argv, points):
-        # resolution 8 counts these points: a cap of exactly that many admits the grid, one fewer refuses it
-        monkeypatch.setattr(taildep, "MAX_SCHEDULE_POINTS", points)
-        assert run(capsys, *argv, "--grid", "8")[0] == cli.EXIT_OK
-        monkeypatch.setattr(taildep, "MAX_SCHEDULE_POINTS", points - 1)
-        assert run(capsys, *argv, "--grid", "8")[0] == cli.EXIT_INPUT_ERROR
+        # a cap of exactly that many points admits the sample, one fewer refuses it; the cached builders are
+        # cleared so that each run counts its sample again
+        for cap, expected in ((points, cli.EXIT_OK), (points - 1, cli.EXIT_INPUT_ERROR)):
+            for cached in (orders._tdo_grid, orders._local_directions, orders._local_sample):
+                cached.cache_clear()
+            monkeypatch.setattr(core, "MAX_POINTS", cap)
+            assert run(capsys, *argv)[0] == expected
+
+    @pytest.mark.parametrize("argv", [
+        ("order", "independence:10", "independence:10", "--loc"),
+        ("order", "independence:10", "independence:10", "--tdo"),
+        ("order", "independence:10", "independence:10", "--cone", "0.2"),
+        ("order", "independence:8", "independence:8", "--loc"),  # 2.59 M local points
+        ("order", "independence:6", "independence:6", "--cone", "0.2"),  # an 11.2 M-point TDO precondition
+        ("validate", "independence:4"),  # 65^4 = 17.9 M points
+        ("validate", "independence:5"),  # 65^5 = 1.16e9 points
+    ])
+    def test_samples_that_grow_with_the_dimension_are_refused_before_they_are_built(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (cli.EXIT_INPUT_ERROR, "") and " too large: " in err and err.count("\n") == 1
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("argv, expected", [
         (("clayton:1", "clayton:2", "--tdo"), cli.EXIT_OK),

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tailorder as to
-from tailorder import orders, taildep
+from tailorder import core, orders, taildep
 
 
 def shorthand(text):
@@ -261,14 +261,15 @@ class TestSampleCaches:
         to.check_tdo(to.archimedean_tdf(1.0), to.archimedean_tdf(2.0))
         assert orders._tdo_grid.cache_info()[:2] == (1, 1)
 
-    @pytest.mark.parametrize("check", [
-        lambda c1, c2: to.check_loc(c1, c2),
-        lambda c1, c2: to.check_cone_order(c1, c2, to.ConeSpec(0.1), 0.5),
+    @pytest.mark.parametrize("check, d", [
+        (lambda c1, c2: to.check_loc(c1, c2), 6),
+        # at d = 6 the TDO precondition's default grid holds 11.2 M points, more than the cap
+        (lambda c1, c2: to.check_cone_order(c1, c2, to.ConeSpec(0.1), 0.5), 5),
     ], ids=["loc", "cone"])
-    def test_samples_above_d4_are_built_per_verdict(self, check):
+    def test_samples_above_d4_are_built_per_verdict(self, check, d):
         # a d = 6 entry would hold 8.3 MB: the sample is built read-only for the verdict and not kept
         orders._local_sample.cache_clear()
-        v = check(clayton(1.0, 6), clayton(2.0, 6))
+        v = check(clayton(1.0, d), clayton(2.0, d))
         assert orders._local_sample.cache_info().currsize == 0
         assert not v.samples.points.flags.writeable and not v.samples.scale.flags.writeable
 
@@ -372,7 +373,7 @@ class TestCheckToo:
         assert peak < 100_000
 
     @pytest.mark.parametrize("steps, call", [
-        (taildep.MAX_SCHEDULE_POINTS + 1, lambda sched: sched.scales()),
+        (core.MAX_POINTS + 1, lambda sched: sched.scales()),
         # 23 default rays: scales() would build these 50,000 steps, check_too refuses their 1.15 million points
         (50_000, lambda sched: to.check_too(clayton(1.0), clayton(2.0), schedule=sched)),
     ], ids=["scales", "check_too"])
@@ -382,7 +383,7 @@ class TestCheckToo:
         assert sched.ratio ** steps > 0.9
         tracemalloc.start()
         try:
-            with pytest.raises(to.DomainError, match="schedule too long"):
+            with pytest.raises(to.DomainError, match="schedule too large"):
                 call(sched)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -391,9 +392,9 @@ class TestCheckToo:
 
     def test_the_cap_counts_points_not_steps(self):
         sched = to.LimitSchedule(0.01, 0.9999999, 1000)
-        sched.check(1.0, rays=taildep.MAX_SCHEDULE_POINTS // 1000)
-        with pytest.raises(to.DomainError, match="schedule too long"):
-            sched.check(1.0, rays=taildep.MAX_SCHEDULE_POINTS // 1000 + 1)
+        sched.check(1.0, rays=core.MAX_POINTS // 1000)
+        with pytest.raises(to.DomainError, match="schedule too large"):
+            sched.check(1.0, rays=core.MAX_POINTS // 1000 + 1)
 
 
 class TestConeOrder:

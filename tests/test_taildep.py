@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tailorder as to
-from tailorder import taildep
+from tailorder import core, taildep
 from tailorder.taildep import LimitSchedule
 
 
@@ -69,11 +69,11 @@ class TestEstimateTDF:
         seen = []
         c = to.Copula(2, lambda p: seen.append(p.shape[0]) or p[:, 0] * p[:, 1], {"family": "spy", "params": {}})
         sched = LimitSchedule(0.01, 0.5, 100)
-        n = taildep.MAX_SCHEDULE_POINTS // sched.steps
+        n = core.MAX_POINTS // sched.steps
         to.estimate_tdfs(c, np.full((n, 2), 0.5), sched)
-        assert sum(seen) == taildep.MAX_SCHEDULE_POINTS
+        assert sum(seen) == core.MAX_POINTS
         seen.clear()
-        with pytest.raises(to.DomainError, match="schedule too long"):
+        with pytest.raises(to.DomainError, match="schedule too large"):
             to.estimate_tdfs(c, np.full((n + 1, 2), 0.5), sched)
         assert seen == []
 
