@@ -9,6 +9,8 @@ normal CDF and quantile; it is loaded on the first Gaussian evaluation, so
 importing the package, and any work without a Gaussian copula, skips it.
 ``numpy.random`` is never loaded: the audit of a tail dependence function,
 run by every extreme value build, samples a deterministic Kronecker sequence.
+``dataclasses`` is never loaded by the package either: its records are
+built on ``core.Record``, and only scipy, for a Gaussian, imports it.
 """
 
 from .core import (
@@ -90,6 +92,7 @@ from .taildep import (
     regular_variation_index,
     simplex_directions,
     simplex_restriction,
+    simplex_size,
     spearman_tdf_limit,
     tail_expansion_residual,
     tdc,

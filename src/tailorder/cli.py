@@ -152,6 +152,8 @@ def cmd_tdf(args) -> int:
     c = build_copula(load_descriptor(args.descriptor))
     sched = _parse_schedule(args.schedule)
     if args.simplex_grid is not None:
+        # the schedule's points over the grid are refused before the grid is built
+        sched.check(sched.s0, taildep.simplex_size(args.simplex_grid, c.dimension))
         dirs = taildep.simplex_directions(args.simplex_grid, c.dimension)
         est = taildep.estimate_tdfs(c, dirs, sched)
         cols = list(zip(dirs.tolist(), est.value.tolist(), est.error_estimate.tolist(), est.converged.tolist()))

@@ -26,7 +26,6 @@ measures the pairs; the orders set every threshold from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,6 +45,8 @@ __all__ = [
     "DomainError",
     "MAX_POINTS",
     "check_points",
+    "Field",
+    "Record",
     "GridConfig",
     "CheckResult",
     "ValidityReport",
@@ -117,8 +118,89 @@ def check_points(n: int, what: str):
         raise DomainError(f"{what} too large: {n} points, more than {MAX_POINTS}")
 
 
-@dataclass(frozen=True)
-class GridConfig:
+class Field:
+    """A :class:`Record` field's default where a class attribute cannot be one: ``factory`` builds a fresh
+    default for each record, and ``compared=False`` leaves the field out of ``==``, ``hash()`` and ``repr``."""
+
+    __slots__ = ("default", "factory", "compared")
+
+    def __init__(self, default=None, *, factory: Callable | None = None, compared: bool = True):
+        self.default, self.factory, self.compared = default, factory, compared
+
+
+class Record:
+    """Immutable record over the annotated fields of a subclass, in the order they are declared.
+
+    A subclass is built from its fields, positionally or by keyword; a field's
+    class attribute, or its :class:`Field`, is its default.  ``__post_init__``,
+    where a subclass defines it, runs last and validates.  Assigning or
+    deleting an attribute raises AttributeError.  Records of one class are
+    equal when their compared fields are, hash as the tuple of those fields,
+    and show them as ``Name(field=value, ...)``.  Nothing is compiled: each
+    subclass's fields are read once, when it is defined.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        marked = {name: cls.__dict__[name] for name in names if isinstance(cls.__dict__.get(name), Field)}
+        for name, marker in marked.items():
+            if marker.factory is None:
+                setattr(cls, name, marker.default)
+            else:
+                delattr(cls, name)
+        cls._compared_fields = tuple(name for name in names if name not in marked or marked[name].compared)
+        # everything __init__ reads, in one class attribute: the fields, the fields a keyword may name after k
+        # positional arguments, the defaults a class attribute holds, the (field, factory) pairs, __post_init__
+        cls._record = (names, tuple(frozenset(names[k:]) for k in range(len(names) + 1)),
+                       {name: cls.__dict__[name] for name in names if name in cls.__dict__},
+                       tuple((name, marker.factory) for name, marker in marked.items() if marker.factory is not None),
+                       getattr(cls, "__post_init__", None))
+
+    def __init__(self, *args, **kwargs):
+        # defaults first, then what the caller gave, as dict updates with no loop over the fields
+        names, free, defaults, factories, post_init = self._record
+        if len(args) > len(names) or kwargs and not free[len(args)].issuperset(kwargs):
+            raise TypeError(f"{type(self).__name__}() takes the fields {list(names)}, got {len(args)} positional "
+                            f"and {sorted(kwargs)}")
+        values = self.__dict__
+        if defaults:
+            values.update(defaults)
+        for name, factory in factories:
+            values[name] = factory()
+        values.update(zip(names, args))
+        if kwargs:
+            values.update(kwargs)
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__}() missing fields {[n for n in names if n not in values]}")
+        if post_init is not None:
+            post_init(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _compared(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._compared_fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._compared() == other._compared()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._compared_fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class GridConfig(Record):
     """Grid settings shared by audits and order checkers.
 
     resolution
@@ -133,8 +215,7 @@ class GridConfig:
             raise DomainError(f"grid resolution must be >= 2, got {self.resolution}")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of a single named audit check, built by :meth:`worst_of`.
 
     The audit rule: a check scans ``excess[i]``, how far point
@@ -157,8 +238,7 @@ class CheckResult:
         return cls(name, top <= tol, float(np.maximum(top, 0.0)), tuple(map(float, witnesses[i])))
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Record):
     """Bundle of named audit checks with worst violations and witnesses."""
 
     checks: tuple[CheckResult, ...]
@@ -193,8 +273,7 @@ class ValidityReport:
         }
 
 
-@dataclass(frozen=True)
-class TailDepFunction:
+class TailDepFunction(Record):
     """Positively homogeneous tail dependence function on [0, inf)^d.
 
     ``fn`` maps an (n, d) array of nonnegative directions to (n,) values;
@@ -210,7 +289,7 @@ class TailDepFunction:
     fn: Callable
     dimension: int
     name: str = "custom"
-    params: dict = field(default_factory=dict)
+    params: dict = Field(factory=dict)
     breakpoints: tuple[float, ...] = ()
     accuracy: tuple = CUSTOM
 

@@ -11,7 +11,6 @@ combinator like ``glue`` and lives in ``core``; it is re-exported here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable
 
@@ -27,7 +26,9 @@ from .core import (
     Copula,
     DimensionError,
     DomainError,
+    Field,
     GridConfig,
+    Record,
     TailDepFunction,
     ValidityReport,
     _lower_frechet,
@@ -67,8 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record):
     """Archimedean generator: continuous, strictly decreasing, phi(1) = 0.
 
     ``inverse`` is the exact inverse on [0, phi(0)) when a closed form
@@ -84,7 +84,7 @@ class Generator:
     strict: bool
     rv_index_at_0: float | None
     name: str = "custom"
-    params: dict = field(default_factory=dict)
+    params: dict = Field(factory=dict)
     accuracy: tuple = CUSTOM
 
     def __call__(self, t):
@@ -276,8 +276,7 @@ def marshall_olkin(alpha: float) -> Copula:
     )
 
 
-@dataclass(frozen=True)
-class DiagonalSection:
+class DiagonalSection(Record):
     """Diagonal t -> C(t, ..., t) of a d-copula, as a standalone object.
 
     ``convex`` records that delta is convex on [0, 1], a mathematical fact
@@ -290,7 +289,7 @@ class DiagonalSection:
     delta: Callable
     dimension: int = 2
     name: str = "custom"
-    params: dict = field(default_factory=dict)
+    params: dict = Field(factory=dict)
     convex: bool = False
     accuracy: tuple = CUSTOM
 

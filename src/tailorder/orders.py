@@ -25,13 +25,12 @@ in it):
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Copula, DimensionError, DomainError, GridConfig, _tensor_grid, abs_at, check_points
+from .core import Copula, DimensionError, DomainError, Field, GridConfig, Record, _tensor_grid, abs_at, check_points
 from .families import DiagonalSection, Generator, generalized_inverse
 from .taildep import (
     LimitSchedule,
@@ -85,8 +84,7 @@ class Samples(NamedTuple):
     scale: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
+class OrderVerdict(Record):
     """Outcome of an order check on a sample.
 
     ``tolerance`` holds the sides' accuracy pairs ((rel1, abs1), (rel2, abs2));
@@ -110,7 +108,7 @@ class OrderVerdict:
     resolution: int = 0
     tolerance: tuple = ()
     note: str = ""
-    samples: Samples | None = field(default=None, repr=False, compare=False)
+    samples: Samples | None = Field(None, compared=False)
 
     @property
     def holds(self) -> bool:
@@ -128,8 +126,7 @@ class OrderVerdict:
         }
 
 
-@dataclass(frozen=True)
-class ConeSpec:
+class ConeSpec(Record):
     """Cone {w : min_k w_k >= c * ||w||_1}, closed away from the axes for c > 0."""
 
     c: float
@@ -398,8 +395,7 @@ def ratio_monotonicity_check(g1: Generator, g2: Generator, epsilon: float) -> Or
                     epsilon=float(epsilon))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
     """The three equivalent clauses for regularly varying Archimedean pairs.
 
     strict tail dependence order, ordering of the tail dependence

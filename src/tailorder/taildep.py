@@ -15,14 +15,13 @@ tail dependence function over the unit cube.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .core import CUSTOM, ULP, CopulaError, DimensionError, DomainError, GridConfig, CheckResult, TailDepFunction
-from .core import ValidityReport, _row_reduce, check_points, min_tdf, zero_tdf
+from .core import Field, Record, ValidityReport, _row_reduce, check_points, min_tdf, zero_tdf
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Copula
@@ -53,6 +52,7 @@ __all__ = [
     "regular_variation_index",
     "spearman_tdf_limit",
     "simplex_directions",
+    "simplex_size",
 ]
 
 
@@ -60,8 +60,7 @@ class QuadratureError(CopulaError):
     """Two-resolution quadrature values failed to agree."""
 
 
-@dataclass(frozen=True)
-class LimitSchedule:
+class LimitSchedule(Record):
     """Geometric scale schedule s0 * ratio^k discretizing the limit s -> 0.
 
     A schedule is built only when its scales stay above 1e-300 and its
@@ -106,8 +105,7 @@ def _scales(s0: float, ratio: float, steps: int) -> np.ndarray:
     return s
 
 
-@dataclass(frozen=True)
-class TDFEstimate:
+class TDFEstimate(Record):
     """Limit estimate with an empirical error bar and the full trace.
 
     No convergence rate is assumed: ``value`` is the last iterate,
@@ -122,8 +120,7 @@ class TDFEstimate:
     trace: tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class SimplexTDF:
+class SimplexTDF(Record):
     """Unit-simplex section t -> Lambda(t, 1-t) of a bivariate tail dependence function.
 
     ``breakpoints`` lists interior kink locations (when known) so that
@@ -135,7 +132,7 @@ class SimplexTDF:
     phi: Callable
     breakpoints: tuple[float, ...] = ()
     name: str = "custom"
-    params: dict = field(default_factory=dict)
+    params: dict = Field(factory=dict)
     accuracy: tuple = CUSTOM
 
     def __call__(self, t):
@@ -293,20 +290,30 @@ def capped_slope_section() -> SimplexTDF:
                       accuracy=_FIG1)
 
 
+def simplex_size(n: int, dimension: int = 2) -> int:
+    """The comb(n + d - 2, d - 1) points of :func:`simplex_directions`, counted before any is built.
+
+    A grid needs both ends of an edge, so n < 2 raises DomainError; a size
+    above ``core.MAX_POINTS`` raises DomainError too.
+    """
+    if n < 2:
+        raise DomainError(f"a simplex grid needs n >= 2 points per edge, got {n}")
+    if dimension < 2:
+        raise DimensionError(f"simplex grids need dimension >= 2, got {dimension}")
+    size = math.comb(n + dimension - 2, dimension - 1)
+    check_points(size, "simplex grid")
+    return size
+
+
 def simplex_directions(n: int, dimension: int = 2) -> np.ndarray:
     """Grid of directions on the unit simplex (sum-norm 1).
 
     For d = 2 returns n points (t, 1-t) with t equally spaced on [0, 1];
     for d >= 3 returns the lattice with n points per edge, the points
     (i_1, ..., i_d) / (n - 1) in lexicographic order of (i_1, ..., i_d-1).
-    A grid needs both ends of an edge, so n < 2 raises DomainError, and
-    its comb(n + d - 2, d - 1) points meet ``core.MAX_POINTS`` before any is built.
+    Its size is checked first, by :func:`simplex_size`.
     """
-    if n < 2:
-        raise DomainError(f"a simplex grid needs n >= 2 points per edge, got {n}")
-    if dimension < 2:
-        raise DimensionError(f"simplex grids need dimension >= 2, got {dimension}")
-    check_points(math.comb(n + dimension - 2, dimension - 1), "simplex grid")
+    simplex_size(n, dimension)
     if dimension == 2:
         t = np.linspace(0.0, 1.0, n)
         return np.stack([t, 1.0 - t], axis=1)
@@ -371,8 +378,7 @@ def tail_expansion_residual(c: "Copula", lam: TailDepFunction, u) -> float:
     return (c.eval(pt) - float(lam(pt))) / total
 
 
-@dataclass(frozen=True)
-class RVIndexEstimate:
+class RVIndexEstimate(Record):
     """Regular-variation index estimate from the scale-doubling ratio test.
 
     ``degenerate`` marks nonstrict generators, whose index at 0 carries no

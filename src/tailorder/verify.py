@@ -8,18 +8,18 @@ reports one pass/fail outcome per claim.  Everything is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import core, families, orders, taildep
+from .core import Record
 from .descriptors import build_copula, parse_shorthand
 
 __all__ = ["CheckOutcome", "SUITES", "run_suite", "suite_names"]
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(Record):
+    """One claim of a suite and whether it held, with a detail line."""
+
     suite: str
     name: str
     passed: bool

@@ -75,23 +75,24 @@ class TestSubcommands:
         payload = json.loads(out)
         assert [p["w"] for p in payload] == [[0.0, 1.0], [0.25, 0.75], [0.5, 0.5], [0.75, 0.25], [1.0, 0.0]]
 
-    @pytest.mark.parametrize("descriptor, n, schedule, refused", [
-        ("clayton:2", 50_000, "0.01,0.5,24", True),  # 50,000 directions of 24 steps: 1.2 million points
-        ("independence:3", 45, "0.01,0.99,1000", True),  # comb(46, 2) = 1,035 directions of 1,000 steps
-        ("independence:3", 44, "0.01,0.99,1000", False),  # comb(45, 2) = 990 directions: within the cap
+    @pytest.mark.parametrize("descriptor, n, schedule, points", [
+        ("clayton:2", 50_000, "0.01,0.5,24", 1_200_000),  # 50,000 directions of 24 steps
+        ("independence:3", 45, "0.01,0.99,1000", 1_035_000),  # comb(46, 2) = 1,035 directions of 1,000 steps
+        ("independence:3", 1413, "0.01,0.5,24", 23_975_784),  # comb(1414, 2) = 998,991 directions: 24 MB if built
+        ("independence:3", 44, "0.01,0.99,1000", None),  # comb(45, 2) = 990 directions: within the cap
     ])
     def test_tdf_simplex_grid_is_counted_against_the_cap_before_it_is_built(self, capsys, descriptor, n, schedule,
-                                                                              refused):
-        # the directions are built (0.8 MB for 50,000), the schedule's batch over them is not (19 MB more)
+                                                                              points):
+        # neither the directions nor the schedule's batch over them is built
         tracemalloc.start()
         try:
             code, out, err = run(capsys, "tdf", descriptor, "--simplex-grid", str(n), "--schedule", schedule)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        if refused:
-            assert (code, out) == (cli.EXIT_INPUT_ERROR, "") and peak < 4_000_000
-            assert err.startswith("error: schedule too large") and err.count("\n") == 1
+        if points:
+            assert (code, out) == (cli.EXIT_INPUT_ERROR, "") and peak < 1_000_000
+            assert err == f"error: schedule too large: {points} points, more than 1000000\n"
         else:
             assert (code, err) == (cli.EXIT_OK, "") and len(rows(out)) == 991
 
@@ -583,6 +584,31 @@ def test_numpy_random_is_never_loaded():
     assert record["codes"] == [cli.EXIT_OK, cli.EXIT_ORDER_FAILS]
     assert record["loaded"] == [False] * 4
 
+
+
+# Run in a fresh interpreter: the package's records are built without the dataclasses module, so importing
+# the CLI and running an Archimedean suite and a local order must not load it (scipy.special, loaded by a
+# Gaussian evaluation, imports it, so no Gaussian copula is evaluated here).
+_DATACLASSES_PROBE = """
+import contextlib, io, json, sys
+from tailorder import cli
+loaded = ["dataclasses" in sys.modules]
+codes = []
+for argv in (["verify", "archimedean"], ["order", "clayton:1", "clayton:2", "--loc"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+    loaded.append("dataclasses" in sys.modules)
+print(json.dumps({"codes": codes, "loaded": loaded, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def test_dataclasses_is_never_loaded():
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _DATACLASSES_PROBE], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert json.loads(proc.stdout) == {"codes": [cli.EXIT_OK, cli.EXIT_OK], "loaded": [False] * 3, "scipy": False}
 
 def test_a_warning_is_one_line_on_stderr(capsys):
     # Gumbel copulas have tail dependence function 0, so the cone order's precondition is not strict

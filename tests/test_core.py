@@ -408,6 +408,99 @@ class TestWorstOf:
         assert not check.passed and np.isnan(check.worst) and check.witness == (1.0,)
 
 
+
+def every_record():
+    """One instance of each of the package's record classes, with the name of a field it has."""
+    from tailorder.verify import CheckOutcome
+
+    return [
+        (to.GridConfig(), "resolution"),
+        (to.CheckResult("check", True, 0.0), "passed"),
+        (to.ValidityReport(()), "checks"),
+        (to.min_tdf(2), "fn"),
+        (to.LimitSchedule(), "steps"),
+        (to.TDFEstimate(0.5, 0.0, True, ((0.01, 0.5),)), "value"),
+        (to.parabola_section(), "phi"),
+        (to.RVIndexEstimate(2.0, True), "value"),
+        (to.clayton_generator(2.0), "phi"),
+        (to.power_diagonal(1.5), "delta"),
+        (to.OrderVerdict(to.HOLDS, 0.0), "status"),
+        (to.ConeSpec(0.2), "c"),
+        (to.EquivalenceReport(True, True, True, 1.0, 2.0, 0.5, 0.7), "alpha1"),
+        (CheckOutcome("suite", "claim", True, ""), "passed"),
+    ]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record, name", every_record(),
+                             ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+    def test_fields_are_frozen(self, record, name):
+        before = repr(record)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.unknown = 1
+        assert repr(record) == before
+
+    def test_equal_fields_give_equal_records_and_hashes(self):
+        trace = ((0.01, 0.5), (0.005, 0.5))
+        pairs = [
+            (to.LimitSchedule(), to.LimitSchedule(1e-2, 0.5, 24)),
+            (to.GridConfig(), to.GridConfig(resolution=64)),
+            (to.TDFEstimate(0.5, 0.0, True, trace), to.TDFEstimate(0.5, 0.0, converged=True, trace=trace)),
+            (to.ConeSpec(0.2), to.ConeSpec(c=0.2)),
+        ]
+        for a, b in pairs:
+            assert a == b and not a != b and hash(a) == hash(b) and a is not b
+        assert to.LimitSchedule() != to.LimitSchedule(steps=25)
+        assert to.GridConfig(64) != (64,) and to.GridConfig(64) != to.GridConfig(65)
+        assert to.TDFEstimate(0.5, 0.0, True, trace) != to.TDFEstimate(0.5, 0.0, False, trace)
+        assert len({to.ConeSpec(0.2), to.ConeSpec(0.2), to.ConeSpec(0.3)}) == 2
+
+    def test_repr_names_every_field(self):
+        assert repr(to.LimitSchedule()) == "LimitSchedule(s0=0.01, ratio=0.5, steps=24)"
+        assert repr(to.GridConfig()) == "GridConfig(resolution=64)"
+        assert (repr(to.TDFEstimate(0.5, 1e-05, True, ((0.01, 0.5),)))
+                == "TDFEstimate(value=0.5, error_estimate=1e-05, converged=True, trace=((0.01, 0.5),))")
+
+    def test_a_default_params_dict_is_built_for_each_record(self):
+        tdfs = to.TailDepFunction(np.sum, 2), to.TailDepFunction(np.sum, 2)
+        generators = [to.Generator(np.log, None, True, None) for _ in range(2)]
+        for a, b in (tdfs, generators):
+            assert a.params == b.params == {} and a.params is not b.params
+
+    def test_verdict_samples_are_neither_compared_nor_shown(self):
+        a = to.OrderVerdict(to.HOLDS, 0.0, samples=np.zeros(3))
+        b = to.OrderVerdict(to.HOLDS, 0.0, samples=np.ones(3))
+        assert a == b and hash(a) == hash(b) and a.samples is not b.samples
+        assert repr(a) == repr(b) == (f"OrderVerdict(status={to.HOLDS!r}, margin=0.0, witness=None, epsilon=None, "
+                                      "resolution=0, tolerance=(), note='')")
+        assert a != to.OrderVerdict(to.HOLDS, 1.0, samples=np.zeros(3))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: to.GridConfig(1), "grid resolution must be >= 2, got 1"),
+        (lambda: to.LimitSchedule(steps=2), "steps must be >= 3, got 2"),
+        (lambda: to.ConeSpec(0.0), "cone parameter must be positive, got 0.0"),
+        (lambda: to.DiagonalSection(lambda t: t ** 0.5, convex=True), "diagonal 'custom' is marked convex but is not"),
+    ])
+    def test_validation_runs_on_construction(self, build, message):
+        with pytest.raises(to.DomainError) as info:
+            build()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("build", [
+        lambda: to.TDFEstimate(0.5, 0.0, True),  # a field without a default left out
+        lambda: to.GridConfig(64, 65),  # more positional arguments than fields
+        lambda: to.GridConfig(resolutions=64),  # an unknown field
+        lambda: to.TDFEstimate(0.5, 0.0, True, (), value=0.5),  # a field given twice
+        lambda: to.TDFEstimate(0.5, 0.0, True, trail=()),  # an unknown field in place of a missing one
+    ])
+    def test_bad_arguments_raise_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
 class TestGlue:
     def test_glue_product_is_product(self):
         g = to.glue(to.independence(), to.independence(), 1, 0.5)
