@@ -78,7 +78,7 @@ class TestSubcommands:
     @pytest.mark.parametrize("descriptor, n, schedule, points", [
         ("clayton:2", 50_000, "0.01,0.5,24", 1_200_000),  # 50,000 directions of 24 steps
         ("independence:3", 45, "0.01,0.99,1000", 1_035_000),  # comb(46, 2) = 1,035 directions of 1,000 steps
-        ("independence:3", 1413, "0.01,0.5,24", 23_975_784),  # comb(1414, 2) = 998,991 directions: 24 MB if built
+        ("independence:3", 1413, "0.01,0.5,24", 23_975_784),  # comb(1414, 2) = 998,991 directions, inside the cap
         ("independence:3", 44, "0.01,0.99,1000", None),  # comb(45, 2) = 990 directions: within the cap
     ])
     def test_tdf_simplex_grid_is_counted_against_the_cap_before_it_is_built(self, capsys, descriptor, n, schedule,
@@ -585,7 +585,6 @@ def test_numpy_random_is_never_loaded():
     assert record["loaded"] == [False] * 4
 
 
-
 # Run in a fresh interpreter: the package's records are built without the dataclasses module, so importing
 # the CLI and running an Archimedean suite and a local order must not load it (scipy.special, loaded by a
 # Gaussian evaluation, imports it, so no Gaussian copula is evaluated here).
@@ -609,6 +608,7 @@ def test_dataclasses_is_never_loaded():
     proc = subprocess.run([sys.executable, "-c", _DATACLASSES_PROBE], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
     assert json.loads(proc.stdout) == {"codes": [cli.EXIT_OK, cli.EXIT_OK], "loaded": [False] * 3, "scipy": False}
+
 
 def test_a_warning_is_one_line_on_stderr(capsys):
     # Gumbel copulas have tail dependence function 0, so the cone order's precondition is not strict

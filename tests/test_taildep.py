@@ -142,9 +142,11 @@ class TestSimplexOps:
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_simplex_directions_need_two_points_per_edge(self, dimension):
         assert to.simplex_directions(2, dimension).shape == (dimension, dimension)
+        assert to.simplex_size(2, dimension) == dimension
         for n in (1, 0, -3):
-            with pytest.raises(to.DomainError, match="n >= 2"):
-                to.simplex_directions(n, dimension)
+            for build in (to.simplex_directions, to.simplex_size):
+                with pytest.raises(to.DomainError, match="n >= 2"):
+                    build(n, dimension)
 
     def test_fig1_sections_agree_at_half_but_not_pointwise(self):
         parab, piece = to.parabola_section(), to.capped_slope_section()
@@ -320,6 +322,7 @@ class TestSimplexLattice:
         expected = [(*(i / m for i in head), (m - sum(head)) / m)
                     for head in product(range(n), repeat=d - 1) if sum(head) <= m]
         assert [tuple(x) for x in to.simplex_directions(n, d)] == expected
+        assert to.simplex_size(n, d) == len(expected)
 
     def test_dimension_below_two_rejected(self):
         with pytest.raises(to.DimensionError):
