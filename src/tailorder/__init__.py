@@ -79,16 +79,14 @@ from .taildep import (
     LimitSchedule,
     QuadratureError,
     RVIndexEstimate,
-    SimplexTDF,
     TDFEstimate,
     TDFEstimates,
     archimedean_tdf,
-    capped_slope_section,
     estimate_tdf,
     estimate_tdfs,
     estimated_tdf,
-    lift,
-    parabola_section,
+    fig1_parabola,
+    fig1_piecewise,
     regular_variation_index,
     simplex_directions,
     simplex_restriction,

@@ -242,8 +242,8 @@ def _repro_mo_clayton(args):
 
 def _repro_fig1(args):
     t = np.linspace(0.0, 1.0, 201)
-    envelope = taildep.simplex_restriction(taildep.min_tdf())
-    sections = (taildep.parabola_section(), taildep.capped_slope_section(), envelope)
+    lams = (taildep.fig1_parabola(), taildep.fig1_piecewise(), taildep.min_tdf())
+    sections = map(taildep.simplex_restriction, lams)
     return ("t", "parabola", "piecewise", "envelope"), np.column_stack([t, *(f(t) for f in sections)]).tolist()
 
 

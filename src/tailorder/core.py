@@ -85,14 +85,10 @@ _INV_E = float(np.exp(-1.0))
 # rows a formula sees at once (see Copula._values): at d = 2 a block's temporaries stay under 200 KB, in cache and on
 # pages the heap already holds; a multiple of every formula's internal block (families._NORMAL_BLOCK, _BERTINO_BLOCK)
 _ROW_BLOCK = 8192
-# where an abs term counts, when not everywhere: a predicate on the sampled points, named by a pair's third entry
-REGIONS = {
-    # Bertino's cancelling branch, which a power diagonal reaches only there: t - t^p increases on [0, 1/e]
-    "max(u) > 1/e": lambda p: _row_reduce(np.maximum, p) > _INV_E,
-    # a lifted section forms 1 - t for t = u1 / (u1 + u2), which cancels as t nears 1 (a diagonal's
-    # single column is never in it: C(t, t) takes t = 1/2)
-    "u1 > u2": lambda p: p[:, 0] > p[:, -1],
-}
+# where an abs term counts, when not everywhere: a predicate on the sampled points, named by a pair's third entry;
+# the one region is Bertino's cancelling branch, which a power diagonal reaches only there: t - t^p increases on
+# [0, 1/e]
+REGIONS = {"max(u) > 1/e": lambda p: _row_reduce(np.maximum, p) > _INV_E}
 
 
 def abs_at(pair: tuple, points):

@@ -72,8 +72,8 @@ _TDFS = {
     "zero": ((), taildep.zero_tdf),
     "min": ((), taildep.min_tdf),
     "clayton": (("alpha",), taildep.archimedean_tdf),
-    "fig1-parabola": ((), lambda d: taildep.lift(taildep.parabola_section())),
-    "fig1-piecewise": ((), lambda d: taildep.lift(taildep.capped_slope_section())),
+    "fig1-parabola": ((), lambda d: taildep.fig1_parabola()),
+    "fig1-piecewise": ((), lambda d: taildep.fig1_piecewise()),
 }
 
 
@@ -152,6 +152,7 @@ def _spec(table: dict, text: str) -> dict:
     # "name[:value]" -> {"name": name, <the entry's parameter>: value}; the builder rejects unknown names
     name, _, arg = text.partition(":")
     keys = table[name][0] if name in table else ()
+    _require(keys or not arg or name not in table, f"{name} takes no parameter, got {arg!r}")
     return {"name": name, **{k: float(arg) for k in keys}}
 
 
@@ -201,6 +202,7 @@ def parse_shorthand(text: str) -> dict:
     _require(head in _SHORTHANDS, f"unknown shorthand {text!r}")
     form, make = _SHORTHANDS[head]
     _require(bool(rest) or not form.startswith(":"), f"{head} shorthand needs a parameter, e.g. {head}{form}")
+    _require(bool(form) or not rest, f"{head} shorthand takes no parameter, got {rest!r}")
     try:
         return make(rest)
     except ValueError as exc:

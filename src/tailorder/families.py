@@ -631,7 +631,7 @@ def lower_ev_copula(lam: TailDepFunction) -> Copula:
         comp = 1.0 - pts
         return _product(pts) + _product(comp) * np.expm1(lam(-np.log1p(-pts)))
 
-    # uv + (1-u)(1-v) expm1(Lambda(x, y)), with x > y where u > v: Lambda's pair and region, plus a rounding
+    # uv + (1-u)(1-v) expm1(Lambda(x, y)): Lambda's pair, plus a rounding
     rel, *rest = lam.accuracy
     desc = {"family": "lower_extreme_value", "params": {"tdf": {"name": lam.name, **lam.params}}}
     return Copula(2, formula, desc, (rel + 1e-15, *rest), lam)

@@ -6,10 +6,11 @@ its builder knows a closed form (see ``core``, which also holds the
 :class:`TailDepFunction` type and the zero and min functions, re-exported
 here).  This module estimates that limit along geometric schedules for the
 copulas without one, ships the closed forms available for the regularly
-varying Archimedean class, reduces bivariate functions to their
-unit-simplex sections and back, audits the characterizing properties, and
-evaluates the limiting Spearman-type functional (d+1) * integral of the
-tail dependence function over the unit cube.
+varying Archimedean class and for the two bivariate functions of the
+paper's Fig. 1, restricts bivariate functions to the unit simplex, audits
+the characterizing properties, and evaluates the limiting Spearman-type
+functional (d+1) * integral of the tail dependence function over the unit
+cube.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .core import CUSTOM, ULP, CopulaError, DimensionError, DomainError, GridConfig, CheckResult, TailDepFunction
-from .core import Field, Record, ValidityReport, _row_reduce, check_points, min_tdf, zero_tdf
+from .core import EXACT, ULP, CopulaError, DimensionError, DomainError, GridConfig, CheckResult, TailDepFunction
+from .core import Record, ValidityReport, _row_reduce, check_points, min_tdf, zero_tdf
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Copula
@@ -32,7 +33,6 @@ __all__ = [
     "TDFEstimate",
     "TDFEstimates",
     "TailDepFunction",
-    "SimplexTDF",
     "QuadratureError",
     "estimate_tdf",
     "estimate_tdfs",
@@ -42,10 +42,9 @@ __all__ = [
     "zero_tdf",
     "min_tdf",
     "simplex_restriction",
-    "lift",
     "tdc_from_simplex",
-    "parabola_section",
-    "capped_slope_section",
+    "fig1_parabola",
+    "fig1_piecewise",
     "validate_tdf",
     "tail_expansion_residual",
     "RVIndexEstimate",
@@ -118,27 +117,6 @@ class TDFEstimate(Record):
     error_estimate: float
     converged: bool
     trace: tuple[tuple[float, float], ...]
-
-
-class SimplexTDF(Record):
-    """Unit-simplex section t -> Lambda(t, 1-t) of a bivariate tail dependence function.
-
-    ``breakpoints`` lists interior kink locations (when known) so that
-    quadrature can split panels there; a valid section is concave and
-    satisfies 0 <= phi(t) <= min(t, 1-t).  ``accuracy`` is the pair
-    (rel, abs) of :func:`lift`'s values (see ``core``).
-    """
-
-    phi: Callable
-    breakpoints: tuple[float, ...] = ()
-    name: str = "custom"
-    params: dict = Field(factory=dict)
-    accuracy: tuple = CUSTOM
-
-    def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = np.asarray(self.phi(t_arr), dtype=float)
-        return float(out) if t_arr.ndim == 0 else out
 
 
 _GAP_TOL, _WINDOW = 1e-4, 5  # convergence of an estimate: its last difference and the window of differences
@@ -244,50 +222,38 @@ def archimedean_tdf(alpha: float, dimension: int = 2) -> TailDepFunction:
                            breakpoints=base.breakpoints, accuracy=(max(1e-14, base.accuracy[0]), 0.0))
 
 
-def simplex_restriction(lam: TailDepFunction) -> SimplexTDF:
-    """Restrict a bivariate tail dependence function to the unit simplex."""
+def simplex_restriction(lam: TailDepFunction) -> Callable:
+    """The unit-simplex section t -> Lambda(t, 1-t) of a bivariate tail dependence function."""
     if lam.dimension != 2:
         raise DimensionError("simplex restriction is defined for bivariate functions")
 
     def phi(t):
-        t_arr = np.asarray(t, dtype=float)
-        return lam(np.stack([t_arr, 1.0 - t_arr], axis=-1))
+        t = np.asarray(t, dtype=float)
+        return lam(np.stack([t, 1.0 - t], axis=-1))
 
-    return SimplexTDF(phi, breakpoints=lam.breakpoints, name=lam.name, params=dict(lam.params))
-
-
-def lift(section: SimplexTDF) -> TailDepFunction:
-    """Extend a unit-simplex section to [0, inf)^2 by positive homogeneity."""
-
-    def fn(pts: np.ndarray) -> np.ndarray:
-        s = _row_reduce(np.add, pts)
-        safe = np.where(s > 0.0, s, 1.0)
-        t = pts[:, 0] / safe
-        return np.where(s > 0.0, s * np.asarray(section.phi(t), dtype=float), 0.0)
-
-    return TailDepFunction(fn, 2, name=section.name, params=dict(section.params),
-                           breakpoints=section.breakpoints, accuracy=section.accuracy)
+    return phi
 
 
-def tdc_from_simplex(section: SimplexTDF) -> float:
-    """Tail dependence coefficient 2 * phi(1/2) of a simplex section."""
+def tdc_from_simplex(section: Callable) -> float:
+    """Tail dependence coefficient 2 * phi(1/2) of a simplex section phi."""
     return 2.0 * float(section(0.5))
 
 
-# a lifted Fig. 1 section forms 1 - t for t = u1 / (u1 + u2), which is accurate only to ulp(1) * ||u||_1
-# where u1 > u2
-_FIG1 = (1e-15, ULP, "u1 > u2")
+def fig1_parabola() -> TailDepFunction:
+    """w1 * w2 / (w1 + w2), 0 at w = 0: the paper's Fig. 1 section t * (1 - t) in closed form."""
+
+    def fn(pts: np.ndarray) -> np.ndarray:
+        s = pts[:, 0] + pts[:, 1]
+        return pts[:, 0] * (pts[:, 1] / np.where(s > 0.0, s, 1.0))
+
+    # three roundings, each within ulp(1)/2 relative: 3.3e-16, and no absolute term, even a hair from a face
+    return TailDepFunction(fn, 2, name="fig1-parabola", accuracy=(4e-16, 0.0))
 
 
-def parabola_section() -> SimplexTDF:
-    """Concave section t * (1 - t); a valid tail dependence section."""
-    return SimplexTDF(lambda t: t * (1.0 - t), name="fig1-parabola", accuracy=_FIG1)
-
-
-def capped_slope_section() -> SimplexTDF:
-    """Piecewise-linear section min(t/2, 1 - t) with a kink at t = 2/3."""
-    return SimplexTDF(lambda t: np.minimum(0.5 * t, 1.0 - t), breakpoints=(2.0 / 3.0,), name="fig1-piecewise",
-                      accuracy=_FIG1)
+def fig1_piecewise() -> TailDepFunction:
+    """min(w1 / 2, w2): the paper's Fig. 1 section min(t/2, 1 - t), with its kink at t = 2/3."""
+    return TailDepFunction(lambda pts: np.minimum(0.5 * pts[:, 0], pts[:, 1]), 2, name="fig1-piecewise",
+                           breakpoints=(2.0 / 3.0,), accuracy=EXACT)
 
 
 def simplex_size(n: int, dimension: int = 2) -> int:

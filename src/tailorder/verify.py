@@ -38,13 +38,6 @@ def _clayton(theta):
     return families.archimedean(families.clayton_generator(theta))
 
 
-def _fig1_tdfs():
-    return (
-        taildep.lift(taildep.parabola_section()),
-        taildep.lift(taildep.capped_slope_section()),
-    )
-
-
 def _matching_pairs():
     """Named fixture copulas, each carrying its closed-form tail dependence function as ``tdf``."""
     fixtures = (("independence", "independence"), ("comonotone", "comonotone"),
@@ -137,7 +130,7 @@ def _suite_archimedean():
 
 def _suite_ev():
     out = []
-    parab, piece = _fig1_tdfs()
+    parab, piece = taildep.fig1_parabola(), taildep.fig1_piecewise()
     lams = [("zero", taildep.zero_tdf()), ("min", taildep.min_tdf()),
             ("clayton-2", taildep.archimedean_tdf(2.0)),
             ("parabola", parab), ("piecewise", piece)]
@@ -244,7 +237,7 @@ def _suite_spearman():
     out.append(_outcome("spearman", "bound-dominates-clayton-d3", tdc3 <= bound3 + 1e-6,
                         f"tdc = {tdc3:.6f} <= bound = {bound3:.6f}"))
     for name, lam in (("min", taildep.min_tdf()), ("clayton-2", taildep.archimedean_tdf(2.0)),
-                      ("parabola", _fig1_tdfs()[0])):
+                      ("parabola", taildep.fig1_parabola())):
         sec = taildep.simplex_restriction(lam)
         dev = abs(taildep.tdc_from_simplex(sec) - float(lam((1.0, 1.0))))
         out.append(_outcome("spearman", f"tdc-from-section-{name}", dev <= 1e-12, f"dev = {dev:.2e}"))

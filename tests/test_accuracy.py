@@ -219,6 +219,19 @@ def test_tail_dependence_pair_holds(lam, ref, near):
     assert worst_excess(lam(pts), ref, pts, lam.accuracy) <= 0.0
 
 
+# a hair from either face, where a value is far below ulp(1) and only a relative error can bound it
+FACE = np.array([[3.4e-7, 3.4e-24], [3.4e-24, 3.4e-7], [0.5, 1e-20], [1e-20, 0.5], [1e-3, 1e-15]])
+
+
+@pytest.mark.parametrize("name", ["fig1-parabola", "fig1-piecewise"])
+def test_fig1_pairs_hold_near_the_faces(name):
+    lam = descriptors.tdf_from_spec({"name": name})
+    assert worst_excess(lam(FACE), tdf_ref(name), FACE, lam.accuracy) <= 0.0
+    for head, ref in (("ev", ev_ref), ("lev", lev_ref)):
+        c = shorthand(f"{head}:{name}")
+        assert worst_excess(c.cdf(FACE), ref(tdf_ref(name)), FACE, c.accuracy) <= 0.0
+
+
 @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75, 2.0])
 def test_power_diagonal_pair_holds(p):
     t = np.linspace(0.0, 1.0, 65)[1:]  # the grid of the diagonal order, and its scaled copies
@@ -255,8 +268,7 @@ def test_generator_pairs_hold(first, second):
 @pytest.mark.parametrize("lam, pair", [
     (to.estimated_tdf(to.independence()), (0.0, 1e-6)),
     (to.TailDepFunction(lambda p: p.min(axis=1), 2), core.CUSTOM),
-    (to.lift(to.SimplexTDF(lambda t: t * (1.0 - t))), core.CUSTOM),
-], ids=["estimated", "custom", "custom-section"])
+], ids=["estimated", "custom"])
 def test_unmeasured_evaluators_take_stand_in_pairs(lam, pair):
     assert lam.accuracy == pair
     assert to.copula_from_callable(lambda p: p.min(axis=1), 2).accuracy == (1e-12, 0.0)

@@ -49,6 +49,15 @@ class TestSubcommands:
         assert run(capsys, "eval", "clayton:2", "-u", point) == (cli.EXIT_OK, "0\n", "")
         assert run(capsys, "eval", "clayton:2", f"-u={point}") == (cli.EXIT_OK, "0\n", "")
 
+    def test_eval_keeps_the_fig1_parabola_accurate_a_hair_from_a_face(self, capsys):
+        # lev:fig1-parabola is w1 * w2 / (w1 + w2) here, not 1 - t for t = u1 / (u1 + u2), which cancels
+        code, out, _ = run(capsys, "eval", "lev:fig1-parabola", "-u", "3.4e-7,3.4e-24")
+        rel, abs_ = descriptors.build_copula(descriptors.parse_shorthand("lev:fig1-parabola")).accuracy
+        assert code == cli.EXIT_OK and abs(float(out) - 3.4e-24) <= rel * 3.4e-24 + abs_
+        # so every point of the local sample is decidable against the product
+        code, out, _ = run(capsys, "order", "independence", "lev:fig1-parabola", "--loc")
+        assert code == cli.EXIT_OK and "undecidable" not in json.loads(out)["note"]
+
     def test_eval_rejects_a_negative_point_beyond_the_tolerance(self, capsys):
         code, _, err = run(capsys, "eval", "clayton:2", "-u", "-0.1,0.5")
         assert code == cli.EXIT_INPUT_ERROR
@@ -458,11 +467,17 @@ class TestContract:
         ("order", "clayton:1", "clayton:2", "--diagonal", "--eps", "0.1"),
         # one direction or a simplex grid, not both
         ("tdf", "clayton:2", "--w", "1,0.5", "--simplex-grid", "3"),
+        # a shorthand, or a fixture within one, that takes no parameter refuses one
+        ("eval", "countermonotone:7", "-u", "0.3,0.4"),
+        ("eval", "nonstrict-linear:5", "-u", "0.3,0.4"),
+        ("eval", "ev:min:3", "-u", "0.3,0.4"),
+        ("eval", "lev:fig1-parabola:9", "-u", "0.3,0.4"),
+        ("eval", "lev:zero:abc", "-u", "0.3,0.4"),
     ])
     def test_input_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == cli.EXIT_INPUT_ERROR
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("relation", [("--loc",), ("--cone", "0.2"), ("--diagonal",), ("--tdo",)])
     def test_schedule_a_relation_would_ignore_is_an_input_error(self, capsys, relation):

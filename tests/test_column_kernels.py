@@ -97,15 +97,14 @@ def ref_tdf(spec):
             return np.where(np.isfinite(out), out, 0.0)
 
         return fn
-    section = {"fig1-parabola": taildep.parabola_section, "fig1-piecewise": taildep.capped_slope_section}[name]()
+    if name == "fig1-piecewise":
+        return lambda pts: (pts * [0.5, 1.0]).min(axis=1)
 
-    def lifted(pts):
+    def parabola(pts):
         s = pts.sum(axis=1)
-        safe = np.where(s > 0.0, s, 1.0)
-        t = pts[:, 0] / safe
-        return np.where(s > 0.0, s * np.asarray(section.phi(t), dtype=float), 0.0)
+        return pts[:, 0] * (pts[:, 1] / np.where(s > 0.0, s, 1.0))
 
-    return lifted
+    return parabola
 
 
 def ref_formula(desc):

@@ -41,7 +41,7 @@ def every_family():
         to.comonotone(3),
         to.archimedean(to.clayton_generator(2.0), 3),
         to.hierarchical(to.archimedean(to.clayton_generator(1.0)), to.archimedean(to.clayton_generator(2.0))),
-        to.ev_copula(to.lift(to.parabola_section())),
+        to.ev_copula(to.fig1_parabola()),
         to.archimedean(to.Generator(lambda t: 1.0 - t, None, False, 0.0)),
     ]
 
@@ -420,7 +420,6 @@ def every_record():
         (to.min_tdf(2), "fn"),
         (to.LimitSchedule(), "steps"),
         (to.TDFEstimate(0.5, 0.0, True, ((0.01, 0.5),)), "value"),
-        (to.parabola_section(), "phi"),
         (to.RVIndexEstimate(2.0, True), "value"),
         (to.clayton_generator(2.0), "phi"),
         (to.power_diagonal(1.5), "delta"),

@@ -145,7 +145,7 @@ class TestAnalyticTDF:
     def test_lower_ev_returns_its_fixture(self):
         lam = build_copula(parse_shorthand("lev:fig1-parabola")).tdf
         w = to.simplex_directions(17)
-        np.testing.assert_array_equal(lam(w), to.lift(to.parabola_section())(w))
+        np.testing.assert_array_equal(lam(w), to.fig1_parabola()(w))
 
     @pytest.mark.parametrize("fixture, name", [("zero", "zero"), ("min", "min"), ("clayton:0.5", "zero"),
                                                ("clayton:2", "zero"), ("clayton:inf", "min"),

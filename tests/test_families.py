@@ -279,7 +279,7 @@ class TestExtremeValue:
     def test_lower_is_survival_of_upper(self):
         # lower_ev_copula evaluates the survival copula in a form that does not
         # cancel near the origin, so the two agree to rounding, not bit for bit
-        lam = to.lift(to.parabola_section())
+        lam = to.fig1_parabola()
         lev = to.lower_ev_copula(lam)
         ref = to.survival(to.ev_copula(lam))
         pts = grid_points(32)

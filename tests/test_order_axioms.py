@@ -5,10 +5,14 @@ Every ordered pair of distinct corpus copulas gets one ``check_loc`` verdict
 one ``check_tdo`` verdict.  The verdicts must satisfy what any order on
 copulas near the origin satisfies.  Each test names the conflicts the
 program shows today, with the ROADMAP defect behind them: it fails on a new
-conflict and on a named one that has gone, so a fix updates the list.
+conflict and on a named one that has gone, so a fix updates the list.  The
+last test names, in the same way, the copulas whose holding verdicts are
+largely blind: their points undecidable.
 """
 
+import collections
 import itertools
+import re
 
 import pytest
 
@@ -72,3 +76,28 @@ def test_frechet_bounds(sweep):
     bounds = {pair: v.status for pair, v in loc.items() if "countermonotone" == pair[0] or "comonotone" == pair[1]}
     assert len(bounds) == 2 * len(CORPUS) - 3
     assert [pair for pair, status in bounds.items() if status == orders.FAILS] == []
+
+
+# each copula in at least 20 holding verdicts with more than 10% of their points undecidable, and why
+BLIND = {
+    # D12: Joe's inverse returns 0 for sums beyond 37; Clayton(20)'s and Gumbel(200)'s phi overflow near 0,
+    # and their pairs cover the zeros that makes
+    "joe:2": "D12", "joe:5": "D12", "clayton:20": "D12", "gumbel:200": "D12",
+    "gaussian:-0.5": "D11",  # accurate only in absolute terms near the origin
+    # both sides truly 0 near the origin
+    "countermonotone": "vanishes near the origin", "nonstrict-linear": "vanishes near the origin",
+}
+
+
+def undecidable(verdict):
+    found = re.search(r"(\d+) of \d+ points undecidable", verdict.note)
+    return int(found[1]) if found else 0
+
+
+def test_blind_share(sweep):
+    loc, _, holds = sweep
+    # 226,200 of 2,822,512 points; a fix that decides more of them lowers the bound
+    assert sum(map(undecidable, loc.values())) <= 226_200
+    heavy = collections.Counter(text for pair in holds if undecidable(loc[pair]) > 0.1 * len(loc[pair].samples.points)
+                                for text in pair)
+    assert {text for text, n in heavy.items() if n >= 20} == set(BLIND)

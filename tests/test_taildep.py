@@ -123,21 +123,15 @@ class TestSimplexOps:
         t = np.linspace(0.0, 1.0, 101)
         assert np.abs(sec(t) - np.minimum(t, 1.0 - t)).max() < 1e-15
 
-    def test_lift_parabola_value(self):
-        lam = to.lift(to.parabola_section())
-        assert lam((2.0, 2.0)) == pytest.approx(1.0)
-
-    def test_lift_restriction_roundtrip(self):
-        lam = to.archimedean_tdf(2.0)
-        lifted = to.lift(to.simplex_restriction(lam))
-        rng = np.random.default_rng(3)
-        w = rng.uniform(0.0, 3.0, size=(500, 2))
-        assert np.abs(lifted(w) - lam(w)).max() < 1e-12
+    def test_fig1_closed_forms(self):
+        w = np.array([[2.0, 2.0], [3.0, 1.0], [0.0, 0.0], [0.0, 5.0], [5.0, 0.0], [1.2, 0.4]])
+        np.testing.assert_array_equal(to.fig1_parabola()(w), [1.0, 0.75, 0.0, 0.0, 0.0, 0.3])
+        np.testing.assert_array_equal(to.fig1_piecewise()(w), [1.0, 1.0, 0.0, 0.0, 0.0, 0.4])
+        assert to.fig1_piecewise().breakpoints == (2.0 / 3.0,)
 
     def test_tdc_from_simplex(self):
-        assert to.tdc_from_simplex(to.simplex_restriction(to.min_tdf())) == pytest.approx(1.0)
-        assert to.tdc_from_simplex(to.parabola_section()) == pytest.approx(0.5)
-        assert to.tdc_from_simplex(to.capped_slope_section()) == pytest.approx(0.5)
+        for lam, tdc in ((to.min_tdf(), 1.0), (to.fig1_parabola(), 0.5), (to.fig1_piecewise(), 0.5)):
+            assert to.tdc_from_simplex(to.simplex_restriction(lam)) == tdc
 
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_simplex_directions_need_two_points_per_edge(self, dimension):
@@ -149,7 +143,7 @@ class TestSimplexOps:
                     build(n, dimension)
 
     def test_fig1_sections_agree_at_half_but_not_pointwise(self):
-        parab, piece = to.parabola_section(), to.capped_slope_section()
+        parab, piece = map(to.simplex_restriction, (to.fig1_parabola(), to.fig1_piecewise()))
         assert parab(0.5) == pytest.approx(piece(0.5))
         assert parab(0.2) > piece(0.2)   # 0.16 > 0.10
         assert parab(0.6) < piece(0.6)   # 0.24 < 0.30
@@ -159,7 +153,7 @@ class TestValidateTDF:
     REGISTRY = [pytest.param(to.archimedean_tdf(a, d), id=f"clayton-{a}-d{d}")
                 for a in (0.5, 2.0, 10.0) for d in (2, 3)]
     REGISTRY += [pytest.param(lam, id=lam.name) for lam in (
-        to.min_tdf(), to.zero_tdf(), to.lift(to.parabola_section()), to.lift(to.capped_slope_section()))]
+        to.min_tdf(), to.zero_tdf(), to.fig1_parabola(), to.fig1_piecewise())]
 
     # one function per check that breaks it; other checks may fail too
     BROKEN = {
@@ -200,7 +194,7 @@ class TestValidateTDF:
         assert not check.passed and check.witness is not None
 
     def test_sample_is_deterministic(self):
-        for lam in (to.lift(to.capped_slope_section()), to.TailDepFunction(self.BROKEN["lipschitz"], 2)):
+        for lam in (to.fig1_piecewise(), to.TailDepFunction(self.BROKEN["lipschitz"], 2)):
             assert to.validate_tdf(lam) == to.validate_tdf(lam)
 
     def test_estimated_tdf_passes_up_to_estimator_error(self):
