@@ -674,12 +674,14 @@ def hierarchical(outer: Copula, inner: Copula) -> Copula:
         if node.descriptor.get("family") != "archimedean" or node.dimension != 2:
             raise DomainError(f"{label} node must be a bivariate Archimedean copula")
 
+    # the inner node gets its two columns as one contiguous (n, 2) array: a ufunc over the strided view pts[:, 1:]
+    # runs one 2-wide loop per row
     def formula(pts: np.ndarray) -> np.ndarray:
-        return outer._values(np.stack([pts[:, 0], inner._values(pts[:, 1:])], axis=1))
+        return outer._values(np.stack([pts[:, 0], inner._values(np.ascontiguousarray(pts[:, 1:]))], axis=1))
 
     # Lambda_outer is increasing and 1-Lipschitz, so inner's relative and absolute errors pass through
     tdf = None if outer.tdf is None or inner.tdf is None else TailDepFunction(
-        lambda pts: outer.tdf.fn(np.stack([pts[:, 0], inner.tdf.fn(pts[:, 1:])], axis=1)), 3,
+        lambda pts: outer.tdf.fn(np.stack([pts[:, 0], inner.tdf.fn(np.ascontiguousarray(pts[:, 1:]))], axis=1)), 3,
         accuracy=tuple(map(sum, zip(outer.tdf.accuracy, inner.tdf.accuracy))))
     desc = {"family": "hierarchical", "outer": outer.descriptor, "inner": inner.descriptor}
     c = Copula(3, formula, desc, tuple(map(sum, zip(outer.accuracy, inner.accuracy))), tdf)

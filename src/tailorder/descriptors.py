@@ -150,14 +150,16 @@ def build_copula(desc: dict) -> Copula:
 
 def _spec(table: dict, text: str) -> dict:
     # "name[:value]" -> {"name": name, <the entry's parameter>: value}; the builder rejects unknown names
-    name, _, arg = text.partition(":")
+    name, colon, arg = text.partition(":")
     keys = table[name][0] if name in table else ()
+    _require(arg or not colon, f"{name} has an empty parameter after ':'")
     _require(keys or not arg or name not in table, f"{name} takes no parameter, got {arg!r}")
     return {"name": name, **{k: float(arg) for k in keys}}
 
 
 def _archimedean(name: str):
-    return lambda a: {"family": "archimedean", "params": {"generator": _spec(_GENERATORS, f"{name}:{a}"), "d": 2}}
+    return lambda a: {"family": "archimedean",
+                      "params": {"generator": _spec(_GENERATORS, f"{name}:{a}" if a else name), "d": 2}}
 
 
 def _power(family: str):
@@ -198,10 +200,11 @@ def parse_shorthand(text: str) -> dict:
     ``marshall-olkin:0.5``, ``fn:1.5`` (power diagonal), ``ev:min`` and
     ``lev:clayton:2``.
     """
-    head, _, rest = text.strip().partition(":")
+    head, colon, rest = text.strip().partition(":")
     _require(head in _SHORTHANDS, f"unknown shorthand {text!r}")
     form, make = _SHORTHANDS[head]
     _require(bool(rest) or not form.startswith(":"), f"{head} shorthand needs a parameter, e.g. {head}{form}")
+    _require(bool(rest) or not colon, f"{head} shorthand has an empty parameter after ':'")
     _require(bool(form) or not rest, f"{head} shorthand takes no parameter, got {rest!r}")
     try:
         return make(rest)

@@ -10,6 +10,9 @@ combinator like ``glue`` and lives in ``core``; it is re-exported here.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 import warnings
 from functools import lru_cache, partial
 from typing import Callable
@@ -31,6 +34,7 @@ from .core import (
     Record,
     TailDepFunction,
     ValidityReport,
+    _ROW_BLOCK,
     _lower_frechet,
     _product,
     _row_blocks,
@@ -492,7 +496,9 @@ def semilinear(delta: DiagonalSection) -> Copula:
 GAUSS_RHO_CUTOFF = 0.999
 
 
-# rows of the quadrature evaluated at once: a (block, nodes) buffer of 512 KB stays in cache
+# rows of the quadrature evaluated at once: a (block, nodes) buffer of 512 KB stays in cache; the Gaussian copula
+# splits a block of core._ROW_BLOCK rows or more on a multiple of it, so each row stays in the quadrature block (and
+# the BLAS product) it has in one unsplit call
 _NORMAL_BLOCK = 1024
 # Gauss-Legendre nodes of the quadrature, fixed: with 16, 24 or 32 the tail loses the relative accuracy of
 # the copula's pair, and order gaussian:0.9 gaussian:0.99 --loc fails
@@ -516,11 +522,12 @@ def _normal_integral(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
     n = a.size
     sums, cols, buf = np.empty(n), np.empty((n, 3)), np.empty((min(n, _NORMAL_BLOCK + 1), _NORMAL_NODES))
     with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 on rows with an infinite argument
-        np.abs(a, out=cols[:, 0])
-        np.abs(b, out=cols[:, 2])
-        np.square(np.subtract(cols[:, 0], cols[:, 2], out=cols[:, 0]), out=cols[:, 0])
-        np.negative(np.multiply(a, b, out=cols[:, 1]), out=cols[:, 2])
-        np.maximum(cols[:, 1:], 0.0, out=cols[:, 1:])
+        # each column from n-wide 1-D passes: a ufunc over the (n, 2) view cols[:, 1:] runs one 2-wide loop per row
+        ab = np.multiply(a, b)
+        diff = np.abs(a)
+        np.square(np.subtract(diff, np.abs(b), out=diff), out=cols[:, 0])
+        np.maximum(ab, 0.0, out=cols[:, 1])
+        np.maximum(np.negative(ab, out=ab), 0.0, out=cols[:, 2])
         for start, stop in _row_blocks(n, _NORMAL_BLOCK):
             blk = buf[: stop - start]
             np.exp(np.matmul(cols[start:stop], node_rows, out=blk), out=blk)
@@ -562,6 +569,58 @@ def bivariate_normal_cdf(a, b, rho: float) -> np.ndarray | float:
     return float(out) if np.isscalar(a) and np.isscalar(b) else out
 
 
+# the jobs queue of the one helper thread that runs the second half of a Gaussian block (see gaussian), or None before
+# the first such block; a forked child inherits no thread, so it starts its own
+_helper_jobs = None
+_helper_lock = threading.Lock()
+
+
+def _forget_helper():
+    global _helper_jobs, _helper_lock
+    _helper_jobs, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _helper_loop(jobs) -> None:
+    while True:
+        ctx, fn, args, done = jobs.get()
+        try:
+            ctx.run(fn, *args)
+            done.put(None)
+        except BaseException as exc:  # the caller re-raises it; the helper takes the next job
+            done.put(exc)
+        del ctx, fn, args, done  # hold no job's arrays while waiting for the next
+
+
+def _on_helper(fn, *args) -> Callable[[], None]:
+    """Start fn(*args) on the helper thread, in a copy of the caller's context (so ``np.errstate`` holds there).
+
+    Returns a call that waits for fn to finish and raises its error.  Each job has its own result queue, so callers on
+    several threads each wait for their own job; the helper runs the jobs one at a time.
+    """
+    global _helper_jobs
+    import queue
+
+    with _helper_lock:
+        if _helper_jobs is None:  # set only once the thread runs, so a failed start leaves no queue without a reader
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_helper_loop, args=(jobs,), name="tailorder-gaussian", daemon=True).start()
+            _helper_jobs = jobs
+        jobs = _helper_jobs
+    done = queue.SimpleQueue()
+    jobs.put((contextvars.copy_context(), fn, args, done))
+
+    def wait():
+        exc = done.get()
+        if exc is not None:
+            raise exc
+
+    return wait
+
+
 def gaussian(rho: float) -> Copula:
     """Bivariate Gaussian copula with correlation rho.
 
@@ -588,11 +647,24 @@ def gaussian(rho: float) -> Copula:
     if r == 0.0:
         return Copula(2, _product, desc, PRODUCT, zero_tdf())
 
-    def formula(pts: np.ndarray) -> np.ndarray:
+    def rows(pts: np.ndarray, out: np.ndarray) -> None:
         from scipy.special import ndtri
 
         q = ndtri(pts)  # finite on every positive double below 1, the only rows the boundary rule hands over
-        return pts[:, 0] * pts[:, 1] + _normal_integral(q[:, 0], q[:, 1], r)
+        np.add(pts[:, 0] * pts[:, 1], _normal_integral(q[:, 0], q[:, 1], r), out=out)
+
+    def formula(pts: np.ndarray) -> np.ndarray:
+        n = pts.shape[0]
+        out = np.empty(n)
+        if n < _ROW_BLOCK:
+            rows(pts, out)
+            return out
+        # two halves split on a quadrature block boundary, the second on the helper thread
+        mid = n // 2 // _NORMAL_BLOCK * _NORMAL_BLOCK
+        second = _on_helper(rows, pts[mid:], out[mid:])
+        rows(pts[:mid], out[:mid])
+        second()
+        return out
 
     # C(u) = Phi2(a, b; rho) = u1*u2 + I (bivariate_normal_cdf): the two terms add for rho > 0 and cancel in the
     # tail for rho < 0; the tail limit vanishes for |rho| < 1, though too slowly to estimate

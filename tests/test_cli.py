@@ -473,6 +473,10 @@ class TestContract:
         ("eval", "ev:min:3", "-u", "0.3,0.4"),
         ("eval", "lev:fig1-parabola:9", "-u", "0.3,0.4"),
         ("eval", "lev:zero:abc", "-u", "0.3,0.4"),
+        # an empty parameter after a colon is malformed, not the default
+        ("eval", "countermonotone:", "-u", "0.3,0.4"),
+        ("eval", "lev:zero:", "-u", "0.3,0.4"),
+        ("eval", "independence:", "-u", "0.3,0.4"),
     ])
     def test_input_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)

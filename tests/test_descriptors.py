@@ -231,6 +231,11 @@ class TestErrors:
         ("clayton", "needs a parameter"),
         ("gaussian:x", "bad shorthand"),
         ("lev:clayton", "bad shorthand"),
+        # an empty parameter after a colon, on a shorthand or on a fixture within one
+        ("independence:", "empty parameter"),
+        ("countermonotone:", "empty parameter"),
+        ("lev:zero:", "empty parameter"),
+        ("lev:clayton:", "empty parameter"),
     ])
     def test_bad_shorthand(self, text, message):
         with pytest.raises(DescriptorError, match=message):

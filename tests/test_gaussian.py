@@ -1,12 +1,20 @@
+import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.integrate import dblquad
 from scipy.special import ndtr, ndtri
 
 import tailorder as to
-from tailorder import core
+from tailorder import core, families
 from tailorder.families import bivariate_normal_cdf
 
 
@@ -193,3 +201,129 @@ class TestGluedGaussianBlocks:
             u, v = pts[i]
             want = 0.4 * copula_reference(u / 0.4, v, 0.5, rel * blocked[i])
             assert abs(blocked[i] - want) <= rel * want + abs_, (u, v)
+
+
+def batch(n, seed, edges=False):
+    """n rows, half uniform and half log-uniform in the tail; with edges, 1/40 of the rows with a 0 and 1/40 a 1."""
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([rng.random((n // 2, 2)), np.exp(rng.uniform(np.log(1e-10), np.log(1e-1), (n - n // 2, 2)))])
+    if edges:
+        pts[rng.choice(n, n // 40, replace=False), 0] = 0.0
+        pts[rng.choice(n, n // 40, replace=False), 1] = 1.0
+    return pts
+
+
+def inline(fn, *args):
+    """The helper replaced by a call on the caller's thread."""
+    fn(*args)
+    return lambda: None
+
+
+class TestHelperThread:
+    """A Gaussian block of core._ROW_BLOCK rows or more runs its second half on one helper thread."""
+
+    @pytest.mark.parametrize("rho", [0.5, -0.7, 0.95])
+    @pytest.mark.parametrize("n", [8192, 8193, 16385, 65536])
+    @pytest.mark.parametrize("edges", [False, True])
+    def test_values_are_those_of_one_thread_and_of_one_unsplit_block(self, monkeypatch, rho, n, edges):
+        pts, c = batch(n, n, edges), to.gaussian(rho)
+        got = c.cdf(pts)
+        with monkeypatch.context() as m:
+            m.setattr(families, "_on_helper", inline)
+            assert np.array_equal(c.cdf(pts), got)
+        with monkeypatch.context() as m:  # no split: the halves' quadrature blocks are those of the whole block
+            m.setattr(families, "_ROW_BLOCK", 10**9)
+            assert np.array_equal(c.cdf(pts), got)
+
+    def test_two_user_threads_each_get_their_own_values(self, monkeypatch):
+        pts = batch(65536, 7)
+        copulas = [to.gaussian(0.3), to.gaussian(0.7)]
+        with monkeypatch.context() as m:
+            m.setattr(families, "_on_helper", inline)
+            want = [c.cdf(pts) for c in copulas]
+        equal = [[], []]
+
+        def work(k):
+            for _ in range(20):
+                equal[k].append(np.array_equal(copulas[k].cdf(pts), want[k]))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert equal == [[True] * 20, [True] * 20]
+
+    def test_an_error_in_the_helpers_half_reaches_the_caller(self, monkeypatch):
+        pts, c = batch(65536, 11), to.gaussian(0.5)
+        want = c.cdf(pts)
+        real = scipy.special.ndtri
+
+        def ndtri_off_the_main_thread(x):
+            if threading.current_thread() is not threading.main_thread():
+                raise ArithmeticError("ndtri on the helper")
+            return real(x)
+
+        with monkeypatch.context() as m:
+            m.setattr(scipy.special, "ndtri", ndtri_off_the_main_thread)
+            with pytest.raises(ArithmeticError, match="ndtri on the helper"):
+                c.cdf(pts)
+        assert np.array_equal(c.cdf(pts), want)
+
+    def test_the_helper_runs_in_the_callers_errstate(self, monkeypatch):
+        # np.errstate is a context variable; each half must see the caller's, as on one thread
+        pts, c = batch(16384, 13), to.gaussian(0.5)
+        seen = []
+        real = families._normal_integral
+
+        def integral(a, b, rho):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["divide"]))
+            return real(a, b, rho)
+
+        monkeypatch.setattr(families, "_normal_integral", integral)
+        with np.errstate(divide="raise"):
+            c.cdf(pts)
+        assert sorted(seen) == [(False, "raise")] * 2 + [(True, "raise")] * 2  # two blocks of two halves
+
+    def test_a_forked_child_starts_its_own_helper(self):
+        pts, c = batch(65536, 17), to.gaussian(0.5)
+        want = c.cdf(pts)  # the helper is running now
+        proc = multiprocessing.get_context("fork").Process(target=_child_evaluates, args=(c, pts, want))
+        proc.start()
+        proc.join(30)
+        alive = proc.is_alive()
+        if alive:
+            proc.kill()
+            proc.join()
+        assert not alive and proc.exitcode == 0
+
+
+def _child_evaluates(c, pts, want):
+    sys.exit(0 if np.array_equal(c.cdf(pts), want) else 1)
+
+
+# Run in a fresh interpreter: importing the CLI starts no thread and loads no queue, and neither does a Gaussian
+# block below core._ROW_BLOCK rows (a local sample has 3,476); the first full block starts the one helper
+_THREAD_PROBE = """
+import json, sys, threading
+import numpy as np
+import tailorder.cli
+import tailorder as to
+seen = [(threading.active_count(), "queue" in sys.modules)]
+c = to.gaussian(0.5)
+c.cdf(np.full((3476, 2), 0.3))
+seen.append((threading.active_count(), "queue" in sys.modules))
+for _ in range(3):
+    c.cdf(np.full((8192, 2), 0.3))
+    seen.append((threading.active_count(), "queue" in sys.modules))
+print(json.dumps(seen))
+"""
+
+
+def test_import_starts_no_thread_and_loads_no_queue():
+    package_root = str(Path(families.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert json.loads(proc.stdout) == [[1, False], [1, False]] + [[2, True]] * 3
