@@ -331,7 +331,10 @@ class Copula:
     The boundary axioms hold exactly by the rule of :meth:`_values`; a
     copula from :func:`copula_from_callable` is evaluated verbatim instead.
     Instances are immutable and evaluation is pure, so copulas are safe to
-    share between threads or processes.
+    share between threads or processes.  The one thread the package starts
+    is the Gaussian copula's helper (``families.gaussian``), which runs the
+    second half of a block of ``_ROW_BLOCK`` rows or more; each call waits
+    for its own half, so callers on several threads get their own values.
     """
 
     __slots__ = ("dimension", "descriptor", "accuracy", "tdf", "_formula")

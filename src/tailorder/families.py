@@ -497,8 +497,8 @@ GAUSS_RHO_CUTOFF = 0.999
 
 
 # rows of the quadrature evaluated at once: a (block, nodes) buffer of 512 KB stays in cache; the Gaussian copula
-# splits a block of core._ROW_BLOCK rows or more on a multiple of it, so each row stays in the quadrature block (and
-# the BLAS product) it has in one unsplit call
+# splits a block of core._ROW_BLOCK rows or more in two halves at a multiple of it (gaussian), so each row stays in
+# the quadrature block, and the BLAS product, it has in one unsplit call
 _NORMAL_BLOCK = 1024
 # Gauss-Legendre nodes of the quadrature, fixed: with 16, 24 or 32 the tail loses the relative accuracy of
 # the copula's pair, and order gaussian:0.9 gaussian:0.99 --loc fails
@@ -545,10 +545,12 @@ def bivariate_normal_cdf(a, b, rho: float) -> np.ndarray | float:
     whose integrand is analytic up to |rho| = 1.  As 2 cos^2 t = 2(1 - sin t)(1 + sin t), the exponent is
     -(|a| - |b|)^2/(2 cos^2 t) - |ab|/(1 +- sin t), with + where ab >= 0 and - where ab < 0: two terms that
     are never positive, so nothing cancels in it.  I fills the columns ((|a| - |b|)^2, max(ab, 0),
-    max(-ab, 0)) of one (n, 3) array and, per ``_NORMAL_BLOCK`` rows, takes one matrix product with three
-    node rows, one exp and one product with the weights.  The node rows and weights are built once per rho
-    and shared read-only.  The Gaussian copula adds the same I to
-    u1*u2, which is Phi(a)Phi(b) at a = Phi^-1(u1), b = Phi^-1(u2).  The rule has a fixed 64 nodes
+    max(-ab, 0)) of one (n, 3) array, each by n-wide 1-D passes (ab, then |a| - |b|, then one maximum per
+    column), and, per ``_NORMAL_BLOCK`` rows, takes one matrix product with three node rows, one exp and one
+    product with the weights.  The node rows and weights are built once per rho and shared read-only.  This
+    function runs on the caller's thread.  The Gaussian copula adds the same I to
+    u1*u2, which is Phi(a)Phi(b) at a = Phi^-1(u1), b = Phi^-1(u2), and splits a block of ``core._ROW_BLOCK``
+    rows or more in two on a ``_NORMAL_BLOCK`` boundary (see :func:`gaussian`).  The rule has a fixed 64 nodes
     (``_NORMAL_NODES``).  Accuracy, measured on the Gaussian copula against mpmath with the interval cut
     near asin(rho): for rho > 0 both terms are positive and the error is relative, at most 1.8e-14 at s*w
     for s down to 1e-14 and rho in [0.3, 0.999].  For rho < 0 the two terms cancel
@@ -629,6 +631,16 @@ def gaussian(rho: float) -> Copula:
     with a warning, since the quadrature guarantee stops at 0.999.  scipy is
     imported on the first evaluation of a quadrature copula, not when it is
     built.
+
+    The quadrature formula splits a block of at least ``core._ROW_BLOCK``
+    (8,192) rows into two halves at a multiple of ``_NORMAL_BLOCK`` (1,024)
+    rows; each half runs ``ndtri``, the product and the integral, and the
+    second runs on one daemon helper thread, started at the first such block
+    (and again in a forked child) and run in a copy of the caller's context,
+    so ``np.errstate`` holds there too.  Every row stays in the quadrature
+    block it has in one unsplit call, so the values are bit-identical to one
+    thread's.  Shorter blocks, such as the orders' local samples, stay on the
+    caller's thread.
     """
     if not -1.0 <= rho <= 1.0:
         raise DomainError(f"rho must lie in [-1, 1], got {rho}")
