@@ -19,6 +19,7 @@ from .core import (
     CheckResult,
     Copula,
     CopulaError,
+    DecomposedBatch,
     DimensionError,
     DomainError,
     GridConfig,

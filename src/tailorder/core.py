@@ -54,6 +54,7 @@ __all__ = [
     "zero_tdf",
     "min_tdf",
     "Copula",
+    "DecomposedBatch",
     "copula_from_callable",
     "independence",
     "comonotone",
@@ -357,15 +358,22 @@ class Copula:
         return f"Copula(family={fam!r}, d={self.dimension})"
 
     def cdf(self, u) -> np.ndarray | float:
-        """Evaluate C(u) for one point ``(d,)`` or a batch ``(..., d)``.
+        """Evaluate C(u) for one point ``(d,)``, a batch ``(..., d)`` or a :class:`DecomposedBatch`.
 
         One range pass, the batch's min and max, checks every coordinate: a
         NaN or an infinity shows in it as a non-finite bound.  Coordinates
         within ``BOUNDARY_TOL`` outside [0, 1] are clipped onto it; a batch
         already inside reaches the formula uncopied, often as a view of the
         caller's array, so formulas must not write into their input.  The
-        same pass gives :meth:`_values` its bounds.
+        same pass gives :meth:`_values` its bounds.  A decomposed batch
+        passed the guard and the boundary rule's masks when it was built, so
+        it is evaluated without them, on the blocks the formula would see for
+        its points as an array, with the same values.
         """
+        if isinstance(u, DecomposedBatch):
+            if u.dimension != self.dimension:
+                raise DimensionError(f"points have {u.dimension} coordinates, copula has dimension {self.dimension}")
+            return self._evaluate(u.points, u.rule)
         arr = np.asarray(u, dtype=float)
         scalar = arr.ndim == 1
         if arr.shape[-1] != self.dimension:
@@ -375,16 +383,8 @@ class Copula:
         pts = arr.reshape(-1, self.dimension)
         if pts.shape[0] == 0:
             return np.empty(arr.shape[:-1])
-        low, high = float(pts.min()), float(pts.max())
-        if not (math.isfinite(low) and math.isfinite(high)):
-            raise DomainError("coordinates must be finite")
-        if low < -BOUNDARY_TOL or high > 1.0 + BOUNDARY_TOL:
-            raise DomainError(
-                f"coordinate outside [0, 1] beyond tolerance {BOUNDARY_TOL}: range [{low}, {high}]"
-            )
-        if low < 0.0 or high > 1.0:  # np.clip keeps -0.0, so skipping it inside [0, 1] changes nothing
-            pts = np.clip(pts, 0.0, 1.0)
-        vals = np.asarray(self._values(pts, (low, high)), dtype=float)
+        pts, bounds = _guarded(pts)
+        vals = np.asarray(self._values(pts, bounds), dtype=float)
         return float(vals[0]) if scalar else vals.reshape(arr.shape[:-1])
 
     def _values(self, pts: np.ndarray, bounds: tuple[float, float] | None = None) -> np.ndarray:
@@ -394,49 +394,46 @@ class Copula:
         coordinates exactly 1 return the remaining coordinate; the formula's
         values at the other rows are clipped into [0, 1].  ``bounds`` is the
         (min, max) of the caller's range pass, taken before any clip (the
-        pass is made here when it is not given).  With no coordinate 0 or 1
-        the batch goes to the formula whole, as does one whose row masks find
-        no boundary row; with min > 0 no row is a zero row, so only the
-        margin mask is built.  Otherwise the inner rows are taken by index,
-        one block of :func:`_row_blocks` at a time, into a new array; a
-        formula that treats each row on its own gives the same values either
-        way.  Either way the formula sees the rows by that one block rule.
-        Like every family formula, the masks and the margin value combine a
-        row's d columns with :func:`_row_reduce`.
+        pass is made here when it is not given).  The rows are decomposed by
+        :func:`_decompose` and evaluated by :meth:`_evaluate`.
         """
         if bounds is None:
             if pts.size == 0:
                 return np.empty(pts.shape[0])
             bounds = pts.min(), pts.max()
-        low, high = bounds
-        if 0.0 < low and high < 1.0:
+        return self._evaluate(pts, _decompose(pts, bounds))
+
+    def _evaluate(self, pts: np.ndarray, rule: tuple | None) -> np.ndarray:
+        """C at the rows of pts from their decomposition ``rule`` (see :func:`_decompose`).
+
+        With no rule the batch goes to the formula whole.  Otherwise the
+        margin rows get their values, the formula's values at each block of
+        inner rows are scattered to those rows, and one clip into [0, 1]
+        covers the batch: it leaves the 0s and the margin values as they are.
+        """
+        if rule is None:
             return self._clipped(pts)
-        margin = _row_reduce(np.add, pts == 1.0, dtype=np.intp) >= self.dimension - 1
-        if low > 0.0:
-            inner = np.flatnonzero(~margin)
-        else:
-            zero = _row_reduce(np.logical_or, pts == 0.0)
-            margin &= ~zero
-            inner = np.flatnonzero(~(zero | margin))
-        if 0 < inner.size == pts.shape[0]:
-            return self._clipped(pts)
+        margin, values, blocks = rule
         out = np.zeros(pts.shape[0])
-        out[margin] = _row_reduce(np.minimum, pts[margin])
-        if inner.size:
-            for start, stop in _row_blocks(inner.size, _ROW_BLOCK):
-                block = inner[start:stop]
-                out[block] = self._clipped(pts.take(block, axis=0))
-        return out
+        out[margin] = values
+        for rows, block in blocks:
+            out[rows] = self._formula(block)
+        return np.clip(out, 0.0, 1.0, out=out)
 
     def _clipped(self, pts: np.ndarray) -> np.ndarray:
-        """The formula's values at the rows of pts, clipped into [0, 1], one block of :func:`_row_blocks` at a time.
+        """The formula's values at the rows of pts, one block of :func:`_row_blocks` at a time, clipped into [0, 1]
+        once for the batch.
 
-        A batch of at most ``_ROW_BLOCK + 1`` rows is one block and reaches the formula as one uncopied view.
+        A batch of at most ``_ROW_BLOCK + 1`` rows is one block: it reaches the formula as one uncopied view, and
+        the formula's values go straight to one ``np.clip``.
         """
-        out = np.empty(pts.shape[0])
-        for start, stop in _row_blocks(pts.shape[0], _ROW_BLOCK):
-            np.clip(self._formula(pts[start:stop]), 0.0, 1.0, out=out[start:stop])
-        return out
+        n = pts.shape[0]
+        if n <= _ROW_BLOCK + 1:
+            return np.clip(np.asarray(self._formula(pts), dtype=float), 0.0, 1.0)
+        out = np.empty(n)
+        for start, stop in _row_blocks(n, _ROW_BLOCK):
+            out[start:stop] = self._formula(pts[start:stop])
+        return np.clip(out, 0.0, 1.0, out=out)
 
     def eval(self, u) -> float:
         """Evaluate at a single point, returning a float."""
@@ -458,6 +455,102 @@ class _Verbatim(Copula):
 
     def _values(self, pts: np.ndarray, bounds: tuple[float, float] | None = None) -> np.ndarray:
         return np.asarray(self._formula(pts), dtype=float)
+
+    def _evaluate(self, pts: np.ndarray, rule: tuple | None) -> np.ndarray:
+        return self._values(pts)
+
+
+def _guarded(pts: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
+    """The guard of :meth:`Copula.cdf` on a non-empty (n, d) array: the points clipped into [0, 1]^d when needed,
+    and the (min, max) of the one range pass, taken before the clip.  Raises DomainError on a coordinate that is
+    not finite or lies beyond ``BOUNDARY_TOL`` outside [0, 1]."""
+    low, high = float(pts.min()), float(pts.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise DomainError("coordinates must be finite")
+    if low < -BOUNDARY_TOL or high > 1.0 + BOUNDARY_TOL:
+        raise DomainError(
+            f"coordinate outside [0, 1] beyond tolerance {BOUNDARY_TOL}: range [{low}, {high}]"
+        )
+    if low < 0.0 or high > 1.0:  # np.clip keeps -0.0, so skipping it inside [0, 1] changes nothing
+        pts = np.clip(pts, 0.0, 1.0)
+    return pts, (low, high)
+
+
+def _decompose(pts: np.ndarray, bounds: tuple[float, float]) -> tuple | None:
+    """The boundary rule's split of the rows of an (n, d) array in [0, 1]^d whose range pass gave ``bounds``.
+
+    None when the batch goes to the formula whole: no coordinate is 0 or 1,
+    or the row masks find no zero or margin row.  Otherwise the margin rows'
+    indices, their values (each row's minimum), and the inner rows' blocks:
+    pairs of the indices of one block of :func:`_row_blocks` and those rows,
+    taken by index into a new array when the pairs are iterated, one block at
+    a time.  With min > 0 no row is a zero row, so only the margin mask is
+    built.  Like every family formula, the masks and the margin values
+    combine a row's d columns with :func:`_row_reduce`.
+    """
+    low, high = bounds
+    if 0.0 < low and high < 1.0:
+        return None
+    margin = _row_reduce(np.add, pts == 1.0, dtype=np.intp) >= pts.shape[1] - 1
+    if low > 0.0:
+        inner = np.flatnonzero(~margin)
+    else:
+        zero = _row_reduce(np.logical_or, pts == 0.0)
+        margin &= ~zero
+        inner = np.flatnonzero(~(zero | margin))
+    if 0 < inner.size == pts.shape[0]:
+        return None
+    margin = np.flatnonzero(margin)
+    return margin, _row_reduce(np.minimum, pts[margin]), _taken(pts, inner)
+
+
+def _taken(pts: np.ndarray, inner: np.ndarray):
+    """The inner rows of pts, one block of :func:`_row_blocks` at a time: (the block's indices, its rows)."""
+    for start, stop in _row_blocks(inner.size, _ROW_BLOCK) if inner.size else ():
+        rows = inner[start:stop]
+        yield rows, pts.take(rows, axis=0)
+
+
+class DecomposedBatch:
+    """Points in [0, 1]^d decomposed once by the boundary rule, for any number of d-dimensional copulas.
+
+    Built from an (n, d) array, which passes the guard of
+    :meth:`Copula.cdf` here, once.  It holds the points (read-only, and
+    copied first unless they already are), their ``dimension`` d, and the
+    rule of :func:`_decompose` with its inner blocks taken and read-only,
+    and is immutable.  ``Copula.cdf`` evaluates a batch without the guard or the masks, on the
+    blocks its formula sees for the points as an array, so the values are
+    the array's bit for bit.  ``np.asarray(batch)`` gives the points.  The
+    taken inner rows add up to n * d doubles to the points: a batch is worth
+    building for a sample that several copulas evaluate.
+    """
+
+    __slots__ = ("points", "dimension", "rule")
+
+    def __init__(self, points):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2:
+            raise DimensionError(f"a decomposed batch takes an (n, d) array of points, got shape {pts.shape}")
+        if pts.flags.writeable:
+            pts = pts.copy()
+        bounds = (0.0, 0.0)  # an empty batch gets an empty rule
+        if pts.shape[0]:
+            pts, bounds = _guarded(pts)
+        rule = _decompose(pts, bounds)
+        if rule is not None:
+            margin, values, blocks = rule
+            rule = margin, values, tuple(blocks)
+            for array in (margin, values, *(a for block in rule[2] for a in block)):
+                array.flags.writeable = False
+        pts.flags.writeable = False
+        for name, value in (("points", pts), ("dimension", pts.shape[1]), ("rule", rule)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DecomposedBatch objects are immutable")
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.points, dtype=dtype, copy=copy)
 
 
 def _row_blocks(n: int, size: int):

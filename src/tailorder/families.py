@@ -188,11 +188,13 @@ def _inverse(g: Generator, x: np.ndarray, phi0: float) -> np.ndarray:
     accurate relative to t down to the smallest doubles.  The caller sets
     ``np.errstate`` for the rows it drops.
     """
-    if (x < 0).any():
+    if np.fmin.reduce(x, axis=None, initial=0.0) < 0:  # one reduction that skips NaNs, which get 0 below
         raise DomainError("generalized inverse requires x >= 0")
     if g.inverse is not None:
         vals = np.asarray(g.inverse(x), dtype=float)
-        return np.where(np.isfinite(vals) & (x < phi0), vals, 0.0)
+        keep = np.isfinite(vals)
+        keep &= x < phi0
+        return np.where(keep, vals, 0.0)
     out = np.zeros(x.shape)
     live = x < phi0
     out[live] = _bisect_inverse(g, x[live])

@@ -30,7 +30,8 @@ from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Copula, DimensionError, DomainError, Field, GridConfig, Record, _tensor_grid, abs_at, check_points
+from .core import (Copula, DecomposedBatch, DimensionError, DomainError, Field, GridConfig, Record, _tensor_grid, abs_at,
+                   check_points)
 from .families import DiagonalSection, Generator, generalized_inverse
 from .taildep import (
     LimitSchedule,
@@ -231,13 +232,15 @@ def _local_directions(d: int) -> np.ndarray:
     return w
 
 
-_CACHED_DIMENSIONS = 4  # an entry holds 44 * n * (d + 1) doubles: 1.9 MB at d = 4, 8.3 MB at d = 6, 40 MB at d = 7
+# an entry holds 44 * n * (d + 1) doubles, its points and radii: 1.9 MB at d = 4, 8.3 MB at d = 6, 40 MB at d = 7;
+# a sample with zero or margin rows (d = 2 from radius 1) adds at most as many again, its compacted inner rows
+_CACHED_DIMENSIONS = 4
 
 
 @lru_cache(maxsize=8)  # top and cone are user floats; samples above _CACHED_DIMENSIONS are built per verdict
-def _local_sample(d: int, top: float, cone: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """The local points min(r * w, 1), each point's radius r = top * 2^(-j/2), and the number of
-    directions w in the cone, as read-only arrays."""
+def _local_sample(d: int, top: float, cone: float) -> tuple[DecomposedBatch, np.ndarray, int]:
+    """The local points min(r * w, 1) as a read-only decomposed batch, each point's radius r = top * 2^(-j/2) as a
+    read-only array, and the number of directions w in the cone."""
     dirs = _local_directions(d)
     dirs = dirs[dirs.min(axis=1) >= cone * dirs.sum(axis=1)]
     if dirs.size == 0:
@@ -246,7 +249,7 @@ def _local_sample(d: int, top: float, cone: float) -> tuple[np.ndarray, np.ndarr
     points = np.minimum(radii[:, None, None] * dirs[None, :, :], 1.0).reshape(-1, d)
     scale = np.repeat(radii, len(dirs))
     points.flags.writeable = scale.flags.writeable = False
-    return points, scale, len(dirs)
+    return DecomposedBatch(points), scale, len(dirs)
 
 
 def _local_verdict(c1: Copula, c2: Copula, epsilon: float | None, cone: float = 0.0) -> OrderVerdict:
@@ -256,9 +259,8 @@ def _local_verdict(c1: Copula, c2: Copula, epsilon: float | None, cone: float = 
     if epsilon is not None and not 0.0 < (epsilon := float(epsilon)) <= float(np.sqrt(d)):
         raise DomainError(f"epsilon must lie in (0, sqrt(d)], got {epsilon}")
     build = _local_sample if d <= _CACHED_DIMENSIONS else _local_sample.__wrapped__
-    points, scale, n_dirs = build(d, 1.0 if epsilon is None else epsilon, cone)
-    lhs, rhs = np.asarray(c1.cdf(points)), np.asarray(c2.cdf(points))
-    return _verdict(points, lhs, rhs, (c1.accuracy, c2.accuracy), scale=scale,
+    batch, scale, n_dirs = build(d, 1.0 if epsilon is None else epsilon, cone)
+    return _verdict(batch.points, c1.cdf(batch), c2.cdf(batch), (c1.accuracy, c2.accuracy), scale=scale,
                     candidates=_HALVINGS if epsilon is None else np.array([epsilon]),
                     epsilon=epsilon, note=f"{_RADII} radii x {n_dirs} directions")
 
@@ -271,11 +273,11 @@ def check_loc(c1: Copula, c2: Copula, epsilon: float | None = None) -> OrderVerd
     from geometric nodes 1e-18 ... 1e-2 (thin regions along the faces, such
     as Marshall-Olkin's) and linear nodes on (0, 1].  With ``epsilon=None``
     the radii start at 1 and the candidate radii are 2^-k, k <= 20.  A sample of more than
-    ``core.MAX_POINTS`` points (d >= 8) is refused before it is built.  It is built once per
-    (dimension, first radius), or per verdict above d = 4, and handed to both copulas read-only, so a
-    formula must not write into its input: where the sample reaches it uncopied, numpy raises
-    instead of letting the write corrupt later verdicts.  The verdict's ``samples.points`` and
-    ``scale`` are that shared read-only sample.
+    ``core.MAX_POINTS`` points (d >= 8) is refused before it is built.  It is built and decomposed by
+    the boundary rule once per (dimension, first radius), or per verdict above d = 4, and handed to
+    both copulas as one read-only ``core.DecomposedBatch``, so a formula must not write into its
+    input: numpy raises instead of letting the write corrupt later verdicts.  The verdict's
+    ``samples.points`` and ``scale`` are that shared read-only sample.
     """
     return _local_verdict(c1, c2, epsilon)
 
@@ -324,7 +326,7 @@ def check_cone_order(c1: Copula, c2: Copula, cone: ConeSpec, epsilon: float | No
     ``tdf``), that precondition is checked on the default grid (refused at d >= 6,
     see :func:`check_tdo`) and a warning is emitted when it is not strict.  The copulas are sampled as in
     :func:`check_loc` on the directions in the cone: the sample is built
-    once per (dimension, first radius, c), or per verdict above d = 4, and
+    and decomposed once per (dimension, first radius, c), or per verdict above d = 4, and
     handed to both copulas read-only, so a formula must not write into its input (see
     :func:`check_loc`).
     """

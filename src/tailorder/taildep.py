@@ -199,7 +199,12 @@ def archimedean_tdf(alpha: float, dimension: int = 2) -> TailDepFunction:
     """Closed-form tail dependence function for regular variation index alpha.
 
     Zero for alpha = 0, (sum_k w_k^-alpha)^(-1/alpha) for finite positive
-    alpha, and min_k w_k for alpha = inf.
+    alpha, and min_k w_k for alpha = inf.  A row whose sum overflows (a
+    coordinate below about 10^(-308/alpha)) or underflows to 0 (every
+    coordinate large) is recomputed in the scaled form
+    m * (sum_k (w_k/m)^-alpha)^(-1/alpha) with m = min_k w_k, and is 0 where
+    m = 0; every other row keeps the unscaled form, and one reduction per
+    call tells whether any row needs the scaled one.
     """
     if not alpha >= 0:
         raise DomainError(f"alpha must lie in [0, inf], got {alpha}")
@@ -211,13 +216,21 @@ def archimedean_tdf(alpha: float, dimension: int = 2) -> TailDepFunction:
         a = float(alpha)
 
         def fn(pts: np.ndarray) -> np.ndarray:
-            with np.errstate(divide="ignore", over="ignore"):
-                out = _row_reduce(np.add, pts ** -a) ** (-1.0 / a)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                total = _row_reduce(np.add, pts ** -a)
+                out = total ** (-1.0 / a)
+                # a sum of 0 or inf makes its row's product with its power 0 * inf, NaN; so does a NaN row
+                if np.isfinite(np.dot(out, total)):
+                    return out
+                m = _row_reduce(np.minimum, pts)
+                rows = np.flatnonzero(np.isnan(out * total) & (m > 0.0))  # not the rows with a coordinate 0
+                if rows.size:
+                    m = m[rows]
+                    out[rows] = m * _row_reduce(np.add, (pts[rows] / m[:, None]) ** -a) ** (-1.0 / a)
             return np.where(np.isfinite(out), out, 0.0)
 
         base = TailDepFunction(fn, dimension, accuracy=(2 * ULP / a, 0.0))  # the power -1/alpha: about ulp/alpha
-    # at least 1e-14: measured for alpha <= 5, and up to 15 on the grid of the tail dependence order (beyond,
-    # w^-alpha overflows near a face)
+    # at least 1e-14: measured against mpmath for alpha from 0.002 to 100, near the faces and down to 1e-300
     return TailDepFunction(base.fn, dimension, name="clayton", params={"alpha": float(alpha)},
                            breakpoints=base.breakpoints, accuracy=(max(1e-14, base.accuracy[0]), 0.0))
 

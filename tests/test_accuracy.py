@@ -197,26 +197,35 @@ def test_every_family_is_measured():
     assert measured == set(descriptors._FAMILIES)
 
 
-TDFS = [(f"{name}-d{d}", lam, ref, near) for d in (2, 3, 4) for name, lam, ref, near in (
-    ("zero", to.zero_tdf(d), tdf_ref("zero"), True), ("min", to.min_tdf(d), tdf_ref("min"), True),
-    *((f"clayton-{a:g}", to.archimedean_tdf(a, d), tdf_ref("clayton", a), a <= 5.0)
-      for a in (0.002, 0.01, 0.25, 1.0, 5.0, 15.0)),
-)] + [(name, descriptors.tdf_from_spec({"name": name}), tdf_ref(name), True)
-      for name in ("fig1-parabola", "fig1-piecewise")]
+TDFS = [(f"{name}-d{d}", lam, ref) for d in (2, 3, 4) for name, lam, ref in (
+    ("zero", to.zero_tdf(d), tdf_ref("zero")), ("min", to.min_tdf(d), tdf_ref("min")),
+    *((f"clayton-{a:g}", to.archimedean_tdf(a, d), tdf_ref("clayton", a)) for a in (0.002, 0.01, 0.25, 1.0, 5.0, 15.0)),
+)] + [(name, descriptors.tdf_from_spec({"name": name}), tdf_ref(name)) for name in ("fig1-parabola", "fig1-piecewise")]
 TDFS += [(f"glue-clayton-{a:g}-axis{axis}", to.glue(shorthand(f"clayton:{a:g}"), to.independence(), axis, 0.3).tdf,
-          glue_tdf_ref(tdf_ref("clayton", a), axis, 0.3), True) for a in (1.0, 2.0) for axis in (1, 2)]
+          glue_tdf_ref(tdf_ref("clayton", a), axis, 0.3)) for a in (1.0, 2.0) for axis in (1, 2)]
 TDFS.append(("hierarchical-clayton-1-2", to.hierarchical(shorthand("clayton:1"), shorthand("clayton:2")).tdf,
-             lambda w: tdf_ref("clayton", 1.0)([w[0], tdf_ref("clayton", 2.0)(w[1:])]), True))
+             lambda w: tdf_ref("clayton", 1.0)([w[0], tdf_ref("clayton", 2.0)(w[1:])])))
 
 
-@pytest.mark.parametrize("lam, ref, near", [case[1:] for case in TDFS], ids=[case[0] for case in TDFS])
-def test_tail_dependence_pair_holds(lam, ref, near):
-    # the grid of the tail dependence order, and near-face directions at three scales where
-    # w^-alpha does not overflow (Clayton with alpha <= 5)
+@pytest.mark.parametrize("lam, ref", [case[1:] for case in TDFS], ids=[case[0] for case in TDFS])
+def test_tail_dependence_pair_holds(lam, ref):
+    # the grid of the tail dependence order, and near-face directions at three scales, where w^-alpha overflows
+    # for Clayton with alpha = 15
     d = lam.dimension
-    pts = taildep.simplex_directions({2: 65, 3: 33, 4: 17}[d], d)
-    pts = np.concatenate([pts, copula_points(d)]) if near else pts
+    pts = np.concatenate([taildep.simplex_directions({2: 65, 3: 33, 4: 17}[d], d), copula_points(d)])
     assert worst_excess(lam(pts), ref, pts, lam.accuracy) <= 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0, 20.0, 100.0])
+def test_clayton_pair_holds_down_to_1e_300(alpha):
+    # coordinates 10^U(-300, 0): w^-alpha overflows below about 10^(-308/alpha), where Lambda is recomputed scaled
+    # by the smallest coordinate; 400 points per alpha, against mpmath at 50 digits
+    pts = 10.0 ** np.random.default_rng([31, int(alpha)]).uniform(-300.0, 0.0, size=(400, 2))
+    with np.errstate(over="ignore"):
+        assert np.isinf((pts ** -alpha).sum(axis=1)).any() == (alpha > 1.0)
+    lam = to.archimedean_tdf(alpha)
+    with mp.workdps(50):
+        assert worst_excess(lam(pts), tdf_ref("clayton", alpha), pts, lam.accuracy) <= 0.0
 
 
 # a hair from either face, where a value is far below ulp(1) and only a relative error can bound it

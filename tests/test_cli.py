@@ -58,6 +58,17 @@ class TestSubcommands:
         code, out, _ = run(capsys, "order", "independence", "lev:fig1-parabola", "--loc")
         assert code == cli.EXIT_OK and "undecidable" not in json.loads(out)["note"]
 
+    @pytest.mark.parametrize("text, point, value", [("lev:clayton:2", "1e-160,0.5", 1e-160),
+                                                     ("lev:clayton:20", "1e-18,0.1", 1e-18)])
+    def test_eval_keeps_clayton_lambda_where_its_sum_overflows(self, capsys, text, point, value):
+        # w^-alpha overflows for w below about 10^(-308/alpha); Lambda there is the smaller coordinate to within
+        # its pair, about 1e-160 and 1e-18 (mpmath, 50 digits), not half of it or a tenth
+        code, out, _ = run(capsys, "eval", text, "-u", point)
+        rel = descriptors.build_copula(descriptors.parse_shorthand(text)).accuracy[0]
+        assert code == cli.EXIT_OK and abs(float(out) - value) <= rel * value
+        if text == "lev:clayton:2":
+            assert out == "9.9999999999999999e-161\n"
+
     def test_eval_rejects_a_negative_point_beyond_the_tolerance(self, capsys):
         code, _, err = run(capsys, "eval", "clayton:2", "-u", "-0.1,0.5")
         assert code == cli.EXIT_INPUT_ERROR
@@ -178,6 +189,10 @@ class TestSubcommands:
         (("ev:fig1-parabola", "ev:clayton:2", "--tdo"), cli.EXIT_INDISTINGUISHABLE),
         (("ev:clayton:2", "ev:fig1-parabola", "--tdo"), cli.EXIT_INDISTINGUISHABLE),
         (("clayton:1", "independence:3", "--diagonal"), cli.EXIT_DIMENSION_ERROR),
+        # lower extreme value copulas rise with their Lambda, and Clayton's Lambda with alpha, so LOC holds one way;
+        # it needs Lambda where w^-20 overflows, at the sample's face nodes
+        (("lev:clayton:10", "lev:clayton:20", "--loc"), cli.EXIT_OK),
+        (("lev:clayton:20", "lev:clayton:10", "--loc"), cli.EXIT_ORDER_FAILS),
     ])
     def test_order(self, capsys, argv, expected):
         code, out, _ = run(capsys, "order", *argv)
@@ -237,13 +252,14 @@ class TestSubcommands:
         original = core.Copula.cdf
 
         def counting(c, u):
-            calls.append(u)
+            calls.append(np.asarray(u))  # a local sample comes as a decomposed batch, whose array is its points
             return original(c, u)
 
         monkeypatch.setattr(core.Copula, "cdf", counting)
         code, out, _ = run(capsys, "order", "marshall-olkin:0.5", "clayton:1", *relation, "--format", "csv")
         assert code in (cli.EXIT_OK, cli.EXIT_ORDER_FAILS)
         assert len(calls) == 2  # one batch per copula, written without evaluating again
+        assert calls[0] is calls[1] or relation[0] == "--too"  # the local verdicts hand both copulas one sample
         table = rows(out)
         assert len(table) - 1 == len(calls[0])
         if relation[0] != "--too":

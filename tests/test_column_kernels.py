@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from tailorder import core, descriptors, families, taildep
+from tailorder import core, descriptors, families, orders, taildep
 from tailorder.families import bivariate_normal_cdf
 
 
@@ -304,6 +304,27 @@ def test_family_values_are_bit_identical(desc, seed):
         assert np.array_equal(pts, before)
 
 
+def local_samples(d):
+    """The cached samples of the local orders in dimension d: from radius 1 and 0.3, and on two cones."""
+    return [orders._local_sample(d, top, cone)[0] for top, cone in ((1.0, 0.0), (0.3, 0.0), (1.0, 0.2), (1.0, 0.05))]
+
+
+@pytest.mark.parametrize("desc", CASES, ids=_label)
+def test_decomposed_batch_gives_the_array_values(desc):
+    c = build(desc)
+    d = c.dimension
+    batches = [core.DecomposedBatch(pts) for pts in (interior_batch(7, d), boundary_batch(7, d))]
+    for batch in batches + local_samples(d):
+        want = c.cdf(batch.points)
+        assert np.array_equal(np.asarray(c.cdf(batch)).view(np.int64), np.asarray(want).view(np.int64))
+
+
+def test_local_samples_cover_both_paths():
+    # the searched d = 2 sample has margin rows such as (1e-18, 1), so its batch holds its inner rows; the others go
+    # to the formula whole
+    assert [batch.rule is None for d in (2, 3, 4) for batch in local_samples(d)] == [False] + [True] * 11
+
+
 @pytest.mark.parametrize("ufunc", [np.add, np.multiply, np.minimum, np.maximum, np.logical_or])
 @pytest.mark.parametrize("d", range(1, 8))
 def test_row_reduce_matches_the_axis_reduction(ufunc, d):
@@ -396,6 +417,16 @@ class TestGeneralizedInverse:
         want = np.clip(families.generalized_inverse(g, x), 0.0, 1.0)
         assert np.array_equal(families.archimedean(g, d)._formula(pts).view(np.int64), want.view(np.int64))
         assert np.signbit(want).any() == (name == "joe")
+
+    @pytest.mark.parametrize("name", GENERATORS)
+    def test_a_negative_sum_raises(self, name):
+        # one reduction checks the domain, and skips NaN: a negative beside a NaN still raises
+        g = self.GENERATORS[name]
+        for x in ([0.5, -1e-300], [np.nan, -1.0], -0.25):
+            with pytest.raises(core.DomainError, match="x >= 0"):
+                families.generalized_inverse(g, x)
+            with pytest.raises(core.DomainError, match="x >= 0"):
+                families._inverse(g, np.asarray(x, dtype=float), g.phi_at_zero())
 
     @pytest.mark.parametrize("name", ["folded", "bisected"])
     def test_nan_gives_zero_with_and_without_a_closed_form(self, name):

@@ -304,6 +304,92 @@ class TestRowBlocks:
         assert sizes == [n] and np.shares_memory(seen[0], pts) and not seen[0].flags.writeable
 
 
+def odd_values(pts):
+    """Values a clip must mend, by the first coordinate: 1 + 2^-52, -1e-300 (to 0.0, not -0.0) and NaN (kept)."""
+    u = pts[:, 0]
+    return np.where(u < 1 / 3, 1.0 + 2.0**-52, np.where(u < 2 / 3, -1e-300, np.nan))
+
+
+class TestDecomposedBatch:
+    """A decomposed batch: the guard and the boundary masks once, and the values of the array, bit for bit."""
+
+    B = core._ROW_BLOCK
+
+    def boundary_points(self, n, d=2, seed=11):
+        pts = surface_batch(seed, d, n)
+        pts[::7, 0] = 0.0  # zero rows
+        pts[1::11, 1:] = 1.0  # margin rows
+        return pts
+
+    @pytest.mark.parametrize("n", [64, 3476, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("boundary", [False, True], ids=["interior", "boundary"])
+    def test_clip_is_the_same_for_one_block_and_many(self, n, boundary):
+        c = to.Copula(2, odd_values, {"family": "odd", "params": {}})
+        pts = self.boundary_points(n) if boundary else surface_batch(12, 2, n)
+        want = np.clip(odd_values(pts), 0.0, 1.0)
+        if boundary:
+            want[((pts == 0.0).any(axis=1))] = 0.0
+            margin = ((pts == 1.0).sum(axis=1) >= 1) & ~(pts == 0.0).any(axis=1)
+            want[margin] = pts[margin].min(axis=1)
+        assert np.isnan(want).any() and (want == 1.0).any() and not np.signbit(want).any()
+        for got in (c.cdf(pts), c.cdf(to.DecomposedBatch(pts))):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("boundary", [False, True], ids=["interior", "boundary"])
+    def test_batch_gives_the_array_values_and_the_formula_its_blocks(self, boundary):
+        n = 2 * self.B + 3
+        pts = self.boundary_points(n) if boundary else surface_batch(13, 2, n)
+        batch = to.DecomposedBatch(pts)
+        assert (batch.rule is None) != boundary
+        for c in surface_copulas():
+            if c.dimension == 2:
+                want = c.cdf(pts)
+                assert np.array_equal(c.cdf(batch).view(np.int64), want.view(np.int64)), repr(c)
+        seen_array, seen_batch = [], []
+        spy_copula([], seen_array).cdf(pts)
+        spy_copula([], seen_batch).cdf(batch)
+        assert [s.tobytes() for s in seen_array] == [s.tobytes() for s in seen_batch]
+        assert all(not s.flags.writeable for s in seen_batch)
+
+    def test_blocks_are_read_only_and_writable_points_are_copied(self):
+        pts = self.boundary_points(2 * self.B + 3)
+        batch = to.DecomposedBatch(pts)
+        margin, values, blocks = batch.rule
+        assert len(blocks) == 2 and margin.size and values.size  # 2 * B + 3 rows less the zero and margin rows
+        for a in (batch.points, margin, values, *(a for block in blocks for a in block)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+        assert not np.shares_memory(batch.points, pts)
+        pts.flags.writeable = False
+        assert to.DecomposedBatch(pts).points is pts and np.asarray(to.DecomposedBatch(pts)) is pts
+        with pytest.raises(AttributeError):
+            batch.points = pts
+
+    def test_batch_passes_the_guard_once(self):
+        pts = np.array([[-1e-13, 0.5], [0.5, 1.0 + 1e-13], [0.2, 0.3]])
+        batch = to.DecomposedBatch(pts)
+        assert batch.points.min() == 0.0 and batch.points.max() == 1.0
+        for c in family_zoo():
+            assert np.array_equal(c.cdf(batch), c.cdf(pts)), repr(c)
+        for bad in (np.nan, -0.5):
+            with pytest.raises(to.DomainError):
+                to.DecomposedBatch(np.array([[bad, 0.5]]))
+        with pytest.raises(to.DimensionError):
+            to.DecomposedBatch(np.array([0.2, 0.3]))
+        with pytest.raises(to.DimensionError, match="points have 2 coordinates, copula has dimension 3"):
+            to.independence(3).cdf(batch)
+        empty = to.DecomposedBatch(np.empty((0, 2)))
+        assert to.independence().cdf(empty).shape == (0,)
+
+    def test_verbatim_copula_sees_the_points(self):
+        seen = []
+        c = to.copula_from_callable(lambda p: seen.append(p) or p.min(axis=1), 2)
+        pts = self.boundary_points(64)
+        batch = to.DecomposedBatch(pts)
+        assert np.array_equal(c.cdf(batch), pts.min(axis=1)) and seen[0] is batch.points
+
+
 class TestHVolume:
     def test_product_box(self):
         assert to.h_volume(to.independence(), (0.25, 0.25), (0.75, 0.75)) == pytest.approx(0.25)

@@ -101,3 +101,19 @@ def test_blind_share(sweep):
     heavy = collections.Counter(text for pair in holds if undecidable(loc[pair]) > 0.1 * len(loc[pair].samples.points)
                                 for text in pair)
     assert {text for text, n in heavy.items() if n >= 20} == set(BLIND)
+
+
+LOWER_EV = ("lev:zero", "lev:min", "lev:clayton:2", "lev:clayton:20", "lev:fig1-parabola", "lev:fig1-piecewise")
+
+
+def test_lower_extreme_value_orders_coincide():
+    # a bivariate lower extreme value copula rises with its Lambda, so LOC and TDO coincide on the class: wherever
+    # TDO decides a pair, LOC must decide it the same way; lev:clayton:20 needs Lambda where w^-20 overflows
+    copulas = {text: descriptors.build_copula(descriptors.parse_shorthand(text)) for text in LOWER_EV}
+    verdicts = {(a, b): (orders.check_loc(copulas[a], copulas[b]), orders.check_tdo(copulas[a].tdf, copulas[b].tdf))
+                for a, b in itertools.permutations(LOWER_EV, 2)}
+    assert len(verdicts) == 30
+    decided = {pair: (loc, tdo) for pair, (loc, tdo) in verdicts.items() if tdo.status != orders.INDISTINGUISHABLE}
+    assert len(decided) == 30
+    assert {pair for pair, (loc, tdo) in decided.items()
+            if loc.holds != tdo.holds or loc.status == orders.INDISTINGUISHABLE} == set()

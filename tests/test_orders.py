@@ -20,12 +20,12 @@ def clayton(theta, d=2):
 
 @pytest.fixture
 def cdf_calls(monkeypatch):
-    """Ids of the copulas whose ``cdf`` is called, one entry per call."""
+    """(id of the copula, points) of each ``cdf`` call, in order."""
     calls = []
     original = to.Copula.cdf
 
     def counting(self, u):
-        calls.append(id(self))
+        calls.append((id(self), u))
         return original(self, u)
 
     monkeypatch.setattr(to.Copula, "cdf", counting)
@@ -181,12 +181,15 @@ class TestLocalSampler:
         lambda c1, c2: to.check_cone_order(c1, c2, to.ConeSpec(0.001), 0.05),
     ], ids=["loc-searched", "loc-eps", "cone-searched", "cone-eps"])
     def test_one_cdf_batch_per_copula(self, cdf_calls, check):
+        # each copula gets one cdf call on the sample's one decomposed batch, whose points the verdict keeps
         c1, c2 = to.marshall_olkin(0.5), clayton(1.0)
         orders._local_sample.cache_clear()
         for _ in range(2):  # with a cold sample cache, then a warm one
             cdf_calls.clear()
             v = check(c1, c2)
-            assert sorted(cdf_calls) == sorted([id(c1), id(c2)])
+            (id1, batch), (id2, again) = cdf_calls
+            assert sorted([id1, id2]) == sorted([id(c1), id(c2)])
+            assert isinstance(batch, to.DecomposedBatch) and again is batch and batch.points is v.samples.points
             assert len(v.samples.points) == len(v.samples.lhs) == len(v.samples.scale) <= 3500
 
     def test_margin_uses_the_verified_radii_only(self):
@@ -242,7 +245,8 @@ class TestSampleCaches:
     def test_sample_is_the_inline_expression(self):
         # reference: the sampler's expressions, evaluated here without the cache
         for d, top, cone in ((2, 1.0, 0.0), (3, 0.3, 0.05), (4, 1.0, 0.2)):
-            points, scale, n_dirs = orders._local_sample(d, top, cone)
+            batch, scale, n_dirs = orders._local_sample(d, top, cone)
+            points = batch.points
             dirs = orders._local_directions(d)
             dirs = dirs[dirs.min(axis=1) >= cone * dirs.sum(axis=1)]
             radii = top * 2.0 ** (-0.5 * np.arange(44))
@@ -274,9 +278,11 @@ class TestSampleCaches:
         assert not v.samples.points.flags.writeable and not v.samples.scale.flags.writeable
 
     def test_every_cached_array_is_read_only(self):
+        batch, scale, _ = orders._local_sample(2, 1.0, 0.0)
         arrays = {
             "local directions": [orders._local_directions(2)],
-            "local sample": orders._local_sample(2, 1.0, 0.0)[:2],
+            # the searched d = 2 sample has margin rows, so its batch holds them and its inner rows too
+            "local sample": [batch.points, scale, *batch.rule[:2], *(a for block in batch.rule[2] for a in block)],
             "tdo grid": [orders._tdo_grid(65, 3)],
             "schedule scales": [to.LimitSchedule().scales()],
             "spearman faces": taildep._spearman_faces(45),
