@@ -91,9 +91,13 @@ def ref_tdf(spec):
     if name == "clayton":
         a = float(spec["alpha"])
 
-        def fn(pts):
-            with np.errstate(divide="ignore", over="ignore"):
-                out = (pts ** -a).sum(axis=1) ** (-1.0 / a)
+        def fn(pts):  # a row whose sum is 0 or inf, with no coordinate 0, in the form scaled by its minimum
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                total = (pts ** -a).sum(axis=1)
+                out = total ** (-1.0 / a)
+                m = pts.min(axis=1)
+                redo = ((total == 0.0) | np.isinf(total)) & (m > 0.0)
+                out[redo] = m[redo] * ((pts[redo] / m[redo, None]) ** -a).sum(axis=1) ** (-1.0 / a)
             return np.where(np.isfinite(out), out, 0.0)
 
         return fn
@@ -239,7 +243,7 @@ CASES = (
     + [{"family": "gaussian", "params": {"rho": r}} for r in (0.5, -0.7, 0.0, 1.0, -1.0, 0.9995, -0.9995)]
     + [_tdf(fam, name) for fam in ("extreme_value", "lower_extreme_value")
        for name in ("zero", "min", "fig1-parabola", "fig1-piecewise")]
-    + [_tdf(fam, "clayton", alpha=2.0) for fam in ("extreme_value", "lower_extreme_value")]
+    + [_tdf(fam, "clayton", alpha=a) for fam in ("extreme_value", "lower_extreme_value") for a in (2.0, 40.0)]
     + [_power(fam, p) for fam in ("fredricks_nelsen", "bertino", "semilinear") for p in (1.0, 1.5, 2.0)]
     + [{"family": "glue", "params": {"axis": axis, "split": 0.4},
         "left": _arch("joe", theta=2.0), "right": {"family": "comonotone", "params": {"d": 2}}}

@@ -328,8 +328,9 @@ class TestDecomposedBatch:
         pts = self.boundary_points(n) if boundary else surface_batch(12, 2, n)
         want = np.clip(odd_values(pts), 0.0, 1.0)
         if boundary:
-            want[((pts == 0.0).any(axis=1))] = 0.0
-            margin = ((pts == 1.0).sum(axis=1) >= 1) & ~(pts == 0.0).any(axis=1)
+            zero = (pts == 0.0).any(axis=1)
+            margin = (pts == 1.0).any(axis=1) & ~zero  # d = 2: one 1.0 makes a margin row
+            want[zero] = 0.0
             want[margin] = pts[margin].min(axis=1)
         assert np.isnan(want).any() and (want == 1.0).any() and not np.signbit(want).any()
         for got in (c.cdf(pts), c.cdf(to.DecomposedBatch(pts))):
