@@ -9,10 +9,12 @@ copula evaluates: :class:`Copula` itself keeps the boundary axioms
 (groundedness and uniform margins) exact at coordinates that are exactly 0
 or 1 around the raw formula it is built from, as every family's is, while
 :func:`copula_from_callable` takes a function verbatim so that it can be
-audited honestly by :func:`validate_copula`.  The combinators here
-evaluate each part its own way.  Every validity audit, here and in
-``families`` and ``taildep``, builds its checks with one rule,
-:meth:`CheckResult.worst_of`.
+audited honestly by :func:`validate_copula`.  Every batch reaches a
+formula one way, in ``cdf``, in a :class:`DecomposedBatch` and in each part
+of a combinator alike: :func:`_prepared` checks it, clips it and splits it
+by the boundary rule, and :meth:`Copula._evaluate` evaluates it.  Every
+validity audit, here and in ``families`` and ``taildep``, builds its checks
+with one rule, :meth:`CheckResult.worst_of`.
 
 Every evaluator, here and in ``families`` and ``taildep``, carries an
 ``accuracy`` pair (rel, abs): a computed value v of a true value x has
@@ -83,7 +85,7 @@ CUSTOM = (1e-12, 0.0)  # an evaluator built from a bare function, which no build
 # the most points any one sample may hold: a grid, a simplex grid, a local sample, or a schedule's rays
 MAX_POINTS = 10**6
 _INV_E = float(np.exp(-1.0))
-# rows a formula sees at once (see Copula._values): at d = 2 a block's temporaries stay under 200 KB, in cache and on
+# rows a formula sees at once (see Copula._evaluate): at d = 2 a block's temporaries stay under 200 KB, in cache and on
 # pages the heap already holds; a multiple of every formula's internal block (families._NORMAL_BLOCK, _BERTINO_BLOCK)
 _ROW_BLOCK = 8192
 # where an abs term counts, when not everywhere: a predicate on the sampled points, named by a pair's third entry;
@@ -329,8 +331,9 @@ class Copula:
         The closed-form lower tail dependence function, or None when the
         builder knows none.
 
-    The boundary axioms hold exactly by the rule of :meth:`_values`; a
-    copula from :func:`copula_from_callable` is evaluated verbatim instead.
+    The boundary axioms hold exactly by the rule of :func:`_prepared` and
+    :meth:`_evaluate`; a copula from :func:`copula_from_callable` is
+    evaluated verbatim instead.
     Instances are immutable and evaluation is pure, so copulas are safe to
     share between threads or processes.  The one thread the package starts
     is the Gaussian copula's helper (``families.gaussian``), which runs the
@@ -360,15 +363,13 @@ class Copula:
     def cdf(self, u) -> np.ndarray | float:
         """Evaluate C(u) for one point ``(d,)``, a batch ``(..., d)`` or a :class:`DecomposedBatch`.
 
-        One range pass, the batch's min and max, checks every coordinate: a
-        NaN or an infinity shows in it as a non-finite bound.  Coordinates
-        within ``BOUNDARY_TOL`` outside [0, 1] are clipped onto it; a batch
-        already inside reaches the formula uncopied, often as a view of the
-        caller's array, so formulas must not write into their input.  The
-        same pass gives :meth:`_values` its bounds.  A decomposed batch
-        passed the guard and the boundary rule's masks when it was built, so
-        it is evaluated without them, on the blocks the formula would see for
-        its points as an array, with the same values.
+        A batch is prepared by :func:`_prepared`, which checks and clips its
+        coordinates and splits its rows by the boundary rule, and evaluated by
+        :meth:`_evaluate`.  A batch already inside [0, 1] reaches the formula
+        uncopied, often as a view of the caller's array, so formulas must not
+        write into their input.  A decomposed batch was prepared when it was
+        built, so it is evaluated on the blocks the formula would see for its
+        points as an array, with the same values.
         """
         if isinstance(u, DecomposedBatch):
             if u.dimension != self.dimension:
@@ -380,59 +381,31 @@ class Copula:
             raise DimensionError(
                 f"points have {arr.shape[-1]} coordinates, copula has dimension {self.dimension}"
             )
-        pts = arr.reshape(-1, self.dimension)
-        if pts.shape[0] == 0:
-            return np.empty(arr.shape[:-1])
-        pts, bounds = _guarded(pts)
-        vals = np.asarray(self._values(pts, bounds), dtype=float)
+        vals = self._evaluate(*_prepared(arr.reshape(-1, self.dimension)))
         return float(vals[0]) if scalar else vals.reshape(arr.shape[:-1])
 
-    def _values(self, pts: np.ndarray, bounds: tuple[float, float] | None = None) -> np.ndarray:
-        """C at the rows of an (n, d) array in [0, 1]^d, by the boundary rule.
-
-        Rows with any coordinate exactly 0 return 0; rows with at least d-1
-        coordinates exactly 1 return the remaining coordinate; the formula's
-        values at the other rows are clipped into [0, 1].  ``bounds`` is the
-        (min, max) of the caller's range pass, taken before any clip (the
-        pass is made here when it is not given).  The rows are decomposed by
-        :func:`_decompose` and evaluated by :meth:`_evaluate`.
-        """
-        if bounds is None:
-            if pts.size == 0:
-                return np.empty(pts.shape[0])
-            bounds = pts.min(), pts.max()
-        return self._evaluate(pts, _decompose(pts, bounds))
-
     def _evaluate(self, pts: np.ndarray, rule: tuple | None) -> np.ndarray:
-        """C at the rows of pts from their decomposition ``rule`` (see :func:`_decompose`).
+        """C at the rows of pts, prepared by :func:`_prepared` with the boundary rule's split ``rule``.
 
-        With no rule the batch goes to the formula whole.  Otherwise the
-        margin rows get their values, the formula's values at each block of
-        inner rows are scattered to those rows, and one clip into [0, 1]
-        covers the batch: it leaves the 0s and the margin values as they are.
-        """
-        if rule is None:
-            return self._clipped(pts)
-        margin, values, blocks = rule
-        out = np.zeros(pts.shape[0])
-        out[margin] = values
-        for rows, block in blocks:
-            out[rows] = self._formula(block)
-        return np.clip(out, 0.0, 1.0, out=out)
-
-    def _clipped(self, pts: np.ndarray) -> np.ndarray:
-        """The formula's values at the rows of pts, one block of :func:`_row_blocks` at a time, clipped into [0, 1]
-        once for the batch.
-
-        A batch of at most ``_ROW_BLOCK + 1`` rows is one block: it reaches the formula as one uncopied view, and
-        the formula's values go straight to one ``np.clip``.
+        With no rule the formula sees every row, one block of
+        :func:`_row_blocks` at a time; a batch of at most ``_ROW_BLOCK + 1``
+        rows is one block, which reaches the formula as one uncopied view and
+        whose values go straight to one ``np.clip``.  Otherwise the margin rows
+        get their values and the formula's values at each block of inner rows
+        are scattered to those rows.  One clip into [0, 1] covers the batch: it
+        leaves the 0s and the margin values as they are.
         """
         n = pts.shape[0]
-        if n <= _ROW_BLOCK + 1:
-            return np.clip(np.asarray(self._formula(pts), dtype=float), 0.0, 1.0)
-        out = np.empty(n)
-        for start, stop in _row_blocks(n, _ROW_BLOCK):
-            out[start:stop] = self._formula(pts[start:stop])
+        if rule is None:
+            if n <= _ROW_BLOCK + 1:
+                return np.clip(np.asarray(self._formula(pts), dtype=float), 0.0, 1.0)
+            out, blocks = np.empty(n), ((slice(*b), pts[slice(*b)]) for b in _row_blocks(n, _ROW_BLOCK))
+        else:
+            margin, values, blocks = rule
+            out = np.zeros(n)
+            out[margin] = values
+        for rows, block in blocks:
+            out[rows] = self._formula(block)
         return np.clip(out, 0.0, 1.0, out=out)
 
     def eval(self, u) -> float:
@@ -453,17 +426,31 @@ class _Verbatim(Copula):
     """A copula whose function is trusted verbatim, boundary included (see :func:`copula_from_callable`)."""
     __slots__ = ()
 
-    def _values(self, pts: np.ndarray, bounds: tuple[float, float] | None = None) -> np.ndarray:
-        return np.asarray(self._formula(pts), dtype=float)
-
     def _evaluate(self, pts: np.ndarray, rule: tuple | None) -> np.ndarray:
-        return self._values(pts)
+        # the function sees the whole batch, rule or none, and never an empty one
+        return np.asarray(self._formula(pts), dtype=float) if pts.shape[0] else np.empty(0)
 
 
-def _guarded(pts: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
-    """The guard of :meth:`Copula.cdf` on a non-empty (n, d) array: the points clipped into [0, 1]^d when needed,
-    and the (min, max) of the one range pass, taken before the clip.  Raises DomainError on a coordinate that is
-    not finite or lies beyond ``BOUNDARY_TOL`` outside [0, 1]."""
+def _prepared(pts: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+    """An (n, d) array checked, clipped into [0, 1]^d when needed, and split by the boundary rule.
+
+    One range pass, the batch's min and max, checks every coordinate: a NaN
+    or an infinity shows in it as a non-finite bound, and a coordinate beyond
+    ``BOUNDARY_TOL`` outside [0, 1] raises DomainError; one within it is
+    clipped onto [0, 1].  The rule is None when the batch goes to the formula
+    whole: no coordinate is 0 or 1, or the row masks find no zero or margin
+    row.  Otherwise it holds the margin rows' indices (at least d-1
+    coordinates exactly 1, none 0), their values (each row's minimum), and
+    the inner rows' blocks: pairs of the indices of one block of
+    :func:`_row_blocks` and those rows, taken by index into a new array when
+    the pairs are iterated, one block at a time.  Rows with a coordinate
+    exactly 0 are in neither and get 0.  With min > 0 no row is a zero row,
+    so only the margin mask is built.  An empty batch gets an empty rule.
+    Like every family formula, the masks and the margin values combine a
+    row's d columns with :func:`_row_reduce`.
+    """
+    if not pts.shape[0]:
+        return pts, (np.empty(0, dtype=np.intp), np.empty(0), ())
     low, high = float(pts.min()), float(pts.max())
     if not (math.isfinite(low) and math.isfinite(high)):
         raise DomainError("coordinates must be finite")
@@ -473,24 +460,8 @@ def _guarded(pts: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
         )
     if low < 0.0 or high > 1.0:  # np.clip keeps -0.0, so skipping it inside [0, 1] changes nothing
         pts = np.clip(pts, 0.0, 1.0)
-    return pts, (low, high)
-
-
-def _decompose(pts: np.ndarray, bounds: tuple[float, float]) -> tuple | None:
-    """The boundary rule's split of the rows of an (n, d) array in [0, 1]^d whose range pass gave ``bounds``.
-
-    None when the batch goes to the formula whole: no coordinate is 0 or 1,
-    or the row masks find no zero or margin row.  Otherwise the margin rows'
-    indices, their values (each row's minimum), and the inner rows' blocks:
-    pairs of the indices of one block of :func:`_row_blocks` and those rows,
-    taken by index into a new array when the pairs are iterated, one block at
-    a time.  With min > 0 no row is a zero row, so only the margin mask is
-    built.  Like every family formula, the masks and the margin values
-    combine a row's d columns with :func:`_row_reduce`.
-    """
-    low, high = bounds
     if 0.0 < low and high < 1.0:
-        return None
+        return pts, None
     margin = _row_reduce(np.add, pts == 1.0, dtype=np.intp) >= pts.shape[1] - 1
     if low > 0.0:
         inner = np.flatnonzero(~margin)
@@ -498,31 +469,25 @@ def _decompose(pts: np.ndarray, bounds: tuple[float, float]) -> tuple | None:
         zero = _row_reduce(np.logical_or, pts == 0.0)
         margin &= ~zero
         inner = np.flatnonzero(~(zero | margin))
-    if 0 < inner.size == pts.shape[0]:
-        return None
-    margin = np.flatnonzero(margin)
-    return margin, _row_reduce(np.minimum, pts[margin]), _taken(pts, inner)
-
-
-def _taken(pts: np.ndarray, inner: np.ndarray):
-    """The inner rows of pts, one block of :func:`_row_blocks` at a time: (the block's indices, its rows)."""
-    for start, stop in _row_blocks(inner.size, _ROW_BLOCK) if inner.size else ():
-        rows = inner[start:stop]
-        yield rows, pts.take(rows, axis=0)
+    if inner.size == pts.shape[0]:
+        return pts, None
+    margin, blocks = np.flatnonzero(margin), _row_blocks(inner.size, _ROW_BLOCK) if inner.size else ()
+    return pts, (margin, _row_reduce(np.minimum, pts[margin]),
+                 ((inner[start:stop], pts.take(inner[start:stop], axis=0)) for start, stop in blocks))
 
 
 class DecomposedBatch:
     """Points in [0, 1]^d decomposed once by the boundary rule, for any number of d-dimensional copulas.
 
-    Built from an (n, d) array, which passes the guard of
-    :meth:`Copula.cdf` here, once.  It holds the points (read-only, and
-    copied first unless they already are), their ``dimension`` d, and the
-    rule of :func:`_decompose` with its inner blocks taken and read-only,
-    and is immutable.  ``Copula.cdf`` evaluates a batch without the guard or the masks, on the
-    blocks its formula sees for the points as an array, so the values are
-    the array's bit for bit.  ``np.asarray(batch)`` gives the points.  The
-    taken inner rows add up to n * d doubles to the points: a batch is worth
-    building for a sample that several copulas evaluate.
+    Built from an (n, d) array, which :func:`_prepared` checks, clips and
+    splits here, once.  It holds the points (read-only, and copied first
+    unless they already are), their ``dimension`` d, and the rule with its
+    inner blocks taken and read-only, and is immutable.  ``Copula.cdf``
+    evaluates a batch by :meth:`Copula._evaluate` alone, on the blocks its
+    formula sees for the points as an array, so the values are the array's
+    bit for bit.  ``np.asarray(batch)`` gives the points.  The taken inner
+    rows add up to n * d doubles to the points: a batch is worth building
+    for a sample that several copulas evaluate.
     """
 
     __slots__ = ("points", "dimension", "rule")
@@ -531,12 +496,7 @@ class DecomposedBatch:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise DimensionError(f"a decomposed batch takes an (n, d) array of points, got shape {pts.shape}")
-        if pts.flags.writeable:
-            pts = pts.copy()
-        bounds = (0.0, 0.0)  # an empty batch gets an empty rule
-        if pts.shape[0]:
-            pts, bounds = _guarded(pts)
-        rule = _decompose(pts, bounds)
+        pts, rule = _prepared(pts.copy() if pts.flags.writeable else pts)
         if rule is not None:
             margin, values, blocks = rule
             rule = margin, values, tuple(blocks)
@@ -717,8 +677,8 @@ def glue(left: Copula, right: Copula, axis: int, split: float) -> Copula:
         lo[:, j] /= theta
         hi[:, j] = (hi[:, j] - theta) / (1.0 - theta)
         out = np.empty(pts.shape[0])
-        out[rows] = theta * left._values(lo)
-        out[rest] = theta * hi[:, k] + (1.0 - theta) * right._values(hi)
+        out[rows] = theta * left._evaluate(*_prepared(lo))
+        out[rest] = theta * hi[:, k] + (1.0 - theta) * right._evaluate(*_prepared(hi))
         return out
 
     desc = {
@@ -750,7 +710,7 @@ def survival(c: Copula) -> Copula:
         raise DimensionError("survival is implemented for bivariate copulas")
 
     def formula(pts: np.ndarray) -> np.ndarray:
-        return pts[:, 0] + pts[:, 1] - 1.0 + c._values(1.0 - pts)
+        return pts[:, 0] + pts[:, 1] - 1.0 + c._evaluate(*_prepared(1.0 - pts))
 
     rel, abs_ = c.accuracy[:2]
     return Copula(2, formula, {"family": "survival", "inner": c.descriptor}, (0.0, 2 * ULP + rel + abs_))
@@ -771,9 +731,11 @@ def hierarchical(outer: Copula, inner: Copula) -> Copula:
             raise DomainError(f"{label} node must be a bivariate Archimedean copula")
 
     # the inner node gets its two columns as one contiguous (n, 2) array: a ufunc over the strided view pts[:, 1:]
-    # runs one 2-wide loop per row
+    # runs one 2-wide loop per row; its values are a temporary, freed before the outer node runs: held in a local
+    # name until the return, they slowed the 17,468-row d = 3 local sample by about 30% (2-CPU Linux, numpy 2.4)
     def formula(pts: np.ndarray) -> np.ndarray:
-        return outer._values(np.stack([pts[:, 0], inner._values(np.ascontiguousarray(pts[:, 1:]))], axis=1))
+        return outer._evaluate(*_prepared(np.stack(
+            [pts[:, 0], inner._evaluate(*_prepared(np.ascontiguousarray(pts[:, 1:])))], axis=1)))
 
     # Lambda_outer is increasing and 1-Lipschitz, so inner's relative and absolute errors pass through
     tdf = None if outer.tdf is None or inner.tdf is None else TailDepFunction(

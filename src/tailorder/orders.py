@@ -273,9 +273,10 @@ def check_loc(c1: Copula, c2: Copula, epsilon: float | None = None) -> OrderVerd
     from geometric nodes 1e-18 ... 1e-2 (thin regions along the faces, such
     as Marshall-Olkin's) and linear nodes on (0, 1].  With ``epsilon=None``
     the radii start at 1 and the candidate radii are 2^-k, k <= 20.  A sample of more than
-    ``core.MAX_POINTS`` points (d >= 8) is refused before it is built.  It is built and decomposed by
-    the boundary rule once per (dimension, first radius), or per verdict above d = 4, and handed to
-    both copulas as one read-only ``core.DecomposedBatch``, so a formula must not write into its
+    ``core.MAX_POINTS`` points (d >= 8) is refused before it is built.  It is built and prepared
+    (``core._prepared``: checked and split by the boundary rule) once per (dimension, first radius), or
+    per verdict above d = 4, and handed to both copulas as one read-only ``core.DecomposedBatch``,
+    which each evaluates by ``Copula._evaluate`` alone, so a formula must not write into its
     input: numpy raises instead of letting the write corrupt later verdicts.  The verdict's
     ``samples.points`` and ``scale`` are that shared read-only sample.
     """

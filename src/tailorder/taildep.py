@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from .core import EXACT, ULP, CopulaError, DimensionError, DomainError, GridConfig, CheckResult, TailDepFunction
-from .core import Record, ValidityReport, _row_reduce, check_points, min_tdf, zero_tdf
+from .core import Record, ValidityReport, _row_reduce, _upper_frechet, check_points, min_tdf, zero_tdf
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Copula
@@ -208,12 +208,13 @@ def archimedean_tdf(alpha: float, dimension: int = 2) -> TailDepFunction:
     """
     if not alpha >= 0:
         raise DomainError(f"alpha must lie in [0, inf], got {alpha}")
-    if alpha == 0.0:
-        base = zero_tdf(dimension)
-    elif np.isinf(alpha):
-        base = min_tdf(dimension)
+    a, breakpoints, rel = float(alpha), (), 1e-14
+    if a == 0.0:
+        fn = lambda pts: np.zeros(pts.shape[0])
+    elif math.isinf(a):
+        fn, breakpoints = _upper_frechet, (0.5,) if dimension == 2 else ()  # min_tdf's: the kink of min(t, 1 - t)
     else:
-        a = float(alpha)
+        rel = max(rel, 2 * ULP / a)  # the power -1/alpha: about ulp/alpha
 
         def fn(pts: np.ndarray) -> np.ndarray:
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -229,10 +230,9 @@ def archimedean_tdf(alpha: float, dimension: int = 2) -> TailDepFunction:
                     out[rows] = m * _row_reduce(np.add, (pts[rows] / m[:, None]) ** -a) ** (-1.0 / a)
             return np.where(np.isfinite(out), out, 0.0)
 
-        base = TailDepFunction(fn, dimension, accuracy=(2 * ULP / a, 0.0))  # the power -1/alpha: about ulp/alpha
     # at least 1e-14: measured against mpmath for alpha from 0.002 to 100, near the faces and down to 1e-300
-    return TailDepFunction(base.fn, dimension, name="clayton", params={"alpha": float(alpha)},
-                           breakpoints=base.breakpoints, accuracy=(max(1e-14, base.accuracy[0]), 0.0))
+    return TailDepFunction(fn, dimension, name="clayton", params={"alpha": a}, breakpoints=breakpoints,
+                           accuracy=(rel, 0.0))
 
 
 def simplex_restriction(lam: TailDepFunction) -> Callable:

@@ -411,7 +411,7 @@ class TestGeneralizedInverse:
     @pytest.mark.parametrize("name", ["clayton", "gumbel", "joe", "nonstrict-linear", "bisected"])
     @pytest.mark.parametrize("d", [2, 3])
     def test_archimedean_formula_is_the_clipped_inverse(self, name, d):
-        # the formula leaves generalized_inverse's clip to Copula._values: its bits are still those of the
+        # the formula leaves generalized_inverse's clip to Copula._evaluate: its bits are still those of the
         # clipped inverse of the summed generator, Joe's -0.0 where that sum exceeds 37 included
         g = self.GENERATORS[name]
         tail = np.geomspace(1e-12, 1e-6, 7 * d).reshape(7, d)

@@ -107,8 +107,9 @@ class TestEval:
             np.testing.assert_array_equal(np.asarray(c.cdf(pts)), masked[:-1], err_msg=repr(c))
 
     def test_positive_batch_builds_only_the_margin_mask(self):
-        # with min > 0 no row is a zero row; a min of 0 in the bounds makes _values build the zero mask too,
-        # and both must give the same bits on batches with 1.0 coordinates, with and without margin rows
+        # with min > 0 no row is a zero row and _prepared builds only the margin mask; an appended exact-0 row
+        # makes it build the zero mask too, and both must give the same bits on batches with 1.0 coordinates,
+        # with and without margin rows
         rng = np.random.default_rng(22)
         for c in every_family():
             d = c.dimension
@@ -119,10 +120,11 @@ class TestEval:
             single = rng.uniform(1e-3, 1.0, size=(64, d))
             single[::2, 0] = 1.0  # one 1.0 per row: a margin row only for d = 2
             for pts in (ones, single):
-                low, high = float(pts.min()), float(pts.max())
-                assert low > 0.0 and high == 1.0
-                fast, full = c._values(pts, (low, high)), c._values(pts, (0.0, high))
-                assert np.array_equal(fast.view(np.int64), full.view(np.int64)), repr(c)
+                assert pts.min() > 0.0 and pts.max() == 1.0
+                fast = c._evaluate(*core._prepared(pts))
+                full = c._evaluate(*core._prepared(np.vstack([pts, np.zeros((1, d))])))
+                assert full[-1] == 0.0
+                assert np.array_equal(fast.view(np.int64), full[:-1].view(np.int64)), repr(c)
                 assert np.array_equal(np.asarray(c.cdf(pts)).view(np.int64), fast.view(np.int64)), repr(c)
 
 
@@ -237,7 +239,7 @@ def spy_copula(sizes, seen=None):
 
 
 class TestRowBlocks:
-    """Copula._values hands a formula at most _ROW_BLOCK + 1 rows at a time, with the values of one whole batch."""
+    """Copula._evaluate hands a formula at most _ROW_BLOCK + 1 rows at a time, with the values of one whole batch."""
 
     B = core._ROW_BLOCK
 
@@ -389,6 +391,98 @@ class TestDecomposedBatch:
         pts = self.boundary_points(64)
         batch = to.DecomposedBatch(pts)
         assert np.array_equal(c.cdf(batch), pts.min(axis=1)) and seen[0] is batch.points
+
+
+def spied(c, calls, verbatim=False):
+    """c's formula, recording a copy of every array it is called on, in a copula of c's own kind or verbatim."""
+    def formula(pts):
+        calls.append(np.array(pts))
+        return c._formula(pts)
+
+    return to.copula_from_callable(formula, c.dimension) if verbatim else to.Copula(
+        c.dimension, formula, c.descriptor, c.accuracy, c.tdf)
+
+
+class TestCombinatorParts:
+    """A combinator's parts see exactly the rows and blocks their own cdf would see, and never an empty batch."""
+
+    B = core._ROW_BLOCK
+    SPLIT = 0.5
+
+    def combinator_blocks(self, pts):
+        # the arrays a combinator's own formula is called on, as a spy of its dimension sees them
+        seen = []
+        to.Copula(pts.shape[1], lambda b: seen.append(np.array(b)) or np.zeros(len(b)), {"family": "spy"}).cdf(pts)
+        return seen
+
+    def glue_inputs(self, block, axis):
+        j = axis - 1
+        below = block[:, j] <= self.SPLIT
+        lo, hi = block[below], block[~below]
+        lo[:, j] /= self.SPLIT
+        hi[:, j] = (hi[:, j] - self.SPLIT) / (1.0 - self.SPLIT)
+        return lo, hi
+
+    def batch(self, d, n, boundary):
+        pts = surface_batch(31, d, n)
+        if boundary:
+            pts[::7, 0] = 0.0  # zero rows
+            pts[1::11, 1:] = 1.0  # margin rows
+            pts[2::13, 0] = 1.0  # one 1.0: an inner row for d = 3, whose outer node gets a margin row
+            pts[3::17, 1] = 1e-20  # 1 - 1e-20 rounds to 1: a margin row of a survival copula's part
+            pts[4::19, 0] = pts[5::23, 1] = self.SPLIT  # a glued coordinate at the split is 1 in the left part
+        return pts
+
+    def assert_same_calls(self, got, want):
+        assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
+
+    @pytest.mark.parametrize("n", [64, 2 * B + 3])
+    @pytest.mark.parametrize("boundary", [False, True], ids=["interior", "boundary"])
+    @pytest.mark.parametrize("verbatim", [False, True], ids=["wrapped", "verbatim"])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_glue(self, n, boundary, verbatim, axis):
+        left, right = to.archimedean(to.joe_generator(2.0)), to.comonotone()
+        got, want = ([], []), ([], [])
+        pts = self.batch(2, n, boundary)
+        to.glue(spied(left, got[0], verbatim), spied(right, got[1], verbatim), axis, self.SPLIT).cdf(pts)
+        for block in self.combinator_blocks(pts):
+            for part, calls, rows in zip((left, right), want, self.glue_inputs(block, axis)):
+                spied(part, calls, verbatim).cdf(rows)
+        assert got[0] and got[1]
+        self.assert_same_calls(got[0], want[0])
+        self.assert_same_calls(got[1], want[1])
+
+    @pytest.mark.parametrize("n", [64, 2 * B + 3])
+    @pytest.mark.parametrize("boundary", [False, True], ids=["interior", "boundary"])
+    @pytest.mark.parametrize("verbatim", [False, True], ids=["wrapped", "verbatim"])
+    def test_survival(self, n, boundary, verbatim):
+        part = to.archimedean(to.clayton_generator(1.0))
+        got, want = [], []
+        pts = self.batch(2, n, boundary)
+        to.survival(spied(part, got, verbatim)).cdf(pts)
+        for block in self.combinator_blocks(pts):
+            spied(part, want, verbatim).cdf(1.0 - block)
+        self.assert_same_calls(got, want)
+
+    @pytest.mark.parametrize("n", [64, 2 * B + 3])
+    @pytest.mark.parametrize("boundary", [False, True], ids=["interior", "boundary"])
+    def test_hierarchical(self, n, boundary):
+        outer, inner = to.archimedean(to.clayton_generator(1.0)), to.archimedean(to.clayton_generator(2.0))
+        got, want = ([], []), ([], [])
+        pts = self.batch(3, n, boundary)
+        to.hierarchical(spied(outer, got[0]), spied(inner, got[1])).cdf(pts)
+        for block in self.combinator_blocks(pts):
+            nested = spied(inner, want[1]).cdf(block[:, 1:])
+            spied(outer, want[0]).cdf(np.stack([block[:, 0], nested], axis=1))
+        self.assert_same_calls(got[0], want[0])
+        self.assert_same_calls(got[1], want[1])
+
+    @pytest.mark.parametrize("verbatim", [False, True], ids=["wrapped", "verbatim"])
+    def test_a_part_with_no_rows_never_reaches_its_formula(self, verbatim):
+        left, right = [], []
+        c = to.glue(spied(to.independence(), left, verbatim), spied(to.comonotone(), right, verbatim), 1, self.SPLIT)
+        assert c.eval((0.3, 0.6)) == pytest.approx(0.18) and len(left) == 1 and right == []
+        assert c.eval((0.7, 0.6)) == pytest.approx(0.5) and len(left) == 1 and len(right) == 1
 
 
 class TestHVolume:
