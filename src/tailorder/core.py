@@ -399,7 +399,8 @@ class Copula:
         if rule is None:
             if n <= _ROW_BLOCK + 1:
                 return np.clip(np.asarray(self._formula(pts), dtype=float), 0.0, 1.0)
-            out, blocks = np.empty(n), ((slice(*b), pts[slice(*b)]) for b in _row_blocks(n, _ROW_BLOCK))
+            blocks = ((slice(start, stop), pts[start:stop]) for start, stop in _row_blocks(n, _ROW_BLOCK))
+            out = np.empty(n)
         else:
             margin, values, blocks = rule
             out = np.zeros(n)
@@ -471,7 +472,8 @@ def _prepared(pts: np.ndarray) -> tuple[np.ndarray, tuple | None]:
         inner = np.flatnonzero(~(zero | margin))
     if inner.size == pts.shape[0]:
         return pts, None
-    margin, blocks = np.flatnonzero(margin), _row_blocks(inner.size, _ROW_BLOCK) if inner.size else ()
+    margin = np.flatnonzero(margin)
+    blocks = _row_blocks(inner.size, _ROW_BLOCK) if inner.size else ()
     return pts, (margin, _row_reduce(np.minimum, pts[margin]),
                  ((inner[start:stop], pts.take(inner[start:stop], axis=0)) for start, stop in blocks))
 
