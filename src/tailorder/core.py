@@ -336,9 +336,11 @@ class Copula:
     evaluated verbatim instead.
     Instances are immutable and evaluation is pure, so copulas are safe to
     share between threads or processes.  The one thread the package starts
-    is the Gaussian copula's helper (``families.gaussian``), which runs the
-    second half of a block of ``_ROW_BLOCK`` rows or more; each call waits
-    for its own half, so callers on several threads get their own values.
+    is the worker of the Gaussian copula's one-worker executor
+    (``families.gaussian``), which runs the second half of a block of
+    ``_ROW_BLOCK`` rows or more (on the caller's thread once interpreter
+    shutdown has begun); each call waits for its own half, so callers on
+    several threads get their own values.
     """
 
     __slots__ = ("dimension", "descriptor", "accuracy", "tdf", "_formula")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextvars
 import os
-import threading
 import warnings
 from functools import lru_cache, partial
 from typing import Callable
@@ -552,8 +551,8 @@ def bivariate_normal_cdf(a, b, rho: float) -> np.ndarray | float:
     product with the weights.  The node rows and weights are built once per rho and shared read-only.  This
     function runs on the caller's thread.  The Gaussian copula adds the same I to
     u1*u2, which is Phi(a)Phi(b) at a = Phi^-1(u1), b = Phi^-1(u2), and splits a block of ``core._ROW_BLOCK``
-    rows or more in two on a ``_NORMAL_BLOCK`` boundary (see :func:`gaussian`).  The rule has a fixed 64 nodes
-    (``_NORMAL_NODES``).  Accuracy, measured on the Gaussian copula against mpmath with the interval cut
+    rows or more in two on a ``_NORMAL_BLOCK`` boundary, one half on an executor (see :func:`gaussian`).
+    The rule has a fixed 64 nodes (``_NORMAL_NODES``).  Accuracy, measured on the Gaussian copula against mpmath with the interval cut
     near asin(rho): for rho > 0 both terms are positive and the error is relative, at most 1.8e-14 at s*w
     for s down to 1e-14 and rho in [0.3, 0.999].  For rho < 0 the two terms cancel
     where a and b are both far below 0, so the error is only absolute, at most 5.6e-17 on the same
@@ -573,56 +572,25 @@ def bivariate_normal_cdf(a, b, rho: float) -> np.ndarray | float:
     return float(out) if np.isscalar(a) and np.isscalar(b) else out
 
 
-# the jobs queue of the one helper thread that runs the second half of a Gaussian block (see gaussian), or None before
-# the first such block; a forked child inherits no thread, so it starts its own
-_helper_jobs = None
-_helper_lock = threading.Lock()
+@lru_cache(maxsize=1)
+def _helper():
+    """The one-worker executor that runs the second half of a Gaussian block (see gaussian), built on first use."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="tailorder-gaussian")
 
 
-def _forget_helper():
-    global _helper_jobs, _helper_lock
-    _helper_jobs, _helper_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _helper_loop(jobs) -> None:
-    while True:
-        ctx, fn, args, done = jobs.get()
-        try:
-            ctx.run(fn, *args)
-            done.put(None)
-        except BaseException as exc:  # the caller re-raises it; the helper takes the next job
-            done.put(exc)
-        del ctx, fn, args, done  # hold no job's arrays while waiting for the next
+if hasattr(os, "register_at_fork"):  # a forked child inherits no worker thread, so it builds its own executor
+    os.register_at_fork(after_in_child=_helper.cache_clear)
 
 
 def _on_helper(fn, *args) -> Callable[[], None]:
-    """Start fn(*args) on the helper thread, in a copy of the caller's context (so ``np.errstate`` holds there).
-
-    Returns a call that waits for fn to finish and raises its error.  Each job has its own result queue, so callers on
-    several threads each wait for their own job; the helper runs the jobs one at a time.
-    """
-    global _helper_jobs
-    import queue
-
-    with _helper_lock:
-        if _helper_jobs is None:  # set only once the thread runs, so a failed start leaves no queue without a reader
-            jobs = queue.SimpleQueue()
-            threading.Thread(target=_helper_loop, args=(jobs,), name="tailorder-gaussian", daemon=True).start()
-            _helper_jobs = jobs
-        jobs = _helper_jobs
-    done = queue.SimpleQueue()
-    jobs.put((contextvars.copy_context(), fn, args, done))
-
-    def wait():
-        exc = done.get()
-        if exc is not None:
-            raise exc
-
-    return wait
+    """Start fn(*args) on the helper in a copy of the caller's context (so ``np.errstate`` holds there); return a
+    call that waits for fn to finish and raises its error."""
+    try:
+        return _helper().submit(contextvars.copy_context().run, fn, *args).result
+    except RuntimeError:  # interpreter shutdown has begun and the executor takes no job: fn runs when waited for
+        return partial(fn, *args)
 
 
 def gaussian(rho: float) -> Copula:
@@ -637,12 +605,13 @@ def gaussian(rho: float) -> Copula:
     The quadrature formula splits a block of at least ``core._ROW_BLOCK``
     (8,192) rows into two halves at a multiple of ``_NORMAL_BLOCK`` (1,024)
     rows; each half runs ``ndtri``, the product and the integral, and the
-    second runs on one daemon helper thread, started at the first such block
-    (and again in a forked child) and run in a copy of the caller's context,
-    so ``np.errstate`` holds there too.  Every row stays in the quadrature
-    block it has in one unsplit call, so the values are bit-identical to one
-    thread's.  Shorter blocks, such as the orders' local samples, stay on the
-    caller's thread.
+    second runs in a copy of the caller's context (so ``np.errstate`` holds
+    there too) on a one-worker ``concurrent.futures`` executor, started at
+    the first such block and again in a forked child; once interpreter
+    shutdown has begun, it runs on the caller's thread.  Every row stays in
+    the quadrature block it has in one unsplit call, so the values are
+    bit-identical to one thread's.  Shorter blocks, such as the orders'
+    local samples, stay on the caller's thread.
     """
     if not -1.0 <= rho <= 1.0:
         raise DomainError(f"rho must lie in [-1, 1], got {rho}")
@@ -673,7 +642,7 @@ def gaussian(rho: float) -> Copula:
         if n < _ROW_BLOCK:
             rows(pts, out)
             return out
-        # two halves split on a quadrature block boundary, the second on the helper thread
+        # two halves split on a quadrature block boundary, the second on the helper's worker
         mid = n // 2 // _NORMAL_BLOCK * _NORMAL_BLOCK
         second = _on_helper(rows, pts[mid:], out[mid:])
         rows(pts[:mid], out[:mid])

@@ -195,16 +195,19 @@ def estimated_tdf(c: "Copula", schedule: LimitSchedule | None = None) -> TailDep
                            accuracy=(0.0, 1e-6))
 
 
+_TINY = 2.0**-1022  # the smallest normal double
+
+
 def archimedean_tdf(alpha: float, dimension: int = 2) -> TailDepFunction:
     """Closed-form tail dependence function for regular variation index alpha.
 
     Zero for alpha = 0, (sum_k w_k^-alpha)^(-1/alpha) for finite positive
     alpha, and min_k w_k for alpha = inf.  A row whose sum overflows (a
-    coordinate below about 10^(-308/alpha)) or underflows to 0 (every
+    coordinate below about 10^(-308/alpha)) or is subnormal or 0 (every
     coordinate large) is recomputed in the scaled form
     m * (sum_k (w_k/m)^-alpha)^(-1/alpha) with m = min_k w_k, and is 0 where
-    m = 0; every other row keeps the unscaled form, and one reduction per
-    call tells whether any row needs the scaled one.
+    m = 0; every other row keeps the unscaled form, and at most two
+    reductions per call tell whether any row needs the scaled one.
     """
     if not alpha >= 0:
         raise DomainError(f"alpha must lie in [0, inf], got {alpha}")
@@ -220,11 +223,11 @@ def archimedean_tdf(alpha: float, dimension: int = 2) -> TailDepFunction:
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 total = _row_reduce(np.add, pts ** -a)
                 out = total ** (-1.0 / a)
-                # a sum of 0 or inf makes its row's product with its power 0 * inf, NaN; so does a NaN row
-                if np.isfinite(np.dot(out, total)):
+                # a sum of 0 or inf makes its row's product with its power 0 * inf, NaN, as does a NaN row
+                if math.isfinite(np.dot(out, total)) and np.minimum.reduce(total, initial=math.inf) >= _TINY:
                     return out
                 m = _row_reduce(np.minimum, pts)
-                rows = np.flatnonzero(np.isnan(out * total) & (m > 0.0))  # not the rows with a coordinate 0
+                rows = np.flatnonzero(((total < _TINY) | np.isinf(total)) & (m > 0.0))  # not the rows with a 0
                 if rows.size:
                     m = m[rows]
                     out[rows] = m * _row_reduce(np.add, (pts[rows] / m[:, None]) ** -a) ** (-1.0 / a)

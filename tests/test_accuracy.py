@@ -228,6 +228,19 @@ def test_clayton_pair_holds_down_to_1e_300(alpha):
         assert worst_excess(lam(pts), tdf_ref("clayton", alpha), pts, lam.accuracy) <= 0.0
 
 
+@pytest.mark.parametrize("alpha, rows", [(1.04, [[1e300, 1e300], [1.7e308, 1.7e308], [1e300, 3e305]]),
+                                         (2.0, [[1e160, 1e160], [1e155, 1e160]])])
+def test_clayton_pair_holds_where_the_sum_is_subnormal(alpha, rows):
+    # every coordinate large, so the sum of w^-alpha lies below the normal range, where Lambda is recomputed
+    # scaled by the smallest coordinate; against mpmath at 50 digits
+    pts = np.array(rows)
+    total = (pts ** -alpha).sum(axis=1)
+    assert ((0.0 < total) & (total < np.finfo(float).tiny)).all()
+    lam = to.archimedean_tdf(alpha)
+    with mp.workdps(50):
+        assert worst_excess(lam(pts), tdf_ref("clayton", alpha), pts, lam.accuracy) <= 0.0
+
+
 # a hair from either face, where a value is far below ulp(1) and only a relative error can bound it
 FACE = np.array([[3.4e-7, 3.4e-24], [3.4e-24, 3.4e-7], [0.5, 1e-20], [1e-20, 0.5], [1e-3, 1e-15]])
 

@@ -220,7 +220,7 @@ def inline(fn, *args):
 
 
 class TestHelperThread:
-    """A Gaussian block of core._ROW_BLOCK rows or more runs its second half on one helper thread."""
+    """A Gaussian block of core._ROW_BLOCK rows or more runs its second half on the helper executor's one worker."""
 
     @pytest.mark.parametrize("rho", [0.5, -0.7, 0.95])
     @pytest.mark.parametrize("n", [8192, 8193, 16385, 65536])
@@ -310,7 +310,8 @@ def _child_evaluates(c, pts, want):
 
 
 # Run in a fresh interpreter: importing the CLI starts no thread and loads no queue, and neither does a Gaussian
-# block below core._ROW_BLOCK rows (a local sample has 3,476); the first full block starts the one helper
+# block below core._ROW_BLOCK rows (a local sample has 3,476); the first full block builds the helper, a
+# concurrent.futures executor with one worker thread (and queue loads with it)
 _THREAD_PROBE = """
 import json, sys, threading
 import numpy as np
@@ -334,3 +335,61 @@ def test_import_starts_no_thread_and_loads_no_queue():
     proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
     assert json.loads(proc.stdout) == [[1, False], [1, False]] + [[2, True]] * 3
+
+
+def _run_fresh(script):
+    """Run script in a fresh interpreter that imports this checkout's package; return its stdout."""
+    package_root = str(Path(families.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300,
+                          check=True).stdout
+
+
+# an atexit handler runs after interpreter shutdown has begun, when an executor takes no new job
+_SHUTDOWN_PROBE = """
+import atexit
+import numpy as np
+import tailorder as to
+pts = np.random.default_rng(5).random((16384, 2))
+c = to.gaussian(0.5)
+want = c.cdf(pts)
+atexit.register(lambda: print(np.array_equal(c.cdf(pts), want)))
+"""
+
+
+def test_a_block_evaluated_at_exit_gets_the_main_threads_values():
+    assert _run_fresh(_SHUTDOWN_PROBE) == "True\n"
+
+
+# two threads start their first split blocks at once, so both may build the helper; each must get one thread's values,
+# and a spare helper must not keep the process from exiting
+_RACE_PROBE = """
+import json, sys, threading
+import numpy as np
+import tailorder as to
+from tailorder import families
+pts = np.random.default_rng(7).random((65536, 2))
+copulas = [to.gaussian(0.3), to.gaussian(0.7)]
+row_block, families._ROW_BLOCK = families._ROW_BLOCK, 10**9  # one thread: no block is split
+want = [c.cdf(pts) for c in copulas]
+families._ROW_BLOCK = row_block
+fresh = threading.active_count() == 1
+start, equal = threading.Barrier(2), [None, None]
+
+def work(k):
+    start.wait()
+    equal[k] = bool(np.array_equal(copulas[k].cdf(pts), want[k]))
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(json.dumps([fresh, equal]))
+"""
+
+
+def test_two_threads_that_start_the_helper_at_once_get_one_threads_values_and_the_process_exits():
+    assert json.loads(_run_fresh(_RACE_PROBE)) == [True, [True, True]]

@@ -119,21 +119,22 @@ class TestArchimedeanTDF:
     @staticmethod
     def scaled_everywhere(pts, a):
         """Clayton's Lambda with the row minimum taken over every row, and the scaled form on every finite row
-        whose sum is 0 or infinite: the bits archimedean_tdf must keep."""
+        whose sum is infinite or below the normal range: the bits archimedean_tdf must keep."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             total = (pts ** -a).sum(axis=1)
             out = total ** (-1.0 / a)
             m = pts.min(axis=1)
-            rows = np.isnan(out * total) & (m > 0.0)
+            rows = ((total < np.finfo(float).tiny) | np.isinf(total)) & (m > 0.0)
             out[rows] = m[rows] * ((pts[rows] / m[rows, None]) ** -a).sum(axis=1) ** (-1.0 / a)
         return np.where(np.isfinite(out), out, 0.0)
 
     @pytest.mark.parametrize("alpha", [0.002, 0.01, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 100.0])
     def test_values_are_those_of_the_scaled_form_on_every_row(self, alpha):
-        # the check_tdo grids (face points included) and the 1e-300 rows of tests/test_accuracy.py
-        faces = np.array([[0.0, 1.0], [1e-320, 1.0], [np.nan, 0.5], [1e300, 1e300], [0.0, 0.0]])
+        # the check_tdo grids (face points included), the 1e-300 rows of tests/test_accuracy.py and an empty batch;
+        # at alpha = 2 the sum at (1e160, 1e160) is subnormal
+        faces = np.array([[0.0, 1.0], [1e-320, 1.0], [np.nan, 0.5], [1e300, 1e300], [1e160, 1e160], [0.0, 0.0]])
         d16 = 10.0 ** np.random.default_rng([31, int(alpha)]).uniform(-300.0, 0.0, size=(400, 2))
-        for pts in (taildep.simplex_directions(65, 2), taildep.simplex_directions(65, 3), d16, faces):
+        for pts in (taildep.simplex_directions(65, 2), taildep.simplex_directions(65, 3), d16, faces, faces[:0]):
             got = to.archimedean_tdf(alpha, pts.shape[1]).fn(pts)
             assert np.array_equal(got.view(np.int64), self.scaled_everywhere(pts, alpha).view(np.int64))
 
