@@ -30,7 +30,6 @@ from .core import (
     countermonotone,
     glue,
     h_volume,
-    hierarchical,
     independence,
     min_tdf,
     survival,
@@ -50,6 +49,7 @@ from .families import (
     gaussian,
     generalized_inverse,
     gumbel_generator,
+    hierarchical,
     joe_generator,
     lower_ev_copula,
     marshall_olkin,

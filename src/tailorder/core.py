@@ -10,11 +10,11 @@ copula evaluates: :class:`Copula` itself keeps the boundary axioms
 or 1 around the raw formula it is built from, as every family's is, while
 :func:`copula_from_callable` takes a function verbatim so that it can be
 audited honestly by :func:`validate_copula`.  Every batch reaches a
-formula one way, in ``cdf``, in a :class:`DecomposedBatch` and in each part
-of a combinator alike: :func:`_prepared` checks it, clips it and splits it
-by the boundary rule, and :meth:`Copula._evaluate` evaluates it.  Every
-validity audit, here and in ``families`` and ``taildep``, builds its checks
-with one rule, :meth:`CheckResult.worst_of`.
+formula through ``cdf``, which each part of a combinator is evaluated by
+too, or a :class:`DecomposedBatch`: :func:`_prepared` checks it, clips it
+and splits it by the boundary rule, and :meth:`Copula._evaluate` evaluates
+it.  Every validity audit, here and in ``families`` and ``taildep``, builds
+its checks with one rule, :meth:`CheckResult.worst_of`.
 
 Every evaluator, here and in ``families`` and ``taildep``, carries an
 ``accuracy`` pair (rel, abs): a computed value v of a true value x has
@@ -65,7 +65,6 @@ __all__ = [
     "validate_copula",
     "glue",
     "survival",
-    "hierarchical",
 ]
 
 # Coordinates within BOUNDARY_TOL of {0, 1} are clamped; beyond it they are
@@ -295,8 +294,8 @@ class TailDepFunction(Record):
     def __call__(self, w):
         arr = np.asarray(w, dtype=float)
         scalar = arr.ndim == 1
-        if arr.shape[-1] != self.dimension:
-            raise DimensionError(f"directions have {arr.shape[-1]} coordinates, expected {self.dimension}")
+        if arr.shape[-1:] != (self.dimension,):
+            raise DimensionError(f"directions have shape {arr.shape}, expected {self.dimension} coordinates")
         pts = np.atleast_2d(arr).reshape(-1, self.dimension)
         if (pts < 0).any():
             raise DomainError("directions must be nonnegative")
@@ -332,8 +331,9 @@ class Copula:
         builder knows none.
 
     The boundary axioms hold exactly by the rule of :func:`_prepared` and
-    :meth:`_evaluate`; a copula from :func:`copula_from_callable` is
-    evaluated verbatim instead.
+    :meth:`_evaluate`, reached only from ``cdf`` and :class:`DecomposedBatch`
+    (a combinator calls its parts' ``cdf``); a copula from
+    :func:`copula_from_callable` is evaluated verbatim instead.
     Instances are immutable and evaluation is pure, so copulas are safe to
     share between threads or processes.  The one thread the package starts
     is the worker of the Gaussian copula's one-worker executor
@@ -379,10 +379,8 @@ class Copula:
             return self._evaluate(u.points, u.rule)
         arr = np.asarray(u, dtype=float)
         scalar = arr.ndim == 1
-        if arr.shape[-1] != self.dimension:
-            raise DimensionError(
-                f"points have {arr.shape[-1]} coordinates, copula has dimension {self.dimension}"
-            )
+        if arr.shape[-1:] != (self.dimension,):
+            raise DimensionError(f"points have shape {arr.shape}, copula has dimension {self.dimension}")
         vals = self._evaluate(*_prepared(arr.reshape(-1, self.dimension)))
         return float(vals[0]) if scalar else vals.reshape(arr.shape[:-1])
 
@@ -447,10 +445,10 @@ def _prepared(pts: np.ndarray) -> tuple[np.ndarray, tuple | None]:
     the inner rows' blocks: pairs of the indices of one block of
     :func:`_row_blocks` and those rows, taken by index into a new array when
     the pairs are iterated, one block at a time.  Rows with a coordinate
-    exactly 0 are in neither and get 0.  With min > 0 no row is a zero row,
-    so only the margin mask is built.  An empty batch gets an empty rule.
-    Like every family formula, the masks and the margin values combine a
-    row's d columns with :func:`_row_reduce`.
+    exactly 0 are in neither and get 0.  Both masks are built on every batch
+    that reaches them, whether or not its min is 0.  An empty batch gets an
+    empty rule.  Like every family formula, the masks and the margin values
+    combine a row's d columns with :func:`_row_reduce`.
     """
     if not pts.shape[0]:
         return pts, (np.empty(0, dtype=np.intp), np.empty(0), ())
@@ -465,19 +463,14 @@ def _prepared(pts: np.ndarray) -> tuple[np.ndarray, tuple | None]:
         pts = np.clip(pts, 0.0, 1.0)
     if 0.0 < low and high < 1.0:
         return pts, None
-    margin = _row_reduce(np.add, pts == 1.0, dtype=np.intp) >= pts.shape[1] - 1
-    if low > 0.0:
-        inner = np.flatnonzero(~margin)
-    else:
-        zero = _row_reduce(np.logical_or, pts == 0.0)
-        margin &= ~zero
-        inner = np.flatnonzero(~(zero | margin))
+    zero = _row_reduce(np.logical_or, pts == 0.0)
+    margin = (_row_reduce(np.add, pts == 1.0, dtype=np.intp) >= pts.shape[1] - 1) & ~zero
+    inner = np.flatnonzero(~(zero | margin))
     if inner.size == pts.shape[0]:
         return pts, None
     margin = np.flatnonzero(margin)
-    blocks = _row_blocks(inner.size, _ROW_BLOCK) if inner.size else ()
-    return pts, (margin, _row_reduce(np.minimum, pts[margin]),
-                 ((inner[start:stop], pts.take(inner[start:stop], axis=0)) for start, stop in blocks))
+    return pts, (margin, _row_reduce(np.minimum, pts[margin]), ((inner[start:stop], pts.take(inner[start:stop], axis=0))
+                                                              for start, stop in _row_blocks(inner.size, _ROW_BLOCK)))
 
 
 class DecomposedBatch:
@@ -521,9 +514,9 @@ def _row_blocks(n: int, size: int):
     """The (start, stop) ranges of n rows in blocks of ``size``, a last block of one row joined to the one before.
 
     The block rule of every row loop here and in ``families``: BLAS rounds a one-row matrix product by another
-    path than a row of a larger one, so every row rounds as it would in one product over all rows.
+    path than a row of a larger one, so every row rounds as it would in one product over all rows.  No rows, no block.
     """
-    for start in range(0, max(n - 1, 1), size):
+    for start in range(0, n - (n > 1), size):
         yield start, n if n - start <= size + 1 else start + size
 
 
@@ -681,8 +674,8 @@ def glue(left: Copula, right: Copula, axis: int, split: float) -> Copula:
         lo[:, j] /= theta
         hi[:, j] = (hi[:, j] - theta) / (1.0 - theta)
         out = np.empty(pts.shape[0])
-        out[rows] = theta * left._evaluate(*_prepared(lo))
-        out[rest] = theta * hi[:, k] + (1.0 - theta) * right._evaluate(*_prepared(hi))
+        out[rows] = theta * left.cdf(lo)
+        out[rest] = theta * hi[:, k] + (1.0 - theta) * right.cdf(hi)
         return out
 
     desc = {
@@ -714,43 +707,7 @@ def survival(c: Copula) -> Copula:
         raise DimensionError("survival is implemented for bivariate copulas")
 
     def formula(pts: np.ndarray) -> np.ndarray:
-        return pts[:, 0] + pts[:, 1] - 1.0 + c._evaluate(*_prepared(1.0 - pts))
+        return pts[:, 0] + pts[:, 1] - 1.0 + c.cdf(1.0 - pts)
 
     rel, abs_ = c.accuracy[:2]
     return Copula(2, formula, {"family": "survival", "inner": c.descriptor}, (0.0, 2 * ULP + rel + abs_))
-
-
-def hierarchical(outer: Copula, inner: Copula) -> Copula:
-    """Hierarchical Archimedean 3-copula (u1, u2, u3) -> outer(u1, inner(u2, u3)).
-
-    Both nodes must be bivariate Archimedean.  For Clayton/Clayton nesting
-    the sufficient condition theta_outer <= theta_inner is enforced
-    analytically; any other combination is audited numerically, on a grid of
-    resolution 16, and rejected if the result fails the copula axioms.  The
-    tail dependence function is Lambda_outer(w1, Lambda_inner(w2, w3)) when
-    both nodes carry one.
-    """
-    for node, label in ((outer, "outer"), (inner, "inner")):
-        if node.descriptor.get("family") != "archimedean" or node.dimension != 2:
-            raise DomainError(f"{label} node must be a bivariate Archimedean copula")
-
-    # the inner node gets its two columns as one contiguous (n, 2) array: a ufunc over the strided view pts[:, 1:]
-    # runs one 2-wide loop per row; its values are a temporary, freed before the outer node runs: held in a local
-    # name until the return, they slowed the 17,468-row d = 3 local sample by about 30% (2-CPU Linux, numpy 2.4)
-    def formula(pts: np.ndarray) -> np.ndarray:
-        return outer._evaluate(*_prepared(np.stack(
-            [pts[:, 0], inner._evaluate(*_prepared(np.ascontiguousarray(pts[:, 1:])))], axis=1)))
-
-    # Lambda_outer is increasing and 1-Lipschitz, so inner's relative and absolute errors pass through
-    tdf = None if outer.tdf is None or inner.tdf is None else TailDepFunction(
-        lambda pts: outer.tdf.fn(np.stack([pts[:, 0], inner.tdf.fn(np.ascontiguousarray(pts[:, 1:]))], axis=1)), 3,
-        accuracy=tuple(map(sum, zip(outer.tdf.accuracy, inner.tdf.accuracy))))
-    desc = {"family": "hierarchical", "outer": outer.descriptor, "inner": inner.descriptor}
-    c = Copula(3, formula, desc, tuple(map(sum, zip(outer.accuracy, inner.accuracy))), tdf)
-
-    og, ig = (node.descriptor["params"]["generator"] for node in (outer, inner))
-    if og.get("name") != "clayton" or ig.get("name") != "clayton":
-        validate_copula(c, GridConfig(resolution=16)).require("invalid hierarchical nesting")
-    elif og["theta"] > ig["theta"]:
-        raise DomainError(f"Clayton nesting requires outer theta <= inner theta, got {og['theta']} > {ig['theta']}")
-    return c

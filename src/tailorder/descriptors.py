@@ -130,7 +130,7 @@ _FAMILIES = {
     "glue": lambda p, desc: core.glue(_child(desc, "left"), _child(desc, "right"), _param(p, "axis", int),
                                       _param(p, "split")),
     "survival": lambda p, desc: core.survival(_child(desc, "inner")),
-    "hierarchical": lambda p, desc: core.hierarchical(_child(desc, "outer"), _child(desc, "inner")),
+    "hierarchical": lambda p, desc: families.hierarchical(_child(desc, "outer"), _child(desc, "inner")),
 }
 
 

@@ -4,8 +4,8 @@ Archimedean generators with exact or bisected inverses, the Marshall-Olkin
 and Gaussian families, diagonal-driven constructions (Fredricks-Nelsen,
 Bertino, semilinear), and extreme value copulas driven by a tail dependence
 function.  Each builder sets the copula's closed-form tail dependence
-function (see ``core``).  The hierarchical Archimedean nesting is a
-combinator like ``glue`` and lives in ``core``; it is re-exported here.
+function (see ``core``).  The hierarchical Archimedean nesting sits beside
+the Archimedean builder, whose generator descriptors its Clayton rule reads.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .core import (
     _row_blocks,
     _row_reduce,
     _upper_frechet,
-    hierarchical,
     min_tdf,
+    validate_copula,
     zero_tdf,
 )
 from .taildep import _gauss_legendre_01, archimedean_tdf, validate_tdf
@@ -53,6 +53,7 @@ __all__ = [
     "nonstrict_linear_generator",
     "generalized_inverse",
     "archimedean",
+    "hierarchical",
     "marshall_olkin",
     "DiagonalSection",
     "power_diagonal",
@@ -67,7 +68,6 @@ __all__ = [
     "gaussian",
     "ev_copula",
     "lower_ev_copula",
-    "hierarchical",
 ]
 
 
@@ -261,6 +261,41 @@ def archimedean(g: Generator, dimension: int = 2) -> Copula:
     rel, abs_, *region = g.accuracy
     tdf = None if g.rv_index_at_0 is None else archimedean_tdf(g.rv_index_at_0, dimension)
     return Copula(dimension, formula, desc, (rel, abs_ + floor, *region), tdf)
+
+
+def hierarchical(outer: Copula, inner: Copula) -> Copula:
+    """Hierarchical Archimedean 3-copula (u1, u2, u3) -> outer(u1, inner(u2, u3)).
+
+    Both nodes must be bivariate Archimedean.  For Clayton/Clayton nesting
+    the sufficient condition theta_outer <= theta_inner is enforced
+    analytically; any other combination is audited numerically, on a grid of
+    resolution 16, and rejected if the result fails the copula axioms.  The
+    tail dependence function is Lambda_outer(w1, Lambda_inner(w2, w3)) when
+    both nodes carry one.
+    """
+    for node, label in ((outer, "outer"), (inner, "inner")):
+        if node.descriptor.get("family") != "archimedean" or node.dimension != 2:
+            raise DomainError(f"{label} node must be a bivariate Archimedean copula")
+
+    # the inner node gets its two columns as one contiguous (n, 2) array: a ufunc over the strided view pts[:, 1:]
+    # runs one 2-wide loop per row; its values are a temporary, freed before the outer node runs: held in a local
+    # name until the return, they slowed the 17,468-row d = 3 local sample by about 30% (2-CPU Linux, numpy 2.4)
+    def formula(pts: np.ndarray) -> np.ndarray:
+        return outer.cdf(np.stack([pts[:, 0], inner.cdf(np.ascontiguousarray(pts[:, 1:]))], axis=1))
+
+    # Lambda_outer is increasing and 1-Lipschitz, so inner's relative and absolute errors pass through
+    tdf = None if outer.tdf is None or inner.tdf is None else TailDepFunction(
+        lambda pts: outer.tdf.fn(np.stack([pts[:, 0], inner.tdf.fn(np.ascontiguousarray(pts[:, 1:]))], axis=1)), 3,
+        accuracy=tuple(map(sum, zip(outer.tdf.accuracy, inner.tdf.accuracy))))
+    desc = {"family": "hierarchical", "outer": outer.descriptor, "inner": inner.descriptor}
+    c = Copula(3, formula, desc, tuple(map(sum, zip(outer.accuracy, inner.accuracy))), tdf)
+
+    og, ig = (node.descriptor["params"]["generator"] for node in (outer, inner))
+    if og.get("name") != "clayton" or ig.get("name") != "clayton":
+        validate_copula(c, GridConfig(resolution=16)).require("invalid hierarchical nesting")
+    elif og["theta"] > ig["theta"]:
+        raise DomainError(f"Clayton nesting requires outer theta <= inner theta, got {og['theta']} > {ig['theta']}")
+    return c
 
 
 def marshall_olkin(alpha: float) -> Copula:

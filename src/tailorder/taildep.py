@@ -147,7 +147,7 @@ def estimate_tdfs(c: "Copula", directions, schedule: LimitSchedule | None = None
     sched = schedule or LimitSchedule()
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != c.dimension:
-        raise DimensionError(f"direction has {dirs.shape[-1]} coordinates, copula has {c.dimension}")
+        raise DimensionError(f"directions have shape {dirs.shape}, copula has dimension {c.dimension}")
     wmax = _row_reduce(np.maximum, dirs)
     if dirs.min(initial=0.0) < 0 or not wmax.all():
         raise DomainError("direction must be nonnegative and nonzero")
