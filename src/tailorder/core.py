@@ -469,8 +469,8 @@ def _prepared(pts: np.ndarray) -> tuple[np.ndarray, tuple | None]:
     if inner.size == pts.shape[0]:
         return pts, None
     margin = np.flatnonzero(margin)
-    return pts, (margin, _row_reduce(np.minimum, pts[margin]), ((inner[start:stop], pts.take(inner[start:stop], axis=0))
-                                                              for start, stop in _row_blocks(inner.size, _ROW_BLOCK)))
+    return pts, (margin, _row_reduce(np.minimum, pts[margin]),
+                 ((inner[a:b], pts.take(inner[a:b], axis=0)) for a, b in _row_blocks(inner.size, _ROW_BLOCK)))
 
 
 class DecomposedBatch:

@@ -25,6 +25,7 @@ from .taildep import TailDepFunction
 
 __all__ = [
     "DescriptorError",
+    "MAX_DEPTH",
     "SHORTHAND_USAGE",
     "generator_from_spec",
     "diagonal_from_spec",
@@ -39,6 +40,11 @@ __all__ = [
 
 class DescriptorError(CopulaError, ValueError):
     """A descriptor is malformed or references an unknown family or fixture."""
+
+
+# the deepest nesting of JSON objects and arrays a descriptor may have: far beyond any combinator a user writes, and
+# shallow enough that building and evaluating one this deep stays well inside Python's recursion limit
+MAX_DEPTH = 100
 
 
 def _require(cond: bool, message: str):
@@ -107,7 +113,7 @@ def tdf_from_spec(spec: dict, dimension: int = 2) -> TailDepFunction:
 
 def _child(desc: dict, key: str) -> Copula:
     _require(key in desc, f"{desc.get('family')} descriptor needs a {key!r} child")
-    return build_copula(desc[key])
+    return _build(desc[key])
 
 
 def _dim(p: dict) -> int:
@@ -135,7 +141,17 @@ _FAMILIES = {
 
 
 def build_copula(desc: dict) -> Copula:
-    """Construct the copula described by a descriptor object."""
+    """Construct the copula described by a descriptor object, first refusing one nested deeper than ``MAX_DEPTH``:
+    counted one level of distinct objects and arrays at a time, so no deep, shared or cyclic input recurses."""
+    level, depth = [desc], 0
+    while level := {id(v): v for v in level if isinstance(v, (dict, list))}.values():
+        depth += 1
+        _require(depth <= MAX_DEPTH, f"descriptor nested deeper than {MAX_DEPTH} levels")
+        level = [v for x in level for v in (x.values() if isinstance(x, dict) else x)]
+    return _build(desc)
+
+
+def _build(desc: dict) -> Copula:
     _require(isinstance(desc, dict), "descriptor must be an object")
     family = desc.get("family")
     _require(isinstance(family, str), "descriptor needs a 'family' tag")
@@ -230,7 +246,7 @@ def descriptor_to_json(desc: dict) -> str:
 def descriptor_from_json(text: str) -> dict:
     try:
         desc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses once per nested object or array
         raise DescriptorError(f"invalid descriptor JSON: {exc}") from exc
     _require(isinstance(desc, dict), "descriptor JSON must be an object")
     return desc

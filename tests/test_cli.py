@@ -22,6 +22,17 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def _survivals(levels: int) -> dict:
+    desc = {"family": "independence"}
+    for _ in range(levels):
+        desc = {"family": "survival", "inner": desc}
+    return desc
+
+
+# descriptor files that test_input_errors writes when a command names them
+BAD_FILES = {"brace.json": "{", "survival-360.json": json.dumps(_survivals(360)), "brackets.json": "[" * 100_000}
+
+
 def rows(text):
     return list(csv.reader(io.StringIO(text)))
 
@@ -493,8 +504,21 @@ class TestContract:
         ("eval", "countermonotone:", "-u", "0.3,0.4"),
         ("eval", "lev:zero:", "-u", "0.3,0.4"),
         ("eval", "independence:", "-u", "0.3,0.4"),
+        # a malformed point or schedule, a parameter outside its family's range, and a file that does not exist
+        ("eval", "clayton:2", "-u", "0.3,x"),
+        ("order", "clayton:1", "clayton:2", "--too", "--schedule", "0.01,0.5"),
+        ("eval", "marshall-olkin:2", "-u", "0.3,0.4"),
+        ("eval", "no-such-file.json", "-u", "0.3,0.4"),
+        # a truncated JSON file, and nestings deeper than the cap: one from descriptors, one that the decoder itself
+        # refuses
+        ("eval", "brace.json", "-u", "0.3,0.4"),
+        ("eval", "survival-360.json", "-u", "0.3,0.4"),
+        ("eval", "brackets.json", "-u", "0.3,0.4"),
     ])
-    def test_input_errors(self, capsys, argv):
+    def test_input_errors(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        for name in BAD_FILES.keys() & set(argv):
+            Path(name).write_text(BAD_FILES[name])
         code, _, err = run(capsys, *argv)
         assert code == cli.EXIT_INPUT_ERROR
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -68,9 +68,15 @@ class TestEval:
             margin_pt[-1] = 0.37
             assert c.eval(margin_pt) == 0.37
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("call", [
+        lambda: to.independence().eval((0.1, 0.2, 0.3)),
+        # a 0-d point has no coordinates to count
+        lambda: to.archimedean(to.clayton_generator(2.0)).cdf(0.5),
+        lambda: to.archimedean(to.clayton_generator(2.0)).tdf(0.5),
+    ], ids=["three-coordinates", "0-d-point", "0-d-direction"])
+    def test_dimension_mismatch(self, call):
         with pytest.raises(to.DimensionError):
-            to.independence().eval((0.1, 0.2, 0.3))
+            call()
 
     def test_out_of_domain(self):
         with pytest.raises(to.DomainError):

@@ -201,6 +201,7 @@ class TestErrors:
         ({"family": "archimedean", "params": {"generator": {"name": "clayton", "theta": 2}, "d": "x"}},
          "parameter 'd'"),
         ({"family": "marshall_olkin", "params": {}}, "missing parameter 'alpha'"),
+        ({"family": "marshall_olkin", "params": {"alpha": 2.0}}, "invalid marshall_olkin descriptor"),
         ({"family": "glue", "params": {"axis": 1, "split": 0.5}}, "needs a 'left' child"),
         # a non-finite parameter, which the shorthand grammar parses, builds no copula
         (parse_shorthand("clayton:inf"), "Clayton theta must be positive and finite"),
@@ -240,6 +241,32 @@ class TestErrors:
     def test_bad_shorthand(self, text, message):
         with pytest.raises(DescriptorError, match=message):
             parse_shorthand(text)
+
+    def test_nesting_is_capped(self):
+        # survival levels over the product copula: the cap counts JSON objects, the product copula's included
+        def nested(depth):
+            desc = {"family": "independence"}
+            for _ in range(depth - 1):
+                desc = {"family": "survival", "inner": desc}
+            return desc
+
+        at_cap = build_copula(descriptor_from_json(descriptor_to_json(nested(descriptors.MAX_DEPTH))))
+        assert at_cap.eval((0.3, 0.4)) == pytest.approx(0.12)
+        deep_list = []
+        for _ in range(descriptors.MAX_DEPTH):
+            deep_list = [deep_list]
+        # past the cap by a copula level, by a thousand, and by arrays in a parameter that no builder reads
+        for desc in (nested(descriptors.MAX_DEPTH + 1), nested(1000), {"family": "independence", "params": {
+                "d": 2, "unread": deep_list}}):
+            with pytest.raises(DescriptorError, match=f"nested deeper than {descriptors.MAX_DEPTH} levels"):
+                build_copula(desc)
+        cyclic = {"family": "survival"}
+        cyclic["inner"] = cyclic
+        cyclic["params"] = [cyclic, cyclic]
+        with pytest.raises(DescriptorError, match="nested deeper"):
+            build_copula(cyclic)
+        with pytest.raises(DescriptorError, match="invalid descriptor JSON"):
+            descriptor_from_json("[" * 100_000)
 
     def test_integral_float_dimension_builds(self):
         assert build_copula({"family": "independence", "params": {"d": 3.0}}).dimension == 3
